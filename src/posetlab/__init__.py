@@ -44,6 +44,7 @@ from .graph_posets import (
 )
 from .homology import (
     HomologyResult,
+    InvariantError,
     alexander_duality_check,
     certify_contractible,
     pi1_field,
@@ -93,6 +94,7 @@ __all__ = [
     "verify_subset_sphere",
     "verify_valence_two",
     "HomologyResult",
+    "InvariantError",
     "alexander_duality_check",
     "certify_contractible",
     "pi1_field",

@@ -18,12 +18,15 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import permutations
 
+import numpy as np
+
 from .graph_posets import build_poset, poset_elements
 from .homology import HomologyResult, reduced_homology
 from .multigraph import GraphError, Multigraph, Subgraph
 from .poset import (
     FinitePoset,
     PosetMap,
+    _mask_bits,
     closure_retraction,
     is_order_isomorphic_via,
     order_complex,
@@ -286,8 +289,10 @@ def fiber_poset(g: Multigraph, connected_only: bool = False) -> FinitePoset:
         (F1, H1) <= (F2, H2)  iff  F1 >= F2 and F1 | H1 >= F2 | H2.
 
     The slice at F = empty is the (connected) core poset with its order
-    reversed.
+    reversed.  The order is computed on int64 edge masks, so `g` may have
+    at most 63 edges.
     """
+    bit = _mask_bits(g.edge_ids)
     kind = "cc" if connected_only else "c"
     elements = []
     for forest in _forests(g):
@@ -296,10 +301,11 @@ def fiber_poset(g: Multigraph, connected_only: bool = False) -> FinitePoset:
             elements.append((forest, h))
     elements.sort(key=lambda fh: (sorted(fh[0]), sorted(fh[1])))
 
-    def leq(a, b):
-        return a[0] >= b[0] and (a[0] | a[1]) >= (b[0] | b[1])
-
-    return FinitePoset.from_relation(elements, leq)
+    f = np.array([sum(bit[e] for e in fh[0]) for fh in elements], dtype=np.int64)
+    u = np.array([sum(bit[e] for e in fh[0] | fh[1]) for fh in elements], dtype=np.int64)
+    # leq[i, j]: F_j within F_i and F_j | H_j within F_i | H_i
+    leq = ((f[None, :] & ~f[:, None]) == 0) & ((u[None, :] & ~u[:, None]) == 0)
+    return FinitePoset(elements, leq)
 
 
 def fiber_retraction(g: Multigraph, connected_only: bool = False):

@@ -30,6 +30,13 @@ _TIETZE_MAX_PASSES = 1000
 _TIETZE_MAX_LETTERS = 500_000
 
 
+class InvariantError(RuntimeError):
+    """An internal consistency check failed: a defect in posetlab itself.
+
+    Deliberately not a ValueError, so it is never mistaken for bad input.
+    """
+
+
 @dataclass(frozen=True)
 class SNFResult:
     rank: int
@@ -79,9 +86,9 @@ def snf_from_entries(entries, nrows, ncols):
 
     unit_rank = _eliminate_unit_pivots(rows, cols)
     residue = _gather_dense(rows)
-    diag = _dense_snf(residue)
-    factors = [1] * unit_rank + diag
-    factors = _normalize_chain(factors)
+    # A unit divides every factor, so only the dense residue needs the
+    # pairwise divisibility pass; the invariant factors are unique.
+    factors = [1] * unit_rank + _normalize_chain(_dense_snf(residue))
     return SNFResult(rank=len(factors), factors=tuple(factors))
 
 
@@ -379,10 +386,21 @@ def reduced_homology(k):
             torsion[d] = t
     result = HomologyResult.from_dicts(betti, torsion)
 
-    # Euler characteristic bookkeeping check, reduced form
+    # Euler characteristic bookkeeping check, reduced form.  The ranks
+    # telescope out of it, so it guards the arithmetic above but cannot see
+    # a wrong SNF rank; the 1-skeleton's components give H~_-1 and H~_0
+    # without SNF, which catches a wrong rank in degrees 0 and 1.
     chi_faces = sum((-1) ** d * c for d, c in counts.items())
     chi_betti = sum((-1) ** d * b for d, b in betti.items())
-    assert chi_faces == chi_betti, "rank bookkeeping out of balance"
+    if chi_faces != chi_betti:
+        raise InvariantError("rank bookkeeping out of balance")
+    pieces = len(k.components())
+    if (
+        any(b < 0 for b in betti.values())
+        or betti.get(-1, 0) != (0 if pieces else 1)
+        or betti.get(0, 0) != max(pieces - 1, 0)
+    ):
+        raise InvariantError(f"SNF ranks disagree with {pieces} components")
 
     if len(_homology_cache) >= _HOMOLOGY_CACHE_MAX:
         _homology_cache.clear()
@@ -476,7 +494,8 @@ def pi1_triviality(k):
         return PI1_TRIVIAL
     outcome = _tietze_trivialize(relators, alive)
     if outcome:
-        assert not h1_nonzero, "presentation emptied but H1 is nonzero"
+        if h1_nonzero:
+            raise InvariantError("presentation emptied but H1 is nonzero")
         return PI1_TRIVIAL
     if h1_nonzero:
         return PI1_NONTRIVIAL

@@ -33,6 +33,7 @@ from dataclasses import dataclass, field
 from itertools import combinations
 
 from .homology import (
+    InvariantError,
     certify_contractible,
     is_contractible_certificate,
     reduced_homology,
@@ -199,11 +200,11 @@ def verify_certificate(p: FinitePoset, cert: LevelCertificate) -> CertificateChe
                     status,
                 )
 
-    h = reduced_homology(k)
-    assert h.is_trivial(), (
-        "level certificate validated but homology is nonzero; "
-        "this indicates a defect in the certificate checker"
-    )
+    if not reduced_homology(k).is_trivial():
+        raise InvariantError(
+            "level certificate validated but homology is nonzero; "
+            "this indicates a defect in the certificate checker"
+        )
     return CertificateCheck(True, "all levels verified", status)
 
 

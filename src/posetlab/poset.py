@@ -202,7 +202,12 @@ def _label_text(x):
 
 
 class PosetMap:
-    """A map of posets, checked to be order-preserving on construction."""
+    """A map of posets, checked to be order-preserving on construction.
+
+    The check is one numpy comparison: with ``idx`` the target positions
+    of the images, ``source.leq`` must imply ``target.leq[idx][:, idx]``.
+    A violation is reported at its first pair in row-major order.
+    """
 
     __slots__ = ("source", "target", "mapping")
 
@@ -213,14 +218,14 @@ class PosetMap:
         missing = [x for x in source.elements if x not in self.mapping]
         if missing:
             raise PosetError(f"map not defined on {missing[0]!r}")
-        for x in source.elements:
-            target.index(self.mapping[x])
-        for x in source.elements:
-            for y in source.elements:
-                if source.le(x, y) and not target.le(self.mapping[x], self.mapping[y]):
-                    raise PosetError(
-                        f"not order-preserving: {x!r} <= {y!r} but images are not"
-                    )
+        idx = np.array(
+            [target.index(self.mapping[x]) for x in source.elements], dtype=np.intp
+        )
+        bad = source.leq & ~target.leq[np.ix_(idx, idx)]
+        if bad.any():
+            i, j = np.argwhere(bad)[0]
+            x, y = source.elements[i], source.elements[j]
+            raise PosetError(f"not order-preserving: {x!r} <= {y!r} but images are not")
 
     @classmethod
     def from_function(cls, source, target, fn):
@@ -351,11 +356,8 @@ def is_order_isomorphic_via(p, q, mapping):
     images = [mapping[x] for x in p.elements]
     if len(set(images)) != p.n or set(images) != set(q.elements):
         return False
-    for x in p.elements:
-        for y in p.elements:
-            if p.le(x, y) != q.le(mapping[x], mapping[y]):
-                return False
-    return True
+    idx = np.array([q.index(y) for y in images], dtype=np.intp)
+    return bool((p.leq == q.leq[np.ix_(idx, idx)]).all())
 
 
 def poset_of_subsets(subsets):
@@ -366,8 +368,7 @@ def poset_of_subsets(subsets):
     bitmasks, so a few hundred subsets cost nothing.
     """
     elements = sorted(set(subsets), key=lambda s: (len(s), tuple(sorted(s))))
-    universe = sorted({x for s in elements for x in s})
-    bit = {x: 1 << i for i, x in enumerate(universe)}
+    bit = _mask_bits(sorted({x for s in elements for x in s}))
     masks = np.array(
         [sum(bit[x] for x in s) for s in elements], dtype=np.int64
     ).reshape(-1, 1)
@@ -375,6 +376,17 @@ def poset_of_subsets(subsets):
         return FinitePoset([], [])
     leq = (masks & ~masks.T) == 0
     return FinitePoset(elements, leq)
+
+
+def _mask_bits(universe):
+    """The bit of each member in an int64 subset mask, in the given order.
+
+    Bit 63 is the sign bit, so at most 63 members fit.
+    """
+    universe = list(universe)
+    if len(universe) > 63:
+        raise ValueError(f"{len(universe)} members do not fit an int64 mask (at most 63)")
+    return {x: 1 << i for i, x in enumerate(universe)}
 
 
 def subset_lattice(universe):

@@ -24,7 +24,7 @@ from posetlab.enumeration import (
 )
 from posetlab.homology import HomologyResult, reduced_homology
 from posetlab.multigraph import GraphError, Multigraph, dumbbell, rose, theta_graph
-from posetlab.poset import order_complex
+from posetlab.poset import FinitePoset, order_complex
 
 # ---------------------------------------------------------------------------
 # independent census oracle
@@ -211,6 +211,23 @@ class TestFiberPosets:
         assert reduced_homology(order_complex(p)) == reduced_homology(
             order_complex(core.opposite())
         )
+
+    def test_mask_order_matches_definition(self):
+        # (F1, H1) <= (F2, H2) iff F1 >= F2 and F1 | H1 >= F2 | H2
+        def by_definition(a, b):
+            return a[0] >= b[0] and (a[0] | a[1]) >= (b[0] | b[1])
+
+        for key in (*enumerate_graphs(2), *enumerate_graphs(3)):
+            for connected_only in (False, True):
+                p = fiber_poset(parse_key(key), connected_only)
+                oracle = FinitePoset.from_relation(p.elements, by_definition)
+                assert (p.leq == oracle.leq).all(), (key, connected_only)
+
+    def test_more_than_63_edges_rejected(self):
+        with pytest.raises(ValueError, match="int64 mask"):
+            fiber_poset(rose(64))
+        with pytest.raises(ValueError, match="int64 mask"):
+            fiber_poset(theta_graph(64), connected_only=True)
 
     def test_distinct_forests_distinct_elements(self):
         # two different spanning trees of theta with isomorphic quotients

@@ -10,11 +10,14 @@ from math import gcd
 
 import pytest
 
+from posetlab import homology
 from posetlab.homology import (
     CONTRACTIBLE_CONE,
     PI1_NONTRIVIAL,
     PI1_TRIVIAL,
     HomologyResult,
+    InvariantError,
+    SNFResult,
     alexander_duality_check,
     boundary_entries,
     certify_contractible,
@@ -197,6 +200,52 @@ class TestSmithNormalForm:
             }
             assert snf_from_entries(entries, rows, cols).factors == smith_normal_form(m).factors
 
+    def test_unit_block_glued_to_torsion_residue(self):
+        # I_300 (+) diag(4, 6), scrambled by row operations that mix the
+        # torsion rows with unit rows
+        n = 300
+        m = [[int(i == j) for j in range(n + 2)] for i in range(n)]
+        m += [[0] * n + [4, 0], [0] * n + [0, 6]]
+        for target, source, mult in ((n, 5, 3), (0, n + 1, 1), (n + 1, 7, -2), (9, n, 1)):
+            m[target] = [a + mult * b for a, b in zip(m[target], m[source])]
+        res = smith_normal_form(m)
+        assert res.factors == (1,) * n + (2, 12)
+        assert res.rank == n + 2
+
+    def test_rank_deficient(self):
+        assert smith_normal_form([[2, 4], [4, 8]]).factors == (2,)
+        assert smith_normal_form([[1, 2], [2, 4]]).factors == (1,)
+        assert smith_normal_form([[0, 3], [0, 6]]).factors == (3,)
+        assert smith_normal_form([[2, 4, 6], [4, 8, 12], [1, 2, 3]]).factors == (1,)
+        # units in front of a rank-deficient residue
+        m = [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 2, 4], [0, 0, 4, 8]]
+        assert smith_normal_form(m) == SNFResult(rank=3, factors=(1, 1, 2))
+
+    def test_unit_prefix_equals_full_chain_normalization(self):
+        # the pairwise pass over units and residue together, as it ran before
+        def full_chain(entries, nrows, ncols):
+            rows, cols = {}, {}
+            for (i, j), v in entries.items():
+                rows.setdefault(i, {})[j] = v
+                cols.setdefault(j, set()).add(i)
+            units = homology._eliminate_unit_pivots(rows, cols)
+            diag = homology._dense_snf(homology._gather_dense(rows))
+            return tuple(homology._normalize_chain([1] * units + diag))
+
+        rng = random.Random(31)
+        for _ in range(200):
+            rows = rng.randrange(1, 8)
+            cols = rng.randrange(1, 8)
+            entries = {
+                (i, j): rng.choice((-1, 1, 1, 2, -2, 3, 4, 6))
+                for i in range(rows)
+                for j in range(cols)
+                if rng.random() < 0.45
+            }
+            res = snf_from_entries(entries, rows, cols)
+            assert res.factors == full_chain(entries, rows, cols), entries
+            assert res.rank == len(res.factors)
+
     def test_triplet_matrix_parser(self):
         entries, nrows, ncols = read_triplet_matrix("# comment\n2 3\n0 0 2\n1 2 -5\n")
         assert (nrows, ncols) == (2, 3)
@@ -368,3 +417,29 @@ class TestContractibilityAndPi1:
     def test_pi1_componentwise(self):
         two = SimplicialComplex.from_facets(range(4), [(0, 1), (2, 3)])
         assert pi1_field(two) == PI1_TRIVIAL
+
+
+class TestInvariantChecks:
+    def test_invariant_error_is_not_a_usage_error(self):
+        assert issubclass(InvariantError, RuntimeError)
+        assert not issubclass(InvariantError, ValueError)
+
+    def test_dropped_unit_factor_is_caught(self, monkeypatch):
+        real = homology.snf_from_entries
+
+        def drop_one_unit(entries, nrows, ncols):
+            res = real(entries, nrows, ncols)
+            if res.factors[:1] == (1,):
+                return SNFResult(rank=res.rank - 1, factors=res.factors[1:])
+            return res
+
+        monkeypatch.setattr(homology, "snf_from_entries", drop_one_unit)
+        monkeypatch.setattr(homology, "_homology_cache", {})
+        with pytest.raises(InvariantError):
+            reduced_homology(sphere_complex(2))
+
+    def test_honest_snf_passes_the_checks(self, monkeypatch):
+        monkeypatch.setattr(homology, "_homology_cache", {})
+        two = SimplicialComplex.from_facets(range(4), [(0, 1), (2, 3)])
+        assert reduced_homology(two) == HomologyResult(((0, 1, ()),))
+        assert reduced_homology(SimplicialComplex.empty()) == HomologyResult.sphere(-1)

@@ -1,5 +1,7 @@
 """Finite posets: construction, induced structure, maps, retraction certificates."""
 
+import random
+
 import pytest
 
 from posetlab.poset import (
@@ -86,6 +88,12 @@ class TestSubsetLattices:
         assert p.n == 0
         assert order_complex(p).num_faces() == 0
 
+    def test_more_than_63_members_rejected(self):
+        p = poset_of_subsets([frozenset(range(63)), frozenset({0})])
+        assert p.le(frozenset({0}), frozenset(range(63)))
+        with pytest.raises(ValueError, match="int64 mask"):
+            poset_of_subsets([frozenset(range(64))])
+
 
 class TestOrderComplex:
     def test_chain_gives_full_simplex(self):
@@ -114,6 +122,42 @@ class TestMaps:
         with pytest.raises(PosetError):
             PosetMap(p, p, {0: 2, 1: 1, 2: 0})
 
+    def test_first_violation_in_row_major_order(self):
+        # the message names the pair an element-by-element double loop meets first
+        def first_violation(src, tgt, f):
+            for x in src.elements:
+                for y in src.elements:
+                    if src.le(x, y) and not tgt.le(f[x], f[y]):
+                        return f"not order-preserving: {x!r} <= {y!r} but images are not"
+            return None
+
+        with pytest.raises(PosetError) as exc:
+            PosetMap(chain(3), chain(3), {0: 2, 1: 1, 2: 0})
+        assert str(exc.value) == "not order-preserving: 0 <= 1 but images are not"
+
+        rng = random.Random(5)
+        p = divisibility(12)
+        q = FinitePoset.from_relation("abcdef", lambda a, b: a <= b)
+        violations = 0
+        for _ in range(300):
+            f = {x: rng.choice(q.elements) for x in p.elements}
+            expected = first_violation(p, q, f)
+            if expected is None:
+                PosetMap(p, q, f)
+                continue
+            violations += 1
+            with pytest.raises(PosetError) as exc:
+                PosetMap(p, q, f)
+            assert str(exc.value) == expected
+        assert violations > 100
+
+    def test_image_outside_target_rejected(self):
+        p = chain(3)
+        with pytest.raises(PosetError, match="is not an element"):
+            PosetMap(p, p, {0: 0, 1: 7, 2: 2})
+        with pytest.raises(PosetError, match="map not defined"):
+            PosetMap(p, p, {0: 0, 1: 1})
+
     def test_compose_and_image(self):
         p = chain(3)
         f = PosetMap(p, p, {0: 0, 1: 0, 2: 2})
@@ -139,6 +183,13 @@ class TestMaps:
         q = FinitePoset.from_relation(["x", "y", "z"], lambda a, b: a <= b)
         assert is_order_isomorphic_via(p, q, {0: "x", 1: "y", 2: "z"})
         assert not is_order_isomorphic_via(p, q, {0: "y", 1: "x", 2: "z"})
+        # order-preserving but not order-reflecting
+        assert not is_order_isomorphic_via(antichain(3), p, {0: 0, 1: 1, 2: 2})
+        assert not is_order_isomorphic_via(p, antichain(3), {0: 0, 1: 1, 2: 2})
+        # not a bijection
+        assert not is_order_isomorphic_via(p, q, {0: "x", 1: "x", 2: "z"})
+        d = divisibility(6)
+        assert is_order_isomorphic_via(d, d.opposite().opposite(), {x: x for x in d.elements})
 
 
 class TestClosureRetraction:

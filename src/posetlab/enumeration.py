@@ -20,7 +20,7 @@ from itertools import permutations
 
 import numpy as np
 
-from .graph_posets import build_poset, poset_elements
+from .graph_posets import _edge_masks, build_poset, poset_elements
 from .homology import HomologyResult, reduced_homology
 from .multigraph import GraphError, Multigraph, Subgraph
 from .poset import (
@@ -37,11 +37,6 @@ from .poset import (
 # ---------------------------------------------------------------------------
 # canonical labels
 # ---------------------------------------------------------------------------
-
-
-def _encode(nv: int, pairs) -> str:
-    body = ",".join(f"{u}-{v}" for u, v in sorted(pairs))
-    return f"{nv};{body}"
 
 
 def _invariant_classes(g: Multigraph):
@@ -91,6 +86,8 @@ def canonical_key(g: Multigraph) -> str:
     """
     verts = sorted(g.vertices)
     nv = len(verts)
+    if nv == 0:
+        return "0;"
     color = _invariant_classes(g)
     order = sorted(verts, key=lambda v: (color[v], v))
     # group contiguous same-class vertices; permutations act within groups
@@ -102,20 +99,25 @@ def canonical_key(g: Multigraph) -> str:
             j += 1
         groups.append(order[i:j])
         i = j
-    base = [v for grp in groups for v in grp]
-    raw_pairs = [(u, v) for _, u, v in g.edges]
+    pos = {v: i for i, v in enumerate(verts)}
+    raw_pairs = [(pos[u], pos[v]) for _, u, v in g.edges]
+    # An encoding is "<nv>;" then the "a-b" tokens (a <= b) joined by ","
+    # in numeric pair order.  code[a][b] sorts as the pair (min, max) does
+    # and token[code] is its text.  Lists of tokens compare as their joined
+    # strings do, because "," sorts below every digit, so the search
+    # compares lists and joins only the winner.
+    code = [[min(a, b) * nv + max(a, b) for b in range(nv)] for a in range(nv)]
+    token = {code[a][b]: f"{a}-{b}" for a in range(nv) for b in range(a, nv)}
 
     best = None
+    label = [0] * nv
     for perm in _group_permutations(groups):
-        relabel = {old: new for new, old in enumerate(perm)}
-        pairs = [
-            tuple(sorted((relabel[u], relabel[v]))) for u, v in raw_pairs
-        ]
-        key = _encode(nv, pairs)
-        if best is None or key < best:
-            best = key
-    assert best is not None or nv == 0
-    return best if best is not None else _encode(0, [])
+        for new, old in enumerate(perm):
+            label[pos[old]] = new
+        tokens = [token[c] for c in sorted([code[label[u]][label[v]] for u, v in raw_pairs])]
+        if best is None or tokens < best:
+            best = tokens
+    return f"{nv};" + ",".join(best)
 
 
 def _group_permutations(groups):
@@ -317,6 +319,7 @@ def fiber_retraction(g: Multigraph, connected_only: bool = False):
     increasing and the image is the empty slice.
     """
     p = fiber_poset(g, connected_only)
+    masks = _edge_masks(g)
     empty = frozenset()
 
     def retract(pair):
@@ -330,8 +333,7 @@ def fiber_retraction(g: Multigraph, connected_only: bool = False):
             h_vertices.add(vm[u])
             h_vertices.add(vm[v])
         extra = {e for e in forest if vm[g.endpoints(e)[0]] in h_vertices}
-        core = Subgraph(g, h | extra).core().edges
-        return (empty, core)
+        return (empty, masks.core_edges(h | extra))
 
     endo = PosetMap.from_function(p, p, retract)
     return closure_retraction(p, endo)

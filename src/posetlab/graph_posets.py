@@ -45,7 +45,7 @@ from .homology import (
     reduced_homology,
     snf_from_entries,
 )
-from .multigraph import GraphError, Multigraph, Subgraph
+from .multigraph import GraphError, Multigraph
 from .poset import (
     PosetMap,
     closure_retraction,
@@ -66,35 +66,123 @@ class VerificationError(ValueError):
 # ---------------------------------------------------------------------------
 
 
-def _admits(g: Multigraph, edges: frozenset, kind: str) -> bool:
-    sg = Subgraph(g, edges)
-    if kind == "sub":
-        return True
-    if kind == "for":
-        return sg.is_forest()
-    if kind == "x":
-        return not sg.is_forest()
-    if kind == "c":
-        return sg.is_core()
-    if kind == "cx":
-        return sg.is_connected() and not sg.is_forest()
-    if kind == "cc":
-        return sg.is_connected() and sg.is_core()
-    raise ValueError(f"unknown poset kind {kind!r}; expected one of {KINDS}")
+# flags of an edge subset in a classification table
+_FOREST, _CONNECTED, _CORE = 1, 2, 4
+
+# kind -> (flags tested, value they must have)
+_KIND_FLAGS = {
+    "sub": (0, 0),
+    "for": (_FOREST, _FOREST),
+    "x": (_FOREST, 0),
+    "c": (_CORE, _CORE),
+    "cx": (_CONNECTED | _FOREST, _CONNECTED),
+    "cc": (_CONNECTED | _CORE, _CONNECTED | _CORE),
+}
+
+
+class _EdgeMasks:
+    """The edge subsets of one graph as int masks: bit i is the i-th edge id.
+
+    Holds each edge's endpoint positions and each vertex's incident and
+    loop edges, which is all that core peeling and the forest, connected
+    and core tests need.
+    """
+
+    __slots__ = ("ids", "bit", "ends", "incident", "loops", "_table")
+
+    def __init__(self, g: Multigraph):
+        pos = {v: i for i, v in enumerate(g.vertices)}
+        self.ids = g.edge_ids
+        self.bit = {e: 1 << i for i, e in enumerate(self.ids)}
+        self.ends = [(pos[u], pos[v]) for _, u, v in g.edges]
+        self.incident = [0] * len(pos)
+        self.loops = [0] * len(pos)
+        for i, (u, v) in enumerate(self.ends):
+            self.incident[u] |= 1 << i
+            self.incident[v] |= 1 << i
+            if u == v:
+                self.loops[u] |= 1 << i
+        self._table = None
+
+    def mask(self, edges) -> int:
+        return sum(self.bit[e] for e in edges)
+
+    def edges(self, mask: int) -> frozenset:
+        return frozenset(e for e, b in self.bit.items() if mask & b)
+
+    def core(self, mask: int) -> int:
+        """Drop the edges at valence-one vertices until none are left.
+
+        A vertex has valence one exactly when its incident edges in the
+        mask are a single edge that is not a loop (loops count twice).
+        """
+        while True:
+            hanging = 0
+            for inc, loop in zip(self.incident, self.loops):
+                x = mask & inc
+                if x and not x & (x - 1) and not x & loop:
+                    hanging |= x
+            if not hanging:
+                return mask
+            mask &= ~hanging
+
+    def core_edges(self, edges) -> frozenset:
+        return self.edges(self.core(self.mask(edges)))
+
+    def table(self) -> list:
+        """(edge ids, flags) of every proper nonempty edge subset, ordered
+        by (size, sorted ids); computed once per graph."""
+        if self._table is None:
+            self._table = list(self._classify())
+        return self._table
+
+    def _classify(self):
+        # one union-find on vertex positions per subset: a failed union is
+        # a cycle (a loop always fails).  A loop adds two to its vertex's
+        # valence, and a subgraph is core when no vertex has valence one,
+        # which also forces a cycle in every component.
+        ends = self.ends
+        m, nv = len(ends), len(self.incident)
+        for k in range(1, m):
+            for ids, combo in zip(
+                combinations(self.ids, k), combinations(range(m), k)
+            ):
+                parent = list(range(nv))
+                valence = [0] * nv
+                merges = cycles = 0
+                for i in combo:
+                    u, v = ends[i]
+                    valence[u] += 1
+                    valence[v] += 1
+                    while parent[u] != u:
+                        u = parent[u]
+                    while parent[v] != v:
+                        v = parent[v]
+                    if u == v:
+                        cycles += 1
+                    else:
+                        parent[v] = u
+                        merges += 1
+                flags = 0 if cycles else _FOREST
+                if nv - valence.count(0) - merges == 1:
+                    flags |= _CONNECTED
+                if 1 not in valence:
+                    flags |= _CORE
+                yield ids, flags
+
+
+@lru_cache(maxsize=1)
+def _edge_masks(g: Multigraph) -> _EdgeMasks:
+    """The masks of the graph being checked (a one-graph memo)."""
+    return _EdgeMasks(g)
 
 
 def poset_elements(g: Multigraph, kind: str):
     """Sorted list of the edge subsets admitted into the `kind` poset of `g`."""
     if kind not in KINDS:
         raise ValueError(f"unknown poset kind {kind!r}; expected one of {KINDS}")
-    ids = g.edge_ids
-    out = []
-    for k in range(1, len(ids)):
-        for combo in combinations(ids, k):
-            edges = frozenset(combo)
-            if _admits(g, edges, kind):
-                out.append(edges)
-    return sorted(out, key=lambda s: (len(s), tuple(sorted(s))))
+    want, value = _KIND_FLAGS[kind]
+    return [frozenset(ids) for ids, flags in _edge_masks(g).table() if flags & want == value]
 
 
 def build_poset(g: Multigraph, kind: str):
@@ -315,11 +403,7 @@ def verify_sphericity(g: Multigraph, kind: str = "x", label: str | None = None) 
 
 def core_map(g: Multigraph, p, q) -> PosetMap:
     """The map sending a subgraph to its core, as a poset map p -> q."""
-
-    def f(edges: frozenset) -> frozenset:
-        return Subgraph(g, edges).core().edges
-
-    return PosetMap.from_function(p, q, f)
+    return PosetMap.from_function(p, q, _edge_masks(g).core_edges)
 
 
 def verify_core_retraction(
@@ -515,12 +599,13 @@ def forest_generator_cycles(g: Multigraph, label: str | None = None):
     for i, simplex in enumerate(k.faces(target)):
         index[simplex] = i
 
+    masks = _edge_masks(g)
     cycles = []
     for forest in g.maximal_forests():
         petals = sorted(set(g.edge_ids) - forest.edges)
         chain: dict = {}
         for sign, flag in _subset_flag_cycle(petals):
-            images = [Subgraph(g, forest.edges | part).core().edges for part in flag]
+            images = [masks.core_edges(forest.edges | part) for part in flag]
             if len(set(images)) != len(images):
                 continue  # degenerate simplex contributes nothing
             verts = [p.index(img) for img in images]

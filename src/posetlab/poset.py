@@ -31,6 +31,20 @@ class CertificateError(PosetError):
         self.witness = witness
 
 
+def _compose(a, b):
+    """The composite of two boolean relations: out[i, k] = any_j a[i, j] & b[j, k].
+
+    Row i is the OR of the bit-packed rows of `b` that row i of `a`
+    selects.  Nothing is counted, so unlike an integer matmul it cannot
+    wrap, and no BLAS threads are started.
+    """
+    packed = np.packbits(b, axis=1)
+    out = np.empty((a.shape[0], packed.shape[1]), dtype=np.uint8)
+    for i, row in enumerate(a):
+        np.bitwise_or.reduce(packed[row], axis=0, out=out[i])
+    return np.unpackbits(out, axis=1, count=b.shape[1]).astype(bool)
+
+
 class FinitePoset:
     __slots__ = ("elements", "leq", "_index", "_lt")
 
@@ -55,7 +69,7 @@ class FinitePoset:
                 raise PosetError(
                     f"antisymmetry fails on {self.elements[i]!r}, {self.elements[j]!r}"
                 )
-            closure = (leq.astype(np.uint8) @ leq.astype(np.uint8)) > 0
+            closure = _compose(leq, leq)
             if (closure & ~leq).any():
                 i, j = map(int, np.argwhere(closure & ~leq)[0])
                 raise PosetError(
@@ -87,7 +101,7 @@ class FinitePoset:
             leq[i, j] = True
         # transitive closure by repeated squaring
         while True:
-            closure = leq | ((leq.astype(np.uint8) @ leq.astype(np.uint8)) > 0)
+            closure = leq | _compose(leq, leq)
             if (closure == leq).all():
                 break
             leq = closure
@@ -121,7 +135,7 @@ class FinitePoset:
     def covers(self):
         """Cover pairs (i, j): i < j with nothing strictly between."""
         lt = self._lt
-        via = (lt.astype(np.uint8) @ lt.astype(np.uint8)) > 0
+        via = _compose(lt, lt)
         return [tuple(map(int, ij)) for ij in np.argwhere(lt & ~via)]
 
     def maximal_elements(self):

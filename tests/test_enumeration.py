@@ -11,6 +11,11 @@ from itertools import combinations_with_replacement, permutations
 import pytest
 
 from posetlab.enumeration import (
+    _degree_multisets,
+    _from_multiplicities,
+    _group_permutations,
+    _invariant_classes,
+    _realizations,
     apartment,
     canonical_form,
     canonical_key,
@@ -182,6 +187,72 @@ class TestCanonicalKeys:
         g1 = Multigraph([0, 1], [(0, 0, 1), (1, 0, 1), (2, 0, 0), (3, 1, 1)])
         g2 = Multigraph([0, 1], [(0, 0, 1), (1, 0, 1), (2, 0, 1), (3, 0, 0)])
         assert canonical_key(g1) != canonical_key(g2)
+
+
+def _string_min_key(g):
+    """The canonical key as the string minimum over the same permutation
+    search, encoding every candidate in full (the reference the list
+    comparison in `canonical_key` must reproduce)."""
+    verts = sorted(g.vertices)
+    nv = len(verts)
+    color = _invariant_classes(g)
+    order = sorted(verts, key=lambda v: (color[v], v))
+    groups = []
+    i = 0
+    while i < len(order):
+        j = i
+        while j < len(order) and color[order[j]] == color[order[i]]:
+            j += 1
+        groups.append(order[i:j])
+        i = j
+    best = None
+    for perm in _group_permutations(groups):
+        relabel = {old: new for new, old in enumerate(perm)}
+        pairs = sorted(tuple(sorted((relabel[u], relabel[v]))) for _, u, v in g.edges)
+        key = f"{nv};" + ",".join(f"{u}-{v}" for u, v in pairs)
+        if best is None or key < best:
+            best = key
+    return best if best is not None else "0;"
+
+
+def _labelled_realisations(rank):
+    """Every connected labelled realisation the census generator visits."""
+    for nv in range(1, 2 * (rank - 1) + 1):
+        for degrees in _degree_multisets(nv, 2 * (nv + rank - 1)):
+            for mult in _realizations(degrees):
+                g = _from_multiplicities(nv, mult)
+                if g.is_connected():
+                    yield g
+
+
+class TestCanonicalKeyOracle:
+    def test_equals_string_minimum_on_every_realisation_rank_le3(self):
+        seen = 0
+        for rank in (2, 3):
+            for g in _labelled_realisations(rank):
+                assert canonical_key(g) == _string_min_key(g), g.edges
+                seen += 1
+        assert seen == 50
+
+    def test_equals_string_minimum_past_ten_vertices(self):
+        # two arms of length 5 from a centre, a loop at each tip: 11
+        # vertices and 2**5 relabelings tried.  "10" sorts as text below
+        # "9", so the key differs from the minimum over numeric pair lists
+        # (which ends 7-9,8-10,9-9,10-10).
+        edges = [(0, 1), (1, 3), (3, 5), (5, 7), (7, 9), (9, 9)]
+        edges += [(0, 2), (2, 4), (4, 6), (6, 8), (8, 10), (10, 10)]
+        g = Multigraph(range(11), [(e, u, v) for e, (u, v) in enumerate(edges)])
+        key = canonical_key(g)
+        assert key == _string_min_key(g)
+        assert key == "11;0-1,0-2,1-3,2-4,3-5,4-6,5-7,6-8,7-10,8-9,9-9,10-10"
+        rng = random.Random(7)
+        ids = rng.sample(range(100, 200), 11)
+        g2 = Multigraph(ids, [(e, ids[u], ids[v]) for e, u, v in g.edges])
+        assert canonical_key(g2) == _string_min_key(g2) == key
+
+    def test_edgeless_and_empty_graphs(self):
+        for g in (Multigraph([], []), Multigraph([4], []), Multigraph([0, 3, 5], [])):
+            assert canonical_key(g) == _string_min_key(g) == f"{g.num_vertices()};"
 
 
 class TestFiberPosets:

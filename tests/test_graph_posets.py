@@ -12,6 +12,8 @@ import pytest
 from posetlab.enumeration import enumerate_graphs, parse_key
 from posetlab.graph_posets import (
     KINDS,
+    _edge_masks,
+    _EdgeMasks,
     VerificationError,
     build_poset,
     forest_generator_cycles,
@@ -25,7 +27,7 @@ from posetlab.graph_posets import (
     verify_valence_two,
 )
 from posetlab.homology import reduced_homology
-from posetlab.multigraph import Multigraph, dumbbell, rose, theta_graph
+from posetlab.multigraph import Multigraph, Subgraph, dumbbell, rose, theta_graph
 from posetlab.poset import order_complex
 
 # ---------------------------------------------------------------------------
@@ -135,6 +137,71 @@ class TestMembershipOracle:
         for a in p.elements:
             for b in p.elements:
                 assert p.le(a, b) == (a <= b)
+
+
+def _subgraph_admits(sg, kind):
+    """Membership through the `Subgraph` methods, the definition the
+    mask classification must reproduce."""
+    if kind == "sub":
+        return True
+    if kind == "for":
+        return sg.is_forest()
+    if kind == "x":
+        return not sg.is_forest()
+    if kind == "c":
+        return sg.is_core()
+    if kind == "cx":
+        return sg.is_connected() and not sg.is_forest()
+    return sg.is_connected() and sg.is_core()
+
+
+def mask_oracle_graphs():
+    """Every census graph of rank 2, 3 and 4, plus loops, parallel edges,
+    separating edges, pendant trees, an isolated vertex and a
+    disconnected graph."""
+    graphs = [parse_key(k) for r in (2, 3, 4) for k in enumerate_graphs(r)]
+    graphs += [
+        dumbbell(),
+        rose(3),
+        theta_graph(4),
+        # a loop and a bigon joined by a path, with a pendant tree
+        Multigraph(
+            range(7),
+            [(0, 0, 0), (1, 0, 1), (2, 1, 2), (3, 2, 3), (4, 2, 3), (5, 1, 4), (6, 4, 5)],
+        ),
+        # two components on scattered ids, and an isolated vertex 9
+        Multigraph([2, 5, 7, 9, 11], [(3, 2, 5), (8, 5, 2), (1, 7, 7), (4, 7, 11)]),
+    ]
+    return graphs
+
+
+class TestEdgeMasks:
+    def test_classification_equals_subgraph_definition(self):
+        for g in mask_oracle_graphs():
+            subsets = [
+                frozenset(c)
+                for r in range(1, g.num_edges())
+                for c in combinations(g.edge_ids, r)
+            ]
+            subgraphs = [Subgraph(g, s) for s in subsets]
+            for kind in KINDS:
+                expected = [
+                    s for s, sg in zip(subsets, subgraphs) if _subgraph_admits(sg, kind)
+                ]
+                assert poset_elements(g, kind) == expected, (kind, g.edges)
+
+    def test_peeling_equals_subgraph_core(self):
+        for g in mask_oracle_graphs():
+            masks = _EdgeMasks(g)
+            for r in range(g.num_edges() + 1):
+                for c in combinations(g.edge_ids, r):
+                    core = Subgraph(g, c).core().edges
+                    assert masks.edges(masks.core(masks.mask(c))) == core, (c, g.edges)
+                    assert masks.core_edges(c) == core
+
+    def test_memo_holds_one_graph(self):
+        # a wider cache of classification tables costs resident memory
+        assert _edge_masks.cache_info().maxsize == 1
 
 
 class TestSubsetSphere:

@@ -2,6 +2,7 @@
 
 import random
 
+import numpy as np
 import pytest
 
 from posetlab.poset import (
@@ -71,6 +72,54 @@ class TestConstruction:
         p = divisibility(6)
         assert set(p.maximal_elements()) == {4, 5, 6}
         assert p.minimal_elements() == [1]
+
+
+def _fan_relation(with_top_over_bottom):
+    """258 elements: 0 <= m <= 1 for the 256 middle elements m = 2..257.
+
+    There are 256 two-step paths from 0 to 1, exactly the count at which
+    a uint8 path count wraps to zero.
+    """
+    n = 258
+    leq = np.eye(n, dtype=bool)
+    leq[0, 2:] = True
+    leq[2:, 1] = True
+    leq[0, 1] = with_top_over_bottom
+    return leq
+
+
+def _warshall(leq):
+    leq = leq.copy()
+    for k in range(len(leq)):
+        leq |= np.outer(leq[:, k], leq[k, :])
+    return leq
+
+
+class TestExactComposition:
+    def test_transitivity_failure_seen_past_256_paths(self):
+        with pytest.raises(PosetError, match="transitivity fails: 0 .. 1"):
+            FinitePoset(range(258), _fan_relation(False))
+
+    def test_covers_skip_pair_with_256_elements_between(self):
+        covers = set(FinitePoset(range(258), _fan_relation(True)).covers())
+        assert (0, 1) not in covers
+        assert covers == {(0, m) for m in range(2, 258)} | {(m, 1) for m in range(2, 258)}
+
+    def test_from_covers_equals_warshall_closure(self):
+        covers = [(0, m) for m in range(2, 258)] + [(m, 1) for m in range(2, 258)]
+        p = FinitePoset.from_covers(range(258), covers)
+        assert (p.leq == _warshall(_fan_relation(False))).all()
+        assert p.le(0, 1)
+
+    def test_from_covers_random_dags_equal_warshall(self):
+        rng = random.Random(11)
+        for n in (1, 2, 7, 40):
+            covers = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < 0.1]
+            base = np.eye(n, dtype=bool)
+            for i, j in covers:
+                base[i, j] = True
+            p = FinitePoset.from_covers(range(n), covers)
+            assert (p.leq == _warshall(base)).all()
 
 
 class TestSubsetLattices:

@@ -124,7 +124,7 @@ class TestGolden:
         frozen = (GOLDEN / "apartments_report.json").read_text()
         assert run_suite("apartments").to_json() == frozen
 
-    @pytest.mark.parametrize("suite", ["rank3", "fibers", "morse"])
+    @pytest.mark.parametrize("suite", ["rank3", "fibers", "morse", "rank4-deep"])
     def test_matches_frozen_fixture(self, suite):
         frozen = (GOLDEN / f"{suite}_report.json").read_text()
         assert run_suite(suite).to_json() == frozen

@@ -46,10 +46,9 @@ from .graph_posets import (
     verify_subset_sphere,
     verify_valence_two,
 )
-from .homology import read_triplet_matrix, reduced_homology, snf_from_entries
+from .homology import core_complex, read_triplet_matrix, reduced_homology, snf_from_entries
 from .morse import search_certificate, verify_certificate
 from .multigraph import GraphError
-from .poset import order_complex
 from .suites import (
     DEEP_BUDGET_SECONDS,
     DEFAULT_REPORT_SUITES,
@@ -185,7 +184,7 @@ def _cmd_homology(args) -> int:
         return 0
     g = _require_graph(args)
     p = build_poset(g, args.kind)
-    h = reduced_homology(order_complex(p))
+    h = reduced_homology(core_complex(p))
     obj = {"graph": args.graph, "kind": args.kind, "homology": _homology_obj(h)}
     if args.json:
         _emit(canonical_json(obj), args.out)

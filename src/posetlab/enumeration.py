@@ -21,7 +21,7 @@ from itertools import permutations
 import numpy as np
 
 from .graph_posets import _edge_masks, build_poset, poset_elements
-from .homology import HomologyResult, reduced_homology
+from .homology import HomologyResult, core_complex, reduced_homology
 from .multigraph import GraphError, Multigraph, Subgraph
 from .poset import (
     FinitePoset,
@@ -29,7 +29,6 @@ from .poset import (
     _mask_bits,
     closure_retraction,
     is_order_isomorphic_via,
-    order_complex,
     poset_of_subsets,
     subset_lattice,
 )
@@ -382,8 +381,8 @@ def verify_fiber(g: Multigraph, connected_only: bool = False, label: str | None 
     )
     image_ok = set(cert.image.elements) == set(slice_elements)
 
-    h_fiber = reduced_homology(order_complex(p))
-    h_core = reduced_homology(order_complex(core))
+    h_fiber = reduced_homology(core_complex(p))
+    h_core = reduced_homology(core_complex(core))
 
     return FiberReport(
         graph=label,

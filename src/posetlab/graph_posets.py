@@ -33,24 +33,25 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import combinations
 
+import numpy as np
+
 from .homology import (
     PI1_NONTRIVIAL,
     PI1_TRIVIAL,
     HomologyResult,
     alexander_duality_check,
     boundary_entries,
-    certify_contractible,
-    is_contractible_certificate,
+    core_complex,
     pi1_field,
     reduced_homology,
     snf_from_entries,
 )
 from .multigraph import GraphError, Multigraph
 from .poset import (
+    FinitePoset,
     PosetMap,
     closure_retraction,
     order_complex,
-    poset_of_subsets,
     subset_lattice,
 )
 
@@ -130,8 +131,8 @@ class _EdgeMasks:
         return self.edges(self.core(self.mask(edges)))
 
     def table(self) -> list:
-        """(edge ids, flags) of every proper nonempty edge subset, ordered
-        by (size, sorted ids); computed once per graph."""
+        """(edge ids, mask, flags) of every proper nonempty edge subset,
+        ordered by (size, sorted ids); computed once per graph."""
         if self._table is None:
             self._table = list(self._classify())
         return self._table
@@ -168,7 +169,7 @@ class _EdgeMasks:
                     flags |= _CONNECTED
                 if 1 not in valence:
                     flags |= _CORE
-                yield ids, flags
+                yield ids, sum(1 << i for i in combo), flags
 
 
 @lru_cache(maxsize=1)
@@ -177,22 +178,32 @@ def _edge_masks(g: Multigraph) -> _EdgeMasks:
     return _EdgeMasks(g)
 
 
-def poset_elements(g: Multigraph, kind: str):
-    """Sorted list of the edge subsets admitted into the `kind` poset of `g`."""
+def _admitted(g: Multigraph, kind: str) -> list:
+    """(edge ids, mask) of the subsets in the `kind` poset, in table order."""
     if kind not in KINDS:
         raise ValueError(f"unknown poset kind {kind!r}; expected one of {KINDS}")
     want, value = _KIND_FLAGS[kind]
-    return [frozenset(ids) for ids, flags in _edge_masks(g).table() if flags & want == value]
+    return [(ids, mask) for ids, mask, flags in _edge_masks(g).table() if flags & want == value]
+
+
+def poset_elements(g: Multigraph, kind: str):
+    """Sorted list of the edge subsets admitted into the `kind` poset of `g`."""
+    return [frozenset(ids) for ids, _ in _admitted(g, kind)]
 
 
 def build_poset(g: Multigraph, kind: str):
     """The inclusion poset of `kind`-subgraphs of `g`.
 
-    Elements are frozensets of edge ids.  The poset may be empty (for
-    example, the forest poset of a one-vertex graph has no elements,
-    since every nonempty edge subset contains a loop).
+    Elements are frozensets of edge ids in (size, sorted ids) order, as
+    :func:`posetlab.poset.poset_of_subsets` would sort them; the order is
+    read off the table's int masks.  The poset may be empty (for example,
+    the forest poset of a one-vertex graph has no elements, since every
+    nonempty edge subset contains a loop).
     """
-    return poset_of_subsets(poset_elements(g, kind))
+    rows = _admitted(g, kind)
+    masks = np.array([mask for _, mask in rows], dtype=np.int64)
+    leq = (masks[:, None] & ~masks[None, :]) == 0
+    return FinitePoset([frozenset(ids) for ids, _ in rows], leq)
 
 
 # ---------------------------------------------------------------------------
@@ -286,7 +297,7 @@ def subset_lattice_homology(num_elements: int) -> HomologyResult:
     from .poset import subset_lattice
 
     p = subset_lattice(range(num_elements))
-    return reduced_homology(order_complex(p))
+    return reduced_homology(core_complex(p))
 
 
 def verify_subset_sphere(g: Multigraph, label: str | None = None) -> CheckReport:
@@ -368,7 +379,7 @@ def verify_sphericity(g: Multigraph, kind: str = "x", label: str | None = None) 
     _require_connected_rank(g, f"verify_sphericity[{kind}]")
     target = g.rank() - 2
     p = build_poset(g, kind)
-    k = order_complex(p)
+    k = core_complex(p)
     h = reduced_homology(k)
     separating = sorted(e for e in g.edge_ids if g.is_separating_edge(e))
     data = {
@@ -437,8 +448,8 @@ def verify_core_retraction(
         }
         return CheckReport(label, f"core-retraction-{src_kind}", "fail", (), data)
 
-    h_src = reduced_homology(order_complex(p))
-    h_img = reduced_homology(order_complex(cert.image))
+    h_src = reduced_homology(core_complex(p))
+    h_img = reduced_homology(core_complex(cert.image))
     data["source_homology"] = h_src
     data["image_homology"] = h_img
     ok = h_src == h_img
@@ -523,8 +534,8 @@ def verify_valence_two(g: Multigraph, v: int, label: str | None = None) -> Check
     data["round_trip_identity"] = round_trip_q
     data["round_trip_dominated"] = dominated
 
-    h_p = reduced_homology(order_complex(p))
-    h_q = reduced_homology(order_complex(q))
+    h_p = reduced_homology(core_complex(p))
+    h_q = reduced_homology(core_complex(q))
     data["homology_before"] = h_p
     data["homology_after"] = h_q
     ok = round_trip_q and dominated and h_p == h_q
@@ -749,7 +760,7 @@ def verify_sphericity_via_core(
     core_elements = poset_elements(g, core_kind)
     image_ok = set(cert.image.elements) == set(core_elements)
     core_poset = p.induced(core_elements)
-    k = order_complex(core_poset)
+    k = core_complex(core_poset)
     h = reduced_homology(k)
     separating = sorted(e for e in g.edge_ids if g.is_separating_edge(e))
     data = {

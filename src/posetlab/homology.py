@@ -19,7 +19,9 @@ import heapq
 from dataclasses import dataclass
 from math import gcd
 
-from .poset import order_complex
+import numpy as np
+
+from .poset import beat_point_core, order_complex
 from .simplicial import SimplicialComplex
 
 PI1_TRIVIAL = "Trivial"
@@ -425,8 +427,57 @@ def reduced_cohomology(k):
     return HomologyResult.from_dicts(betti, torsion)
 
 
+def check_beat_witnesses(p, core, witnesses):
+    """Replay beat-point removals against `p.leq`; raise on a bad step.
+
+    Each witness ``(x, y, side)`` must remove a survivor x whose strict
+    up-set (``"up"``) among the survivors has the survivor y as its
+    minimum, or whose strict down-set (``"down"``) has y as its maximum.
+    The survivors must then be exactly `core`, with the induced order.
+    A failure is a defect in the reduction, so it raises InvariantError.
+    """
+    index = {x: i for i, x in enumerate(p.elements)}
+    alive = np.ones(p.n, dtype=bool)
+    lt = p.leq & ~np.eye(p.n, dtype=bool)
+    for x, y, side in witnesses:
+        i, j = index.get(x), index.get(y)
+        if i is None or j is None:
+            raise InvariantError(f"beat witness ({x!r}, {y!r}) names a non-element")
+        if not alive[i]:
+            raise InvariantError(f"beat point {x!r} removed twice")
+        if not alive[j]:
+            raise InvariantError(f"witness {y!r} of {x!r} was already removed")
+        if side == "up":
+            strict, below = lt[i, :] & alive, p.leq[j, :]
+        elif side == "down":
+            strict, below = lt[:, i] & alive, p.leq[:, j]
+        else:
+            raise InvariantError(f"beat witness for {x!r} has side {side!r}")
+        if not strict[j] or (strict & ~below).any():
+            extreme = "minimum" if side == "up" else "maximum"
+            raise InvariantError(
+                f"{y!r} is not the {extreme} of the strict {side}-set of {x!r}"
+            )
+        alive[i] = False
+    survivors = [x for x, a in zip(p.elements, alive) if a]
+    if survivors != core.elements or (core.leq != p.leq[np.ix_(alive, alive)]).any():
+        raise InvariantError("beat-point survivors do not match the core")
+
+
+def core_complex(p):
+    """The order complex of p's beat-point core, every removal checked.
+
+    Removing a beat point is a strong deformation retraction, so this
+    complex has the homology and fundamental group of ``order_complex(p)``
+    with (usually far) fewer faces.
+    """
+    core, witnesses = beat_point_core(p)
+    check_beat_witnesses(p, core, witnesses)
+    return order_complex(core)
+
+
 def poset_homology(p):
-    return reduced_homology(order_complex(p))
+    return reduced_homology(core_complex(p))
 
 
 # -- contractibility and fundamental group ----------------------------------
@@ -598,10 +649,9 @@ def pi1_field(k):
     """
     if len(k.vertices) == 0:
         return PI1_TRIVIAL
-    verdicts = []
-    for comp in k.components():
-        piece = k.full_subcomplex(comp)
-        verdicts.append(pi1_triviality(piece))
+    comps = k.components()
+    pieces = [k] if len(comps) == 1 else [k.full_subcomplex(c) for c in comps]
+    verdicts = [pi1_triviality(piece) for piece in pieces]
     if all(v == PI1_TRIVIAL for v in verdicts):
         return PI1_TRIVIAL
     if any(v == PI1_NONTRIVIAL for v in verdicts):
@@ -620,12 +670,13 @@ def certify_contractible(p):
 
     Returns one of the four module constants.  A cone point settles it
     outright; otherwise trivial reduced homology plus a trivial pi1 verdict
-    upgrades "homology-only" to a genuine certificate.  The empty poset is
-    not contractible (its order complex is the empty complex).
+    on the beat-point core upgrades "homology-only" to a genuine
+    certificate (a one-point core needs no Tietze search).  The empty
+    poset is not contractible (its order complex is the empty complex).
     """
     if p.n and cone_point(p) is not None:
         return CONTRACTIBLE_CONE
-    k = order_complex(p)
+    k = core_complex(p)
     if not reduced_homology(k).is_trivial():
         return NOT_CONTRACTIBLE
     if pi1_field(k) == PI1_TRIVIAL:
@@ -673,7 +724,7 @@ def alexander_duality_check(p, q_elements, sphere_dim):
     rest = [x for x in p.elements if x not in q_set]
     c_poset = p.induced(rest)
     sub_h = poset_homology(q_poset)
-    comp_hh = reduced_cohomology(order_complex(c_poset))
+    comp_hh = reduced_cohomology(core_complex(c_poset))
 
     mismatches = []
     for i in range(-1, sphere_dim + 1):

@@ -418,6 +418,45 @@ def subset_lattice(universe):
     return poset_of_subsets(subs)
 
 
+def beat_point_core(p):
+    """Strip beat points from p until none are left.
+
+    x is a beat point when its strict up-set has a minimum y (side
+    ``"up"``) or its strict down-set has a maximum y (side ``"down"``);
+    removing it is a strong deformation retraction of the order complex
+    (Stong), so the core has the homotopy type of p.  Returns
+    ``(core, witnesses)``: the induced subposet on the survivors, and the
+    removals in order as ``(x, y, side)`` label triples.
+
+    Each pass counts covers among the survivors; an element with exactly
+    one upper (else lower) cover is a beat point whose witness is that
+    cover.  Candidates are removed in index order, skipping one whose
+    witness went earlier in the same pass: removing anything else leaves
+    its witness the minimum (maximum), so every removal stays valid.
+    """
+    alive = np.arange(p.n)
+    witnesses = []
+    while len(alive):
+        lt = p._lt[np.ix_(alive, alive)]
+        covers = lt & ~_compose(lt, lt)
+        ups = covers.sum(axis=1)
+        downs = covers.sum(axis=0)
+        removed = np.zeros(len(alive), dtype=bool)
+        for i in np.flatnonzero((ups == 1) | (downs == 1)):
+            if ups[i] == 1:
+                j, side = np.flatnonzero(covers[i, :])[0], "up"
+            else:
+                j, side = np.flatnonzero(covers[:, i])[0], "down"
+            if removed[j]:
+                continue
+            removed[i] = True
+            witnesses.append((p.elements[alive[i]], p.elements[alive[j]], side))
+        if not removed.any():
+            break
+        alive = alive[~removed]
+    return p.induced([p.elements[i] for i in alive]), witnesses
+
+
 def order_complex(p):
     """The simplicial complex of chains of p.
 

@@ -18,7 +18,7 @@ class ComplexError(ValueError):
 
 
 class SimplicialComplex:
-    __slots__ = ("vertices", "_faces", "_index")
+    __slots__ = ("vertices", "_faces", "_index", "_components")
 
     def __init__(self, vertices, faces):
         """`faces`: iterable of tuples of vertex indices; must be closed.
@@ -59,6 +59,7 @@ class SimplicialComplex:
             raise ComplexError(f"vertex {missing[0]} has no 0-face")
         self._faces = {d: tuple(fl) for d, fl in sorted(by_dim.items())}
         self._index = None
+        self._components = None
 
     @classmethod
     def from_facets(cls, vertices, facets):
@@ -116,6 +117,11 @@ class SimplicialComplex:
 
     def components(self):
         """Vertex index sets of the connected components of the 1-skeleton."""
+        if self._components is None:
+            self._components = self._find_components()
+        return [set(c) for c in self._components]
+
+    def _find_components(self):
         n = len(self.vertices)
         parent = list(range(n))
 

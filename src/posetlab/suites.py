@@ -19,6 +19,7 @@ import json
 import os
 import time
 from dataclasses import dataclass
+from functools import lru_cache
 from multiprocessing import Pool
 
 from . import __version__
@@ -41,9 +42,8 @@ from .graph_posets import (
     verify_subset_sphere,
     verify_valence_two,
 )
-from .homology import reduced_homology
+from .homology import core_complex, reduced_homology
 from .morse import search_certificate, verify_certificate
-from .poset import order_complex
 
 SUITE_NAMES = (
     "rank2",
@@ -102,18 +102,30 @@ def _battery_records(key: str) -> list[dict]:
         verify_sphericity(g, "cx", key),
         verify_core_retraction(g, connected_only=False, label=key),
         verify_core_retraction(g, connected_only=True, label=key),
-        verify_duality(g, key),
     ]
     if not any(g.is_separating_edge(e) for e in g.edge_ids):
         recs.append(verify_forest_generators(g, key))
     subdivided, w = g.subdivide_edge(min(g.edge_ids))
     recs.append(verify_valence_two(subdivided, w, label=key))
     out = [r.to_json_obj() for r in recs]
+    out.extend(_duality_records(key))
     out.extend(_fiber_records(key))
     return out
 
 
+# The rank suites and the duality and fibers suites check the same rank-2/3
+# graphs, so these checks are built once per key in each process.  Each
+# call renders fresh JSON records from the cached reports, so no caller
+# can mutate what another caller receives.
+_MEMO_KEYS = 64
+
+
 def _fiber_records(key: str) -> list[dict]:
+    return [rec.to_json_obj() for rec in _fiber_checks(key)]
+
+
+@lru_cache(maxsize=_MEMO_KEYS)
+def _fiber_checks(key: str) -> tuple:
     g = parse_key(key)
     out = []
     for connected_only in (False, True):
@@ -128,13 +140,17 @@ def _fiber_records(key: str) -> list[dict]:
             "homology": rep.homology,
         }
         status = "pass" if rep.ok else "fail"
-        rec = CheckReport(key, check, status, _betti_profile(rep.homology), data)
-        out.append(rec.to_json_obj())
-    return out
+        out.append(CheckReport(key, check, status, _betti_profile(rep.homology), data))
+    return tuple(out)
 
 
 def _duality_records(key: str) -> list[dict]:
-    return [verify_duality(parse_key(key), key).to_json_obj()]
+    return [_duality_check(key).to_json_obj()]
+
+
+@lru_cache(maxsize=_MEMO_KEYS)
+def _duality_check(key: str) -> CheckReport:
+    return verify_duality(parse_key(key), key)
 
 
 def _morse_records(key: str) -> list[dict]:
@@ -142,7 +158,7 @@ def _morse_records(key: str) -> list[dict]:
     g = parse_key(key)
     p = build_poset(g, "c")
     res = search_certificate(p)
-    h = reduced_homology(order_complex(p))
+    h = reduced_homology(core_complex(p))
     data: dict = {
         "elements": p.n,
         "found": res.found,
@@ -174,7 +190,7 @@ def _morse_absence_records(key: str) -> list[dict]:
     g = parse_key(key)
     p = build_poset(g, "c")
     res = search_certificate(p)
-    h = reduced_homology(order_complex(p))
+    h = reduced_homology(core_complex(p))
     antichain = all(
         not p.le(a, b)
         for i, a in enumerate(p.elements)

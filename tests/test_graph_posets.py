@@ -28,7 +28,7 @@ from posetlab.graph_posets import (
 )
 from posetlab.homology import reduced_homology
 from posetlab.multigraph import Multigraph, Subgraph, dumbbell, rose, theta_graph
-from posetlab.poset import order_complex
+from posetlab.poset import poset_of_subsets
 
 # ---------------------------------------------------------------------------
 # membership oracles (independent re-derivations)
@@ -198,6 +198,12 @@ class TestEdgeMasks:
                     core = Subgraph(g, c).core().edges
                     assert masks.edges(masks.core(masks.mask(c))) == core, (c, g.edges)
                     assert masks.core_edges(c) == core
+
+    def test_build_poset_equals_poset_of_subsets(self):
+        for g in mask_oracle_graphs():
+            for kind in KINDS:
+                p = build_poset(g, kind)
+                assert p == poset_of_subsets(poset_elements(g, kind)), (kind, g.edges)
 
     def test_memo_holds_one_graph(self):
         # a wider cache of classification tables costs resident memory

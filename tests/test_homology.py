@@ -11,6 +11,8 @@ from math import gcd
 import pytest
 
 from posetlab import homology
+from posetlab.enumeration import enumerate_graphs, fiber_poset, parse_key
+from posetlab.graph_posets import KINDS, build_poset
 from posetlab.homology import (
     CONTRACTIBLE_CONE,
     PI1_NONTRIVIAL,
@@ -21,6 +23,7 @@ from posetlab.homology import (
     alexander_duality_check,
     boundary_entries,
     certify_contractible,
+    core_complex,
     is_contractible_certificate,
     pi1_field,
     poset_homology,
@@ -443,3 +446,47 @@ class TestInvariantChecks:
         two = SimplicialComplex.from_facets(range(4), [(0, 1), (2, 3)])
         assert reduced_homology(two) == HomologyResult(((0, 1, ()),))
         assert reduced_homology(SimplicialComplex.empty()) == HomologyResult.sphere(-1)
+
+
+def census_posets():
+    """The six subgraph posets and both fiber posets of every rank-2/3
+    census graph."""
+    for key in [*enumerate_graphs(2), *enumerate_graphs(3)]:
+        g = parse_key(key)
+        for kind in KINDS:
+            yield f"{key} {kind}", build_poset(g, kind)
+        for connected_only in (False, True):
+            yield f"{key} fiber{'-connected' if connected_only else ''}", fiber_poset(
+                g, connected_only
+            )
+
+
+class TestBeatPointReduction:
+    def test_core_keeps_homology(self, monkeypatch):
+        monkeypatch.setattr(homology, "_homology_cache", {})
+        shrunk = 0
+        for name, p in census_posets():
+            full, core = order_complex(p), core_complex(p)
+            assert reduced_homology(core) == reduced_homology(full), name
+            shrunk += core.num_faces() < full.num_faces()
+        # cores are unique up to isomorphism, so which posets have a beat
+        # point does not depend on the removal order: 77 of the 144
+        assert shrunk == 77
+
+    def test_core_keeps_pi1_verdict(self):
+        for name, p in census_posets():
+            assert pi1_field(core_complex(p)) == pi1_field(order_complex(p)), name
+
+    def test_connected_complex_is_not_copied(self, monkeypatch):
+        def no_copy(self, vertex_indices):
+            raise AssertionError("full_subcomplex called on a connected complex")
+
+        monkeypatch.setattr(SimplicialComplex, "full_subcomplex", no_copy)
+        assert pi1_field(sphere_complex(2)) == PI1_TRIVIAL
+        assert pi1_field(sphere_complex(1)) == PI1_NONTRIVIAL
+
+    def test_components_are_memoised_as_copies(self):
+        two = SimplicialComplex.from_facets(range(4), [(0, 1), (2, 3)])
+        first = two.components()
+        first[0].add(99)
+        assert two.components() == [{0, 1}, {2, 3}]

@@ -1,15 +1,19 @@
-"""Finite posets: construction, induced structure, maps, retraction certificates."""
+"""Finite posets: construction, induced structure, maps, retraction certificates,
+beat-point cores."""
 
 import random
+from itertools import combinations
 
 import numpy as np
 import pytest
 
+from posetlab.homology import InvariantError, check_beat_witnesses
 from posetlab.poset import (
     CertificateError,
     FinitePoset,
     PosetError,
     PosetMap,
+    beat_point_core,
     closure_retraction,
     fiber_down,
     is_monotone,
@@ -142,6 +146,106 @@ class TestSubsetLattices:
         assert p.le(frozenset({0}), frozenset(range(63)))
         with pytest.raises(ValueError, match="int64 mask"):
             poset_of_subsets([frozenset(range(64))])
+
+
+def naive_beat_points(p):
+    """Elements whose strict up-set has a minimum or whose strict down-set
+    has a maximum, straight from the definition."""
+    out = []
+    for i, x in enumerate(p.elements):
+        for rel in (p.leq, p.leq.T):
+            strict = np.flatnonzero(rel[i])
+            strict = strict[strict != i]
+            if len(strict) and rel[np.ix_(strict, strict)].all(axis=1).any():
+                out.append(x)
+                break
+    return out
+
+
+def random_poset(rng, n, density):
+    covers = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < density]
+    return FinitePoset.from_covers(range(n), covers)
+
+
+def bowtie_with_tail():
+    """0, 1 below both 2 and 3 (a circle, no beat points), and 4 above 2
+    only: 2 and 4 are beat points, each the witness of the other."""
+    rel = {(0, 2), (1, 2), (0, 3), (1, 3), (2, 4), (0, 4), (1, 4)}
+    return FinitePoset.from_relation(range(5), lambda a, b: a == b or (a, b) in rel)
+
+
+class TestBeatPointCore:
+    def test_poset_with_maximum_reduces_to_one_point(self):
+        subsets = [frozenset(c) for k in range(1, 5) for c in combinations(range(4), k)]
+        p = poset_of_subsets(subsets)
+        core, witnesses = beat_point_core(p)
+        assert core.elements == [frozenset(range(4))]
+        assert len(witnesses) == p.n - 1
+        check_beat_witnesses(p, core, witnesses)
+
+    def test_chain_and_empty(self):
+        core, witnesses = beat_point_core(chain(5))
+        assert core.n == 1 and len(witnesses) == 4
+        core, witnesses = beat_point_core(FinitePoset([], []))
+        assert core.n == 0 and witnesses == []
+
+    def test_subset_lattice_has_no_beat_points(self):
+        p = subset_lattice(range(4))
+        assert naive_beat_points(p) == []
+        core, witnesses = beat_point_core(p)
+        assert witnesses == [] and core == p
+
+    def test_antichain_is_its_own_core(self):
+        core, witnesses = beat_point_core(antichain(4))
+        assert witnesses == [] and core == antichain(4)
+
+    def test_skips_a_candidate_whose_witness_went_first(self):
+        p = bowtie_with_tail()
+        core, witnesses = beat_point_core(p)
+        assert witnesses == [(2, 4, "up")]
+        assert core.elements == [0, 1, 3, 4]
+        check_beat_witnesses(p, p.induced([0, 1, 2, 3]), [(4, 2, "down")])
+
+    def test_random_cores_are_checked_and_beat_free(self):
+        rng = random.Random(7)
+        for _ in range(60):
+            p = random_poset(rng, rng.randrange(1, 25), rng.choice([0.1, 0.2, 0.4]))
+            core, witnesses = beat_point_core(p)
+            check_beat_witnesses(p, core, witnesses)
+            assert naive_beat_points(core) == []
+            assert core == p.induced(core.elements)
+            assert core.n + len(witnesses) == p.n
+
+    @pytest.mark.parametrize(
+        "poset, witnesses, message",
+        [
+            # 0 has upper covers 2 and 3: not a beat point, so no minimum
+            (bowtie_with_tail(), [(0, 2, "up")], "not the minimum"),
+            # 4 is a beat point, but its strict down-set's maximum is 2
+            (bowtie_with_tail(), [(4, 0, "down")], "not the maximum"),
+            (bowtie_with_tail(), [(4, 3, "down")], "not the maximum"),
+            (chain(3), [(1, 2, "up"), (0, 1, "up")], "already removed"),
+            (chain(3), [(0, 1, "up"), (0, 1, "up")], "removed twice"),
+            (chain(3), [(0, 1, "sideways")], "side"),
+            (chain(3), [(0, 7, "up")], "non-element"),
+        ],
+    )
+    def test_checker_rejects_forged_witnesses(self, poset, witnesses, message):
+        core = poset.induced([x for x in poset.elements if x not in {w[0] for w in witnesses}])
+        with pytest.raises(InvariantError, match=message):
+            check_beat_witnesses(poset, core, witnesses)
+
+    def test_checker_rejects_wrong_survivors(self):
+        p = bowtie_with_tail()
+        with pytest.raises(InvariantError, match="survivors"):
+            check_beat_witnesses(p, p, [(4, 2, "down")])
+        with pytest.raises(InvariantError, match="survivors"):
+            check_beat_witnesses(p, p.induced([0, 1, 2, 3]), [])
+
+    def test_invariant_error_is_not_a_value_error(self):
+        with pytest.raises(InvariantError) as info:
+            check_beat_witnesses(chain(3), chain(3), [(0, 2, "up")])
+        assert not isinstance(info.value, ValueError)
 
 
 class TestOrderComplex:

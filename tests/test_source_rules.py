@@ -18,3 +18,82 @@ def test_no_assert_statements():
             f"{path.name}:{node.lineno}" for node in ast.walk(tree) if isinstance(node, ast.Assert)
         ]
     assert found == []
+
+
+# Homology and pi1 verdicts of a poset are computed on its checked
+# beat-point core (`homology.core_complex`), one way everywhere.  Only
+# code that needs the faces of the full order complex may hand one over:
+# the poset module itself, the forest generator cycles and the Morse
+# level certificates.
+HOMOTOPY_ROUTINES = {"reduced_homology", "reduced_cohomology", "pi1_field", "pi1_triviality"}
+FULL_COMPLEX_FILES = {"poset.py", "morse.py"}
+FULL_COMPLEX_FUNCTIONS = {"forest_generator_cycles"}
+_SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
+
+
+def _called_name(node):
+    if isinstance(node, ast.Call):
+        f = node.func
+        return f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
+    return None
+
+
+def _own_nodes(scope):
+    """The nodes of a module or function body, not entering nested functions."""
+    stack = list(ast.iter_child_nodes(scope))
+    while stack:
+        node = stack.pop()
+        yield node
+        if not isinstance(node, _SCOPES):
+            stack.extend(ast.iter_child_nodes(node))
+
+
+def unreduced_complex_uses(tree):
+    """Lines passing `order_complex(...)`, directly or through a local
+    name, to a homology or pi1 routine."""
+    found = []
+    scopes = [tree, *(n for n in ast.walk(tree) if isinstance(n, _SCOPES))]
+    for scope in scopes:
+        if getattr(scope, "name", None) in FULL_COMPLEX_FUNCTIONS:
+            continue
+        nodes = list(_own_nodes(scope))
+        complexes = {
+            target.id
+            for node in nodes
+            if isinstance(node, (ast.Assign, ast.AnnAssign))
+            and _called_name(node.value) == "order_complex"
+            for target in (node.targets if isinstance(node, ast.Assign) else [node.target])
+            if isinstance(target, ast.Name)
+        }
+        for node in nodes:
+            if _called_name(node) not in HOMOTOPY_ROUTINES:
+                continue
+            for arg in [*node.args, *(kw.value for kw in node.keywords)]:
+                if _called_name(arg) == "order_complex" or (
+                    isinstance(arg, ast.Name) and arg.id in complexes
+                ):
+                    found.append(node.lineno)
+    return sorted(found)
+
+
+def test_rule_sees_direct_and_named_complexes():
+    source = (
+        "def f(p):\n"
+        "    k = order_complex(p)\n"
+        "    return pi1_field(k), homology.reduced_homology(order_complex(p))\n"
+        "def forest_generator_cycles(p):\n"
+        "    return reduced_homology(order_complex(p))\n"
+        "def g(p):\n"
+        "    return reduced_homology(core_complex(p))\n"
+    )
+    assert unreduced_complex_uses(ast.parse(source)) == [3, 3]
+
+
+def test_homotopy_claims_use_the_reduced_complex():
+    found = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        if path.name in FULL_COMPLEX_FILES:
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        found += [f"{path.name}:{line}" for line in unreduced_complex_uses(tree)]
+    assert found == []

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from posetlab import suites
 from posetlab.suites import (
     DEFAULT_REPORT_SUITES,
     SUITE_NAMES,
@@ -113,6 +114,47 @@ class TestDeterminism:
         obj2, ok2 = report_all(names)
         assert ok1 and ok2
         assert canonical_json(obj1) == canonical_json(obj2)
+
+
+class TestPerKeyMemo:
+    def test_fiber_and_duality_checks_run_once_per_key(self, monkeypatch):
+        calls = []
+
+        def counting(real):
+            def wrapper(g, *args, **kwargs):
+                calls.append(real.__name__)
+                return real(g, *args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(suites, "verify_fiber", counting(suites.verify_fiber))
+        monkeypatch.setattr(suites, "verify_duality", counting(suites.verify_duality))
+        suites._fiber_checks.cache_clear()
+        suites._duality_check.cache_clear()
+        try:
+            key = suites.enumerate_graphs(2)[0]
+            battery = suites._battery_records(key)
+            fibers = suites._fiber_records(key)
+            duality = suites._duality_records(key)
+            assert sorted(calls) == ["verify_duality", "verify_fiber", "verify_fiber"]
+            assert [r for r in battery if r["check"].startswith("fiber")] == fibers
+            assert [r for r in battery if r["check"] == "alexander-duality"] == duality
+        finally:
+            suites._fiber_checks.cache_clear()
+            suites._duality_check.cache_clear()
+
+    def test_callers_get_their_own_records(self):
+        key = suites.enumerate_graphs(2)[0]
+        first = suites._fiber_records(key)
+        first[0]["data"]["elements"] = -1
+        first[0]["betti"].append(99)
+        first.pop()
+        again = suites._fiber_records(key)
+        assert len(again) == 2
+        assert again[0]["data"]["elements"] != -1 and 99 not in again[0]["betti"]
+        dual = suites._duality_records(key)
+        dual[0]["data"]["forest_homology"].clear()
+        assert suites._duality_records(key)[0]["data"]["forest_homology"]
 
 
 class TestGolden:

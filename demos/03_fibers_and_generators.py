@@ -33,9 +33,9 @@ for forest, core in p.elements:
 # opposite core poset, an increasing closure map retracts onto it, and
 # homology agrees with the core poset.
 rep = verify_fiber(theta, connected_only=False)
-print("\nslice is opposite core:", rep.slice_matches_core_opposite)
-print("retraction direction:  ", rep.retraction_direction)
-print("homology matches core: ", rep.homology_matches_core)
+print("\nslice is opposite core:", rep.data["slice_matches_core_opposite"])
+print("retraction direction:  ", rep.data["retraction_direction"])
+print("homology matches core: ", rep.data["homology_matches_core"])
 
 # Forest-indexed generators.  For the theta graph each spanning tree is
 # a single edge, and its dual cycle is the difference of the two bigons

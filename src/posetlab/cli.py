@@ -34,10 +34,8 @@ from .enumeration import (
 from .graph_posets import (
     KINDS,
     VerificationError,
-    _betti_profile,
     CheckReport,
     build_poset,
-    graph_label,
     verify_core_retraction,
     verify_duality,
     verify_forest_generators,
@@ -71,26 +69,6 @@ def _emit(text: str, out_path: str | None) -> None:
 
 def _edge_set_label(edges) -> str:
     return "{" + ",".join(str(e) for e in sorted(edges)) + "}"
-
-
-def _graph_dot(g) -> str:
-    lines = ["graph {"]
-    for v in g.vertices:
-        lines.append(f"  v{v};")
-    for e, u, v in g.edges:
-        lines.append(f'  v{u} -- v{v} [label="{e}"];')
-    lines.append("}")
-    return "\n".join(lines) + "\n"
-
-
-def _poset_dot(p) -> str:
-    lines = ["digraph {", "  rankdir=BT;"]
-    for i, x in enumerate(p.elements):
-        lines.append(f'  n{i} [label="{_edge_set_label(x)}"];')
-    for i, j in p.covers():
-        lines.append(f"  n{i} -> n{j};")
-    lines.append("}")
-    return "\n".join(lines) + "\n"
 
 
 def _homology_obj(h) -> dict:
@@ -144,7 +122,7 @@ def _cmd_poset(args) -> int:
     g = _require_graph(args)
     p = build_poset(g, args.kind)
     if args.dot:
-        _emit(_poset_dot(p), args.out)
+        _emit(p.to_dot(), args.out)
         return 0
     if args.json:
         obj = {
@@ -219,22 +197,7 @@ def _cmd_duality(args) -> int:
 
 def _cmd_fiber(args) -> int:
     g = _require_graph(args)
-    rep = verify_fiber(g, args.connected, label=args.graph)
-    data = {
-        "connected_only": args.connected,
-        "elements": rep.elements,
-        "slice_matches_core_opposite": rep.slice_matches_core_opposite,
-        "retraction_direction": rep.retraction_direction,
-        "homology_matches_core": rep.homology_matches_core,
-        "homology": rep.homology,
-    }
-    rec = CheckReport(
-        args.graph,
-        "fiber-connected" if args.connected else "fiber",
-        "pass" if rep.ok else "fail",
-        _betti_profile(rep.homology),
-        data,
-    )
+    rec = verify_fiber(g, args.connected, label=args.graph)
     return _print_record(rec, args.json, args.out)
 
 
@@ -279,7 +242,7 @@ def _cmd_apartment(args) -> int:
     h, expected, ok = verify_apartment(args.rank)
     p = apartment(args.rank)
     if args.dot:
-        _emit(_poset_dot(p), args.out)
+        _emit(p.to_dot(), args.out)
         return 0 if ok else 1
     obj = {
         "rank": args.rank,

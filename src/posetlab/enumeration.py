@@ -14,22 +14,27 @@ invariant under relabeling.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import permutations
 
 import numpy as np
 
-from .graph_posets import _edge_masks, build_poset, poset_elements
+from .graph_posets import (
+    CheckReport,
+    _betti_profile,
+    _edge_masks,
+    build_poset,
+    graph_label,
+    poset_elements,
+)
 from .homology import HomologyResult, core_complex, reduced_homology
-from .multigraph import GraphError, Multigraph, Subgraph
+from .multigraph import GraphError, Multigraph
 from .poset import (
     FinitePoset,
     PosetMap,
     _mask_bits,
     closure_retraction,
     is_order_isomorphic_via,
-    poset_of_subsets,
     subset_lattice,
 )
 
@@ -266,16 +271,12 @@ def graphs_with_separating_edge(rank: int):
 
 
 def _forests(g: Multigraph):
-    """Every forest edge set of `g`, including the empty one."""
-    from itertools import combinations
-
-    non_loops = [e for e in g.edge_ids if not g.is_loop(e)]
-    out = [frozenset()]
-    for k in range(1, len(non_loops) + 1):
-        for combo in combinations(non_loops, k):
-            edges = frozenset(combo)
-            if Subgraph(g, edges).is_forest():
-                out.append(edges)
+    """Every forest edge set of `g`, in (size, sorted ids) order: the empty
+    set, the proper forests of the mask table, and the whole edge set
+    when `g` is itself a forest."""
+    out = [frozenset(), *poset_elements(g, "for")]
+    if g.num_edges() and g.rank() == 0:
+        out.append(frozenset(g.edge_ids))
     return out
 
 
@@ -338,35 +339,14 @@ def fiber_retraction(g: Multigraph, connected_only: bool = False):
     return closure_retraction(p, endo)
 
 
-@dataclass(frozen=True)
-class FiberReport:
-    """Everything checked about one fiber poset."""
-
-    graph: str
-    connected_only: bool
-    elements: int
-    slice_matches_core_opposite: bool
-    retraction_direction: str
-    homology_matches_core: bool
-    homology: HomologyResult
-
-    @property
-    def ok(self) -> bool:
-        return (
-            self.slice_matches_core_opposite
-            and self.retraction_direction in ("increasing", "both")
-            and self.homology_matches_core
-        )
-
-
-def verify_fiber(g: Multigraph, connected_only: bool = False, label: str | None = None):
+def verify_fiber(
+    g: Multigraph, connected_only: bool = False, label: str | None = None
+) -> CheckReport:
     """Check the structure of the fiber poset of `g`: its empty slice is
     the opposite of the (connected) core poset, it retracts onto that
     slice by an increasing closure map, and its homology agrees with the
-    core poset's.
+    core poset's.  The check is ``fiber`` or ``fiber-connected``.
     """
-    from .graph_posets import graph_label
-
     label = label or graph_label(g)
     kind = "cc" if connected_only else "c"
     cert = fiber_retraction(g, connected_only)
@@ -379,19 +359,26 @@ def verify_fiber(g: Multigraph, connected_only: bool = False, label: str | None 
     iso = is_order_isomorphic_via(
         slice_poset, core.opposite(), {(empty, h): h for _, h in slice_elements}
     )
-    image_ok = set(cert.image.elements) == set(slice_elements)
+    slice_ok = iso and set(cert.image.elements) == set(slice_elements)
 
     h_fiber = reduced_homology(core_complex(p))
-    h_core = reduced_homology(core_complex(core))
+    homology_ok = h_fiber == reduced_homology(core_complex(core))
 
-    return FiberReport(
-        graph=label,
-        connected_only=connected_only,
-        elements=p.n,
-        slice_matches_core_opposite=iso and image_ok,
-        retraction_direction=cert.direction,
-        homology_matches_core=h_fiber == h_core,
-        homology=h_fiber,
+    data = {
+        "connected_only": connected_only,
+        "elements": p.n,
+        "slice_matches_core_opposite": slice_ok,
+        "retraction_direction": cert.direction,
+        "homology_matches_core": homology_ok,
+        "homology": h_fiber,
+    }
+    ok = slice_ok and cert.direction in ("increasing", "both") and homology_ok
+    return CheckReport(
+        label,
+        "fiber-connected" if connected_only else "fiber",
+        "pass" if ok else "fail",
+        _betti_profile(h_fiber),
+        data,
     )
 
 

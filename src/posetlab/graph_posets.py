@@ -39,6 +39,7 @@ from .homology import (
     PI1_NONTRIVIAL,
     PI1_TRIVIAL,
     HomologyResult,
+    InvariantError,
     alexander_duality_check,
     boundary_entries,
     core_complex,
@@ -46,7 +47,7 @@ from .homology import (
     reduced_homology,
     snf_from_entries,
 )
-from .multigraph import GraphError, Multigraph
+from .multigraph import Multigraph
 from .poset import (
     FinitePoset,
     PosetMap,
@@ -363,6 +364,29 @@ def _wedge_status(k, h: HomologyResult, target: int) -> tuple[str, str]:
     return "homology-only", v
 
 
+def _sphericity_status(kind, k, h, target, separating, data) -> str:
+    """Status of the sphericity claim for the `kind` poset, whose
+    (core) complex `k` has homology `h`; records the pi1 verdict in
+    `data`.
+
+    For `x` with a separating edge the claim is trivial homology; for
+    `x` otherwise, free homology concentrated in degree `target` with
+    at least one sphere; for `cx`, concentrated in `target` (an empty
+    wedge allowed).  The homotopy side is settled by `_wedge_status`.
+    """
+    if kind == "x" and separating:
+        claim_ok = h.is_trivial()
+    elif kind == "x":
+        claim_ok = h.concentrated_in(target) and h.betti(target) >= 1
+    else:
+        claim_ok = h.concentrated_in(target)
+    if not claim_ok:
+        data["pi1"] = "not-evaluated"
+        return "fail"
+    status, data["pi1"] = _wedge_status(k, h, target)
+    return status
+
+
 def verify_sphericity(g: Multigraph, kind: str = "x", label: str | None = None) -> CheckReport:
     """Verify the homotopy-type claim for the `x` or `cx` poset of `g`.
 
@@ -390,20 +414,7 @@ def verify_sphericity(g: Multigraph, kind: str = "x", label: str | None = None) 
         "elements": p.n,
         "homology": h,
     }
-
-    if kind == "x" and separating:
-        claim_ok = h.is_trivial()
-    elif kind == "x":
-        claim_ok = h.concentrated_in(target) and h.betti(target) >= 1
-    else:
-        claim_ok = h.concentrated_in(target)
-
-    if not claim_ok:
-        data["pi1"] = "not-evaluated"
-        return CheckReport(label, f"sphericity-{kind}", "fail", _betti_profile(h), data)
-
-    status, v = _wedge_status(k, h, target)
-    data["pi1"] = v
+    status = _sphericity_status(kind, k, h, target, separating, data)
     return CheckReport(label, f"sphericity-{kind}", status, _betti_profile(h), data)
 
 
@@ -622,7 +633,7 @@ def forest_generator_cycles(g: Multigraph, label: str | None = None):
             verts = [p.index(img) for img in images]
             order = tuple(sorted(verts))
             if order not in index:
-                raise AssertionError("generator image missed the complex")
+                raise InvariantError("generator image missed the complex")
             total = sign * _permutation_sign(verts)
             chain[order] = chain.get(order, 0) + total
         chain = {s: c for s, c in chain.items() if c != 0}
@@ -665,7 +676,9 @@ def verify_forest_generators(g: Multigraph, label: str | None = None) -> CheckRe
         )
     target = g.rank() - 2
     k, cycles = forest_generator_cycles(g)
-    h = reduced_homology(k)
+    # the full complex k names the cycles' faces; its homology is read
+    # off the checked core, which verify_sphericity has usually cached
+    h = reduced_homology(core_complex(build_poset(g, "x")))
     data: dict = {
         "forests": len(cycles),
         "target_degree": target,
@@ -775,25 +788,9 @@ def verify_sphericity_via_core(
         "homology": h,
         "via": "core-retraction",
     }
-    if not (cert_ok and image_ok):
-        data["pi1"] = "not-evaluated"
-        return CheckReport(
-            label, f"deep-sphericity-{kind}", "fail", _betti_profile(h), data
-        )
-
-    if kind == "x" and separating:
-        claim_ok = h.is_trivial()
-    elif kind == "x":
-        claim_ok = h.concentrated_in(target) and h.betti(target) >= 1
+    if cert_ok and image_ok:
+        status = _sphericity_status(kind, k, h, target, separating, data)
     else:
-        claim_ok = h.concentrated_in(target)
-
-    if not claim_ok:
         data["pi1"] = "not-evaluated"
-        return CheckReport(
-            label, f"deep-sphericity-{kind}", "fail", _betti_profile(h), data
-        )
-
-    status, v = _wedge_status(k, h, target)
-    data["pi1"] = v
+        status = "fail"
     return CheckReport(label, f"deep-sphericity-{kind}", status, _betti_profile(h), data)

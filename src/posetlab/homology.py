@@ -277,10 +277,6 @@ class HomologyResult:
     def sphere(cls, n):
         return cls(((n, 1, ()),)) if n >= -1 else cls(())
 
-    @classmethod
-    def trivial(cls):
-        return cls(())
-
     def betti(self, d):
         for deg, b, _ in self.groups:
             if deg == d:
@@ -298,9 +294,6 @@ class HomologyResult:
 
     def is_trivial(self):
         return not self.groups
-
-    def has_torsion(self):
-        return any(t for _, _, t in self.groups)
 
     def max_degree(self):
         return max((d for d, _, _ in self.groups), default=None)

@@ -14,11 +14,14 @@ A certificate partitions the elements of a finite poset into levels
 
 Building the order complex level by level then attaches each new vertex
 along a contractible complex, so a valid certificate proves the whole
-order complex contractible.  Validity is decided by certified
-contractibility of small complexes (cone points, or trivial homology
-plus trivial fundamental group), never by heuristics; a certificate
-whose checks all pass but whose poset has nonzero reduced homology
-would indicate a bug and raises AssertionError.
+order complex contractible.  The full subcomplex of the order complex
+on a set of elements is the order complex of the induced subposet on
+them, so each descending complex is certified as the descending poset
+of x by :func:`posetlab.homology.certify_contractible`: a cone point, or
+trivial homology plus a trivial fundamental group on the checked
+beat-point core, never a heuristic.  A certificate whose checks all
+pass but whose full order complex has nonzero reduced homology would
+indicate a bug and raises InvariantError.
 
 The search routine looks for a certificate with at most three levels,
 taking level 0 to be the comparables of some center element.  Within
@@ -61,11 +64,6 @@ class LevelCertificate:
                 values[x] = i
         return values
 
-    def to_json_obj(self):
-        from .poset import _label_json
-
-        return {"levels": [[_label_json(x) for x in level] for level in self.levels]}
-
 
 @dataclass(frozen=True)
 class CertificateCheck:
@@ -75,91 +73,22 @@ class CertificateCheck:
     reason: str
     element_status: dict = field(default_factory=dict)
 
-    def to_json_obj(self):
-        from .poset import _label_json
 
-        return {
-            "ok": self.ok,
-            "reason": self.reason,
-            "element_status": {
-                str(_label_json(x)): s for x, s in self.element_status.items()
-            },
-        }
-
-
-def descending_complex(p: FinitePoset, k, values, x):
-    """Full subcomplex of Δ(p) on the elements comparable to x whose
-    level is strictly below x's.  `k` must be order_complex(p)."""
+def descending_poset(p: FinitePoset, values, x) -> FinitePoset:
+    """The induced subposet on the elements comparable to x whose level
+    is strictly below x's; its order complex is x's descending complex."""
     cutoff = values[x]
     keep = [
-        p.index(y)
-        for y in p.elements
-        if y != x and values[y] < cutoff and p.comparable(x, y)
+        y for y in p.elements if y != x and values[y] < cutoff and p.comparable(x, y)
     ]
-    return k.full_subcomplex(sorted(keep))
-
-
-def _certified(k) -> bool:
-    return is_contractible_certificate(certify_contractible_complex(k))
-
-
-def certify_contractible_complex(k):
-    """Contractibility status of a bare simplicial complex.
-
-    Wraps the poset-level certificate logic for use on subcomplexes that
-    do not come from a poset: empty or disconnected complexes are
-    obstructed unless every component certifies, a cone is immediate.
-    """
-    from .homology import (
-        CONTRACTIBLE_CERTIFIED,
-        CONTRACTIBLE_CONE,
-        HOMOLOGY_TRIVIAL_ONLY,
-        NOT_CONTRACTIBLE,
-        PI1_TRIVIAL,
-        pi1_field,
-    )
-
-    if k.num_faces(0) == 0:
-        return NOT_CONTRACTIBLE
-    cone = _cone_vertex(k)
-    if cone is not None:
-        return CONTRACTIBLE_CONE
-    h = reduced_homology(k)
-    if not h.is_trivial():
-        return NOT_CONTRACTIBLE
-    if pi1_field(k) == PI1_TRIVIAL:
-        return CONTRACTIBLE_CERTIFIED
-    return HOMOLOGY_TRIVIAL_ONLY
-
-
-def _cone_vertex(k):
-    """A vertex joined to every face of `k`, or None.
-
-    Checked directly on facets: v is a cone vertex iff every facet
-    together with v is again a face.
-    """
-    n = k.num_faces(0)
-    verts = [f[0] for f in k.faces(0)]
-    facets = k.facets()
-    for v in verts:
-        good = True
-        for facet in facets:
-            if v in facet:
-                continue
-            merged = tuple(sorted(set(facet) | {v}))
-            if merged not in k.face_index(len(merged) - 1):
-                good = False
-                break
-        if good:
-            return v
-    return None
+    return p.induced(keep)
 
 
 def verify_certificate(p: FinitePoset, cert: LevelCertificate) -> CertificateCheck:
     """Validate a level certificate against a poset.
 
-    Raises AssertionError if every local check passes while the order
-    complex has nonzero reduced homology (impossible unless the
+    Raises InvariantError if every local check passes while the full
+    order complex has nonzero reduced homology (impossible unless the
     implementation is wrong).
     """
     if p.n == 0:
@@ -170,7 +99,6 @@ def verify_certificate(p: FinitePoset, cert: LevelCertificate) -> CertificateChe
     if not cert.levels or not cert.levels[0]:
         return CertificateCheck(False, "level 0 is empty")
 
-    k = order_complex(p)
     values = cert.value_of()
     status: dict = {}
 
@@ -190,8 +118,7 @@ def verify_certificate(p: FinitePoset, cert: LevelCertificate) -> CertificateChe
 
     for level in cert.levels[1:]:
         for x in level:
-            dk = descending_complex(p, k, values, x)
-            s = certify_contractible_complex(dk)
+            s = certify_contractible(descending_poset(p, values, x))
             status[x] = s
             if not is_contractible_certificate(s):
                 return CertificateCheck(
@@ -200,7 +127,7 @@ def verify_certificate(p: FinitePoset, cert: LevelCertificate) -> CertificateChe
                     status,
                 )
 
-    if not reduced_homology(k).is_trivial():
+    if not reduced_homology(order_complex(p)).is_trivial():
         raise InvariantError(
             "level certificate validated but homology is nonzero; "
             "this indicates a defect in the certificate checker"
@@ -243,7 +170,6 @@ def search_certificate(
     if p.n == 0:
         return SearchResult(None, True, 0)
 
-    k = order_complex(p)
     exhausted = True
     order = sorted(
         p.elements, key=lambda x: (-len(p.comparables(x)), p.index(x))
@@ -266,7 +192,8 @@ def search_certificate(
         for x in rest:
             values[x] = 1
         link_ok = {
-            x: _certified(descending_complex(p, k, values, x)) for x in rest
+            x: is_contractible_certificate(certify_contractible(descending_poset(p, values, x)))
+            for x in rest
         }
 
         if antichain(rest) and all(link_ok.values()):

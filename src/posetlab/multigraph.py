@@ -20,8 +20,6 @@ Conventions used throughout:
 
 from __future__ import annotations
 
-import json
-
 
 class GraphError(ValueError):
     """A structurally invalid graph, or an invalid operation on one."""
@@ -118,9 +116,6 @@ class Multigraph:
             total += 2 if a == b else 1
         return total
 
-    def min_valence(self):
-        return min((self.valence(v) for v in self.vertices), default=0)
-
     def components(self):
         classes = _components_of(self.vertices, [(u, v) for _, u, v in self.edges])
         return sorted(classes.values(), key=min)
@@ -149,16 +144,6 @@ class Multigraph:
         pairs = [(a, b) for e, a, b in self.edges if e != eid]
         after = len(_components_of(self.vertices, pairs))
         return after > before
-
-    def delete_edge(self, eid):
-        """Remove the edge, then drop any vertices left isolated."""
-        self.endpoints(eid)
-        edges = [e for e in self.edges if e[0] != eid]
-        used = set()
-        for _, u, v in edges:
-            used.add(u)
-            used.add(v)
-        return Multigraph(sorted(used), edges)
 
     def collapse_edge(self, eid):
         """Identify the endpoints of a non-loop edge and remove it.
@@ -270,34 +255,6 @@ class Multigraph:
 
     def subgraph(self, edge_set):
         return Subgraph(self, frozenset(edge_set))
-
-    # -- serialization ---------------------------------------------------
-
-    def to_json_obj(self):
-        return {
-            "vertices": list(self.vertices),
-            "edges": [[e, u, v] for e, u, v in self.edges],
-        }
-
-    def to_json(self):
-        return json.dumps(self.to_json_obj(), sort_keys=True)
-
-    @classmethod
-    def from_json_obj(cls, obj):
-        return cls(obj["vertices"], [tuple(e) for e in obj["edges"]])
-
-    @classmethod
-    def from_json(cls, text):
-        return cls.from_json_obj(json.loads(text))
-
-    def to_dot(self, name="g"):
-        lines = [f"graph {name} {{"]
-        for v in self.vertices:
-            lines.append(f"  {v};")
-        for e, u, v in self.edges:
-            lines.append(f'  {u} -- {v} [label="e{e}"];')
-        lines.append("}")
-        return "\n".join(lines) + "\n"
 
     # -- value semantics ---------------------------------------------------
 

@@ -151,11 +151,6 @@ class FinitePoset:
     def opposite(self):
         return FinitePoset(self.elements, self.leq.T.copy())
 
-    def product(self, other):
-        labels = [(x, y) for x in self.elements for y in other.elements]
-        leq = np.kron(self.leq.astype(np.uint8), other.leq.astype(np.uint8)) > 0
-        return FinitePoset(labels, leq)
-
     def induced(self, subset):
         """The induced subposet on the given elements (order preserved)."""
         idx = [self.index(x) for x in subset]
@@ -174,17 +169,12 @@ class FinitePoset:
 
     # -- serialization -------------------------------------------------------
 
-    def to_json_obj(self):
-        return {
-            "elements": [_label_json(x) for x in self.elements],
-            "covers": [[i, j] for i, j in sorted(self.covers())],
-        }
-
-    def to_dot(self, name="poset"):
-        lines = [f"digraph {name} {{", "  rankdir=BT;"]
+    def to_dot(self):
+        """The Hasse diagram in dot, drawn bottom to top."""
+        lines = ["digraph {", "  rankdir=BT;"]
         for i, x in enumerate(self.elements):
             lines.append(f'  n{i} [label="{_label_text(x)}"];')
-        for i, j in sorted(self.covers()):
+        for i, j in self.covers():
             lines.append(f"  n{i} -> n{j};")
         lines.append("}")
         return "\n".join(lines) + "\n"
@@ -199,15 +189,6 @@ class FinitePoset:
     def __repr__(self):
         return f"FinitePoset({self.n} elements)"
 
-
-def _label_json(x):
-    if isinstance(x, frozenset):
-        return sorted(x)
-    if isinstance(x, (tuple, list)):
-        return [_label_json(y) for y in x]
-    if hasattr(x, "to_json_obj"):
-        return x.to_json_obj()
-    return x
 
 def _label_text(x):
     if isinstance(x, frozenset):
@@ -354,12 +335,6 @@ def closure_retraction(p, c):
 def fiber_down(f, x):
     """Induced subposet of the source on {s : f(s) <= x}."""
     keep = [s for s in f.source.elements if f.target.le(f(s), x)]
-    return f.source.induced(keep)
-
-
-def fiber_up(f, x):
-    """Induced subposet of the source on {s : x <= f(s)}."""
-    keep = [s for s in f.source.elements if f.target.le(x, f(s))]
     return f.source.induced(keep)
 
 

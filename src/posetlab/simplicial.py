@@ -9,7 +9,6 @@ the empty complex is the (-1)-sphere rather than nothing at all.
 
 from __future__ import annotations
 
-import json
 from itertools import combinations
 
 
@@ -92,28 +91,12 @@ class SimplicialComplex:
         for d in sorted(self._faces):
             yield from self._faces[d]
 
-    def facets(self):
-        # a face is maximal iff it is a facet of no (d+1)-face
-        non_top = set()
-        for d, fl in self._faces.items():
-            if d == 0:
-                continue
-            for face in fl:
-                for k in range(len(face)):
-                    non_top.add(face[:k] + face[k + 1 :])
-        out = [f for fl in self._faces.values() for f in fl if f not in non_top]
-        return sorted(out, key=lambda f: (len(f), f))
-
     def face_index(self, d):
         if self._index is None:
             self._index = {}
         if d not in self._index:
             self._index[d] = {f: i for i, f in enumerate(self.faces(d))}
         return self._index[d]
-
-    def euler_characteristic(self):
-        """Unreduced Euler characteristic (empty simplex excluded)."""
-        return sum((-1) ** d * len(fl) for d, fl in self._faces.items())
 
     def components(self):
         """Vertex index sets of the connected components of the 1-skeleton."""
@@ -154,18 +137,7 @@ class SimplicialComplex:
                 faces.append(tuple(pos[v] for v in face))
         return SimplicialComplex([self.vertices[v] for v in keep], faces)
 
-    # -- serialization -------------------------------------------------------
-
-    def to_json_obj(self):
-        from .poset import _label_json
-
-        return {
-            "vertices": [_label_json(v) for v in self.vertices],
-            "facets": [list(f) for f in self.facets()],
-        }
-
-    def to_json(self):
-        return json.dumps(self.to_json_obj(), sort_keys=True)
+    # -- identity ------------------------------------------------------------
 
     def structure_key(self):
         """A hashable fingerprint: equal keys mean identical face lists."""
@@ -174,94 +146,3 @@ class SimplicialComplex:
     def __repr__(self):
         counts = ",".join(f"{len(self._faces[d])}" for d in sorted(self._faces))
         return f"SimplicialComplex(dim={self.dim}, faces=[{counts}])"
-
-
-def barycentric_subdivision(k):
-    """The order complex of the face poset of k.
-
-    Vertices of the subdivision are the nonempty faces of k (labelled by
-    their vertex-label tuples); simplices are chains of faces under strict
-    inclusion.  Homotopy equivalent to k, which the homology tests lean on.
-    """
-    faces = list(k.all_faces())
-    labels = [tuple(k.vertices[v] for v in f) for f in faces]
-    n = len(faces)
-    sets = [set(f) for f in faces]
-    by_dim = {}
-    for i, f in enumerate(faces):
-        by_dim.setdefault(len(f), []).append(i)
-    up = [[] for _ in range(n)]
-    dims = sorted(by_dim)
-    for di, d in enumerate(dims):
-        for i in by_dim[d]:
-            for d2 in dims[di + 1 :]:
-                for j in by_dim[d2]:
-                    if sets[i] < sets[j]:
-                        up[i].append(j)
-    chains = []
-
-    def grow(chain, last):
-        chains.append(tuple(sorted(chain)))
-        for j in up[last]:
-            chain.append(j)
-            grow(chain, j)
-            chain.pop()
-
-    for i in range(n):
-        grow([i], i)
-    return SimplicialComplex(labels, chains)
-
-
-def nerve(cover):
-    """Nerve of a family of complexes over a shared vertex label universe.
-
-    A subset of the cover spans a simplex when the members share at least
-    one face; since all members are subcomplexes of a common complex this
-    is the same as sharing a vertex.
-    """
-    return nerve_with_audit(cover)[0]
-
-
-def nerve_with_audit(cover):
-    """Nerve plus, per nerve face, whether the intersection is contractible.
-
-    The audit maps each nerve face (a tuple of cover indices) to the reduced
-    homology triviality of the intersection complex, which is the hypothesis
-    a nerve comparison needs.  Full homotopy contractibility is not decided
-    here; callers needing more should inspect the intersections themselves.
-    """
-    from .homology import reduced_homology
-
-    k = len(cover)
-    # compare faces by vertex labels so different index orders agree
-    face_sets = []
-    for c in cover:
-        face_sets.append({tuple(sorted(c.vertices[v] for v in f)) for f in c.all_faces()})
-    nerve_faces = []
-    audit = {}
-
-    frontier = [(i,) for i in range(k) if face_sets[i]]
-    inters = {(i,): face_sets[i] for i in range(k) if face_sets[i]}
-    while frontier:
-        nerve_faces.extend(frontier)
-        nxt = []
-        for face in frontier:
-            common = inters[face]
-            for j in range(face[-1] + 1, k):
-                shared = common & face_sets[j]
-                if shared:
-                    bigger = face + (j,)
-                    inters[bigger] = shared
-                    nxt.append(bigger)
-        frontier = nxt
-
-    for face in nerve_faces:
-        shared = inters[face]
-        verts = sorted({v for f in shared for v in f})
-        pos = {v: i for i, v in enumerate(verts)}
-        complex_faces = [tuple(pos[v] for v in f) for f in shared]
-        sub = SimplicialComplex(verts, complex_faces)
-        audit[face] = reduced_homology(sub).is_trivial()
-
-    nerve_complex = SimplicialComplex(list(range(k)), nerve_faces)
-    return nerve_complex, audit

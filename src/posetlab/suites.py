@@ -127,21 +127,7 @@ def _fiber_records(key: str) -> list[dict]:
 @lru_cache(maxsize=_MEMO_KEYS)
 def _fiber_checks(key: str) -> tuple:
     g = parse_key(key)
-    out = []
-    for connected_only in (False, True):
-        rep = verify_fiber(g, connected_only, label=key)
-        check = "fiber-connected" if connected_only else "fiber"
-        data = {
-            "connected_only": connected_only,
-            "elements": rep.elements,
-            "slice_matches_core_opposite": rep.slice_matches_core_opposite,
-            "retraction_direction": rep.retraction_direction,
-            "homology_matches_core": rep.homology_matches_core,
-            "homology": rep.homology,
-        }
-        status = "pass" if rep.ok else "fail"
-        out.append(CheckReport(key, check, status, _betti_profile(rep.homology), data))
-    return tuple(out)
+    return tuple(verify_fiber(g, connected_only, label=key) for connected_only in (False, True))
 
 
 def _duality_records(key: str) -> list[dict]:

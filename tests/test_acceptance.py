@@ -146,7 +146,7 @@ def test_criterion_06_fiber_lemmas():
     for g in _all_rank_le3():
         for connected_only in (False, True):
             rep = verify_fiber(g, connected_only)
-            if not (rep.ok and rep.slice_matches_core_opposite):
+            if not (rep.ok and rep.data["slice_matches_core_opposite"]):
                 failures.append((rep.graph, connected_only))
     _line(6, "fiber posets", "PASS" if not failures else "FAIL", "36 checks")
     assert not failures

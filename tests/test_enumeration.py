@@ -6,12 +6,13 @@ all vertex permutations — no shared code with the library's generator.
 """
 
 import random
-from itertools import combinations_with_replacement, permutations
+from itertools import combinations, combinations_with_replacement, permutations
 
 import pytest
 
 from posetlab.enumeration import (
     _degree_multisets,
+    _forests,
     _from_multiplicities,
     _group_permutations,
     _invariant_classes,
@@ -28,7 +29,7 @@ from posetlab.enumeration import (
     verify_fiber,
 )
 from posetlab.homology import HomologyResult, reduced_homology
-from posetlab.multigraph import GraphError, Multigraph, dumbbell, rose, theta_graph
+from posetlab.multigraph import GraphError, Multigraph, Subgraph, dumbbell, rose, theta_graph
 from posetlab.poset import FinitePoset, order_complex
 
 # ---------------------------------------------------------------------------
@@ -264,14 +265,16 @@ class TestFiberPosets:
     def test_empty_slice_is_opposite_core(self):
         for key in enumerate_graphs(2):
             rep = verify_fiber(parse_key(key), False)
-            assert rep.slice_matches_core_opposite
+            assert rep.data["slice_matches_core_opposite"]
 
     def test_retraction_increasing_and_homology(self):
         for key in (*enumerate_graphs(2), *enumerate_graphs(3)):
             for connected_only in (False, True):
                 rep = verify_fiber(parse_key(key), connected_only)
-                assert rep.ok, (key, connected_only)
-                assert rep.retraction_direction in ("increasing", "both")
+                assert rep.status == "pass", (key, connected_only)
+                assert rep.check == ("fiber-connected" if connected_only else "fiber")
+                assert rep.data["retraction_direction"] in ("increasing", "both")
+                assert rep.data["homology_matches_core"]
 
     def test_fiber_homology_matches_core_opposite_directly(self):
         g = theta_graph()
@@ -299,6 +302,25 @@ class TestFiberPosets:
             fiber_poset(rose(64))
         with pytest.raises(ValueError, match="int64 mask"):
             fiber_poset(theta_graph(64), connected_only=True)
+
+    def test_forests_equal_subgraph_definition(self):
+        # every edge subset, the empty and the whole one included, that
+        # Subgraph calls a forest, in (size, sorted ids) order
+        def by_definition(g):
+            ids = g.edge_ids
+            subsets = [frozenset(c) for k in range(len(ids) + 1) for c in combinations(ids, k)]
+            return [e for e in subsets if Subgraph(g, e).is_forest()]
+
+        graphs = [parse_key(key) for r in (2, 3) for key in enumerate_graphs(r)]
+        graphs += [
+            # a tree: its whole edge set is a forest too
+            Multigraph(range(5), [(0, 0, 1), (1, 1, 2), (2, 1, 3), (3, 3, 4)]),
+            # loops, parallel edges and a pendant edge
+            Multigraph(range(3), [(0, 0, 0), (1, 0, 1), (2, 0, 1), (3, 1, 1), (4, 1, 2)]),
+            Multigraph([0], []),
+        ]
+        for g in graphs:
+            assert _forests(g) == by_definition(g), g.edges
 
     def test_distinct_forests_distinct_elements(self):
         # two different spanning trees of theta with isomorphic quotients

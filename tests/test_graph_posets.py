@@ -9,6 +9,7 @@ from itertools import combinations
 
 import pytest
 
+from posetlab import graph_posets
 from posetlab.enumeration import enumerate_graphs, parse_key
 from posetlab.graph_posets import (
     KINDS,
@@ -26,7 +27,7 @@ from posetlab.graph_posets import (
     verify_subset_sphere,
     verify_valence_two,
 )
-from posetlab.homology import reduced_homology
+from posetlab.homology import InvariantError, reduced_homology
 from posetlab.multigraph import Multigraph, Subgraph, dumbbell, rose, theta_graph
 from posetlab.poset import poset_of_subsets
 
@@ -377,3 +378,23 @@ class TestForestGenerators:
                 continue
             rec = verify_forest_generators(g)
             assert rec.data["span_rank"] <= rec.data["forests"]
+
+    def test_homology_from_core_equals_full_complex(self):
+        # the record reads homology off the beat-point core; the full
+        # complex whose faces the cycles name must agree
+        for g in all_graphs_rank_le3():
+            if any(g.is_separating_edge(e) for e in g.edge_ids):
+                continue
+            k, _ = forest_generator_cycles(g)
+            assert verify_forest_generators(g).data["homology"] == reduced_homology(k)
+
+    def test_image_off_the_complex_raises_invariant_error(self, monkeypatch):
+        # a flag that is not a chain maps to vertices spanning no simplex:
+        # for rose(3), core({a}) and core({b, c}) are incomparable
+        def broken_flags(universe):
+            a, b, c = sorted(universe)
+            yield 1, (frozenset({a}), frozenset({b, c}))
+
+        monkeypatch.setattr(graph_posets, "_subset_flag_cycle", broken_flags)
+        with pytest.raises(InvariantError, match="missed the complex"):
+            forest_generator_cycles(rose(3))

@@ -34,7 +34,7 @@ from posetlab.homology import (
     snf_from_entries,
 )
 from posetlab.poset import FinitePoset, order_complex, subset_lattice
-from posetlab.simplicial import SimplicialComplex, barycentric_subdivision, nerve_with_audit
+from posetlab.simplicial import SimplicialComplex
 
 # ---------------------------------------------------------------------------
 # oracles
@@ -116,6 +116,67 @@ def betti_oracle(k, d):
     rank_d = rational_rank(m_d) if m_d and m_d[0] else 0
     rank_up = rational_rank(m_up) if m_up and m_up[0] else 0
     return ncols_d - rank_d - rank_up
+
+
+def barycentric_subdivision(k):
+    """The order complex of the face poset of k.
+
+    Vertices of the subdivision are the nonempty faces of k (labelled by
+    their vertex-label tuples); simplices are chains of faces under strict
+    inclusion.  Homotopy equivalent to k.
+    """
+    faces = list(k.all_faces())
+    labels = [tuple(k.vertices[v] for v in f) for f in faces]
+    sets = [set(f) for f in faces]
+    up = [[j for j in range(len(faces)) if sets[i] < sets[j]] for i in range(len(faces))]
+    chains = []
+
+    def grow(chain, last):
+        chains.append(tuple(sorted(chain)))
+        for j in up[last]:
+            chain.append(j)
+            grow(chain, j)
+            chain.pop()
+
+    for i in range(len(faces)):
+        grow([i], i)
+    return SimplicialComplex(labels, chains)
+
+
+def nerve_with_audit(cover):
+    """Nerve of a family of complexes over a shared vertex label universe,
+    plus, per nerve face, whether the intersection has trivial homology.
+
+    A subset of the cover spans a nerve simplex when its members share a
+    face.  The audit maps each nerve face (a tuple of cover indices) to
+    the reduced homology triviality of the intersection complex, which is
+    the hypothesis a nerve comparison needs.
+    """
+    k = len(cover)
+    # compare faces by vertex labels so different index orders agree
+    face_sets = [{tuple(sorted(c.vertices[v] for v in f)) for f in c.all_faces()} for c in cover]
+    nerve_faces = []
+    frontier = [(i,) for i in range(k) if face_sets[i]]
+    inters = {(i,): face_sets[i] for i in range(k) if face_sets[i]}
+    while frontier:
+        nerve_faces.extend(frontier)
+        nxt = []
+        for face in frontier:
+            for j in range(face[-1] + 1, k):
+                shared = inters[face] & face_sets[j]
+                if shared:
+                    inters[face + (j,)] = shared
+                    nxt.append(face + (j,))
+        frontier = nxt
+
+    audit = {}
+    for face in nerve_faces:
+        shared = inters[face]
+        verts = sorted({v for f in shared for v in f})
+        pos = {v: i for i, v in enumerate(verts)}
+        sub = SimplicialComplex(verts, [tuple(pos[v] for v in f) for f in shared])
+        audit[face] = reduced_homology(sub).is_trivial()
+    return SimplicialComplex(list(range(k)), nerve_faces), audit
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ from posetlab.graph_posets import build_poset
 from posetlab.homology import reduced_homology
 from posetlab.morse import (
     LevelCertificate,
-    descending_complex,
+    descending_poset,
     search_certificate,
     verify_certificate,
 )
@@ -66,11 +66,33 @@ class TestVerifyCertificate:
 class TestDescendingComplex:
     def test_counts_strictly_lower_comparables(self):
         p = chain(3)
-        k = order_complex(p)
         values = {0: 0, 1: 0, 2: 1}
-        dk = descending_complex(p, k, values, 2)
+        dk = order_complex(descending_poset(p, values, 2))
         # elements 0, 1 are both below 2 and below its level: an edge
         assert dk.num_faces(0) == 2 and dk.num_faces(1) == 1
+
+    def test_order_complex_is_the_full_subcomplex(self):
+        # The certifier rests on this: the full subcomplex of the order
+        # complex on a vertex set is the order complex of the induced
+        # subposet on it.  Checked for every element above level 0 under
+        # the two-level values of every center, on every rank-2/3 core poset.
+        checked = 0
+        for key in (*enumerate_graphs(2), *enumerate_graphs(3)):
+            p = build_poset(parse_key(key), "c")
+            k = order_complex(p)
+            for center in p.elements:
+                level0 = set(p.comparables(center))
+                values = {y: 0 if y in level0 else 1 for y in p.elements}
+                for x in p.elements:
+                    if values[x] == 0:
+                        continue
+                    q = descending_poset(p, values, x)
+                    sub = k.full_subcomplex([p.index(y) for y in q.elements])
+                    dk = order_complex(q)
+                    assert dk.vertices == sub.vertices, (key, center, x)
+                    assert dk.structure_key() == sub.structure_key(), (key, center, x)
+                    checked += 1
+        assert checked == 1004
 
 
 class TestSearch:

@@ -6,6 +6,7 @@ from pathlib import Path
 import posetlab
 
 PACKAGE = Path(posetlab.__file__).parent
+REPO = Path(__file__).resolve().parent.parent
 
 
 def test_no_assert_statements():
@@ -22,12 +23,12 @@ def test_no_assert_statements():
 
 # Homology and pi1 verdicts of a poset are computed on its checked
 # beat-point core (`homology.core_complex`), one way everywhere.  Only
-# code that needs the faces of the full order complex may hand one over:
-# the poset module itself, the forest generator cycles and the Morse
-# level certificates.
+# code that needs the full order complex may hand one over: the poset
+# module itself, the forest generator cycles, whose faces they name, and
+# the final cross-check of a validated level certificate.
 HOMOTOPY_ROUTINES = {"reduced_homology", "reduced_cohomology", "pi1_field", "pi1_triviality"}
-FULL_COMPLEX_FILES = {"poset.py", "morse.py"}
-FULL_COMPLEX_FUNCTIONS = {"forest_generator_cycles"}
+FULL_COMPLEX_FILES = {"poset.py"}
+FULL_COMPLEX_FUNCTIONS = {"forest_generator_cycles", "verify_certificate"}
 _SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
 
 
@@ -96,4 +97,63 @@ def test_homotopy_claims_use_the_reduced_complex():
             continue
         tree = ast.parse(path.read_text(), filename=str(path))
         found += [f"{path.name}:{line}" for line in unreduced_complex_uses(tree)]
+    assert found == []
+
+
+# Every function, method and class in the package is used somewhere: by
+# name, as an attribute, or in an import, in the package, the tests, the
+# demos or the benchmark.  A definition alone is not a use.
+USER_DIRS = ("src", "tests", "demos", "perfbench")
+
+
+def used_names(trees):
+    used = set()
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.alias):
+                used.add(node.name.rpartition(".")[2])
+    return used
+
+
+def unused_definitions(tree, used):
+    """(line, name) of each non-dunder function, method or class in
+    `tree` whose name is not in `used`."""
+    kinds = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    return sorted(
+        (node.lineno, node.name)
+        for node in ast.walk(tree)
+        if isinstance(node, kinds)
+        and not (node.name.startswith("__") and node.name.endswith("__"))
+        and node.name not in used
+    )
+
+
+def test_unused_rule_on_a_snippet():
+    tree = ast.parse(
+        "class A:\n"
+        "    def __init__(self): pass\n"
+        "    def used(self): pass\n"
+        "    def dead(self): pass\n"
+        "def helper(): pass\n"
+        "def orphan(): pass\n"
+    )
+    caller = ast.parse("from m import helper\nA().used()\n")
+    assert unused_definitions(tree, used_names([tree, caller])) == [(4, "dead"), (6, "orphan")]
+
+
+def test_no_unused_definitions_in_the_package():
+    trees = [
+        ast.parse(path.read_text(), filename=str(path))
+        for d in USER_DIRS
+        for path in sorted((REPO / d).rglob("*.py"))
+    ]
+    used = used_names(trees)
+    found = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        found += [f"{path.name}:{line}:{name}" for line, name in unused_definitions(tree, used)]
     assert found == []

@@ -47,6 +47,7 @@ from .graph_posets import (
 from .homology import core_complex, read_triplet_matrix, reduced_homology, snf_from_entries
 from .morse import search_certificate, verify_certificate
 from .multigraph import GraphError
+from .poset import _label_text
 from .suites import (
     DEEP_BUDGET_SECONDS,
     DEFAULT_REPORT_SUITES,
@@ -65,10 +66,6 @@ def _emit(text: str, out_path: str | None) -> None:
             fh.write(text)
     else:
         sys.stdout.write(text)
-
-
-def _edge_set_label(edges) -> str:
-    return "{" + ",".join(str(e) for e in sorted(edges)) + "}"
 
 
 def _homology_obj(h) -> dict:
@@ -213,7 +210,7 @@ def _cmd_morse(args) -> int:
         "centers_tried": res.centers_tried,
     }
     if res.found:
-        obj["levels"] = [sorted(map(_edge_set_label, level)) for level in res.certificate.levels]
+        obj["levels"] = [sorted(map(_label_text, level)) for level in res.certificate.levels]
     if args.action == "search":
         if args.json:
             _emit(canonical_json(obj), args.out)

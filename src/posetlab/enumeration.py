@@ -4,8 +4,10 @@ posets, and apartment lattices.
 The graphs of interest are connected multigraphs (loops and parallel
 edges allowed) with minimum valence three and a prescribed first Betti
 number.  Such a graph with first Betti number r has at most 2(r-1)
-vertices, so for each rank there are finitely many isomorphism classes
-and they can be listed exhaustively.
+vertices, so for each rank there are finitely many isomorphism classes.
+They are the rose with r petals and the graphs split from it: the
+census grows one vertex at a time by splitting a vertex of valence four
+or more in two, and keeps one graph per canonical key.
 
 Canonical keys make deduplication and reporting deterministic: every
 graph maps to a string of the form ``"<nv>;u-v,u-v,..."`` that is
@@ -15,7 +17,7 @@ invariant under relabeling.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import permutations
+from itertools import combinations, permutations
 
 import numpy as np
 
@@ -28,7 +30,7 @@ from .graph_posets import (
     poset_elements,
 )
 from .homology import HomologyResult, core_complex, reduced_homology
-from .multigraph import GraphError, Multigraph
+from .multigraph import GraphError, Multigraph, rose
 from .poset import (
     FinitePoset,
     PosetMap,
@@ -160,73 +162,28 @@ def parse_key(key: str) -> Multigraph:
 # ---------------------------------------------------------------------------
 
 
-def _degree_multisets(nv: int, total: int):
-    """Nonincreasing sequences of length nv, entries >= 3, summing to total."""
+def _splits(g: Multigraph):
+    """Every graph made from `g` by splitting one vertex in two.
 
-    def grow(prefix, remaining, cap):
-        slots = nv - len(prefix)
-        if slots == 0:
-            if remaining == 0:
-                yield tuple(prefix)
-            return
-        lo = 3
-        hi = min(cap, remaining - lo * (slots - 1))
-        for d in range(hi, lo - 1, -1):
-            yield from grow(prefix + [d], remaining - d, d)
-
-    yield from grow([], total, total)
-
-
-def _realizations(degrees):
-    """All multigraphs on labeled vertices with the given degrees.
-
-    Distributes each vertex's remaining valence over loops and edges to
-    higher-numbered vertices; a loop consumes two units.  Yields edge
-    lists as ((u, v), multiplicity) dicts.
+    A split takes a vertex v of valence d >= 4, moves a set of 2 .. d-2 of
+    its half-edges to a new vertex w and joins v and w by a new edge, so
+    both keep valence >= 3 and the rank is unchanged.  A loop at v has two
+    half-edges there.  v's first half-edge never moves, so a set and its
+    complement, which give isomorphic graphs, are not both tried.
     """
-    nv = len(degrees)
-
-    def place(v, residual, acc):
-        if v == nv:
-            if all(r == 0 for r in residual):
-                yield dict(acc)
-            return
-        r = residual[v]
-
-        def split_rec(units, targets, res, got):
-            """Distribute `units` among `targets` capped by residuals."""
-            if not targets:
-                if units == 0:
-                    yield got, res
-                return
-            w = targets[0]
-            cap = min(units, res[w])
-            for m in range(cap + 1):
-                res2 = res.copy()
-                res2[w] -= m
-                more = got + ([((v, w), m)] if m else [])
-                yield from split_rec(units - m, targets[1:], res2, more)
-
-        targets = list(range(v + 1, nv))
-        for loops in range(r // 2 + 1):
-            units = r - 2 * loops
-            base = acc + ([((v, v), loops)] if loops else [])
-            for got, res in split_rec(units, targets, residual, []):
-                res2 = res.copy()
-                res2[v] = 0
-                yield from place(v + 1, res2, base + got)
-
-    yield from place(0, list(degrees), [])
-
-
-def _from_multiplicities(nv: int, mult: dict) -> Multigraph:
-    edges = []
-    eid = 0
-    for (u, v), m in sorted(mult.items()):
-        for _ in range(m):
-            edges.append((eid, u, v))
-            eid += 1
-    return Multigraph(range(nv), edges)
+    w = max(g.vertices) + 1
+    link = max(g.edge_ids) + 1
+    for v in g.vertices:
+        halves = [(e, end) for e, a, b in g.edges for end, x in ((0, a), (1, b)) if x == v]
+        for size in range(2, len(halves) - 1):
+            for moved in combinations(halves[1:], size):
+                moved = set(moved)
+                edges = [
+                    (e, w if (e, 0) in moved else a, w if (e, 1) in moved else b)
+                    for e, a, b in g.edges
+                ]
+                edges.append((link, v, w))
+                yield Multigraph((*g.vertices, w), edges)
 
 
 @lru_cache(maxsize=None)
@@ -235,23 +192,26 @@ def enumerate_graphs(rank: int):
     minimum valence three, up to isomorphism, as canonical keys.
 
     A graph with these properties satisfies 2|E| >= 3|V| and
-    |E| = |V| + rank - 1, hence |V| <= 2(rank - 1); the search over
-    vertex counts and degree multisets is therefore finite.
+    |E| = |V| + rank - 1, hence |V| <= 2(rank - 1).  The census grows
+    in layers by vertex count from the rose, the only such graph on one
+    vertex, by :func:`_splits`, and each layer is deduplicated by
+    canonical key.  No graph is missed: a graph on nv >= 2 vertices is
+    connected, so it has a non-loop edge, and contracting that edge
+    keeps the rank and merges its two ends, of valences a, b >= 3, into
+    one vertex of valence a + b - 2 >= 4.  The contracted graph lies in
+    the layer below, and splitting the merged vertex by the half-edges
+    that came from one end gives the graph back.
 
     >>> enumerate_graphs(2)
     ('1;0-0,0-0', '2;0-0,0-1,1-1', '2;0-1,0-1,0-1')
     """
     if rank < 2:
         raise ValueError("enumeration is defined for rank >= 2")
-    found = set()
-    for nv in range(1, 2 * (rank - 1) + 1):
-        ne = nv + rank - 1
-        for degrees in _degree_multisets(nv, 2 * ne):
-            for mult in _realizations(degrees):
-                g = _from_multiplicities(nv, mult)
-                if not g.is_connected():
-                    continue
-                found.add(canonical_key(g))
+    layer = {canonical_key(rose(rank))}
+    found = set(layer)
+    for _ in range(2 * (rank - 1) - 1):
+        layer = {canonical_key(h) for key in layer for h in _splits(parse_key(key))}
+        found |= layer
     return tuple(sorted(found))
 
 

@@ -289,9 +289,6 @@ class HomologyResult:
                 return t
         return ()
 
-    def degrees(self):
-        return tuple(d for d, _, _ in self.groups)
-
     def is_trivial(self):
         return not self.groups
 

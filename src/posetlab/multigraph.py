@@ -97,10 +97,6 @@ class Multigraph:
         except KeyError:
             raise GraphError(f"unknown edge id {eid}") from None
 
-    def is_loop(self, eid):
-        u, v = self.endpoints(eid)
-        return u == v
-
     def num_vertices(self):
         return len(self.vertices)
 

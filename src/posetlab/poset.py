@@ -138,14 +138,6 @@ class FinitePoset:
         via = _compose(lt, lt)
         return [tuple(map(int, ij)) for ij in np.argwhere(lt & ~via)]
 
-    def maximal_elements(self):
-        lt = self._lt
-        return [self.elements[i] for i in range(self.n) if not lt[i, :].any()]
-
-    def minimal_elements(self):
-        lt = self._lt
-        return [self.elements[i] for i in range(self.n) if not lt[:, i].any()]
-
     # -- constructions -----------------------------------------------------
 
     def opposite(self):
@@ -156,16 +148,6 @@ class FinitePoset:
         idx = [self.index(x) for x in subset]
         sub = self.leq[np.ix_(idx, idx)].copy()
         return FinitePoset([self.elements[i] for i in idx], sub)
-
-    def down_set(self, x):
-        i = self.index(x)
-        keep = [self.elements[j] for j in np.flatnonzero(self.leq[:, i])]
-        return self.induced(keep)
-
-    def up_set(self, x):
-        i = self.index(x)
-        keep = [self.elements[j] for j in np.flatnonzero(self.leq[i, :])]
-        return self.induced(keep)
 
     # -- serialization -------------------------------------------------------
 
@@ -229,11 +211,6 @@ class PosetMap:
     def __call__(self, x):
         return self.mapping[x]
 
-    def compose(self, other):
-        """self after other."""
-        mapping = {x: self.mapping[other.mapping[x]] for x in other.source.elements}
-        return PosetMap(other.source, self.target, mapping)
-
     def image(self):
         seen = []
         for x in self.source.elements:
@@ -244,12 +221,6 @@ class PosetMap:
 
     def is_endomap(self):
         return self.source == self.target
-
-    def is_idempotent(self):
-        if not self.is_endomap():
-            return False
-        return all(self.mapping[self.mapping[x]] == self.mapping[x]
-                   for x in self.source.elements)
 
 
 @dataclass(frozen=True)
@@ -330,12 +301,6 @@ def closure_retraction(p, c):
         direction = "increasing"
     image = p.induced(c.image())
     return RetractionCertificate(poset=p, map=c, image=image, direction=direction)
-
-
-def fiber_down(f, x):
-    """Induced subposet of the source on {s : f(s) <= x}."""
-    keep = [s for s in f.source.elements if f.target.le(f(s), x)]
-    return f.source.induced(keep)
 
 
 def is_order_isomorphic_via(p, q, mapping):

@@ -1,22 +1,24 @@
 """Census, canonical keys, fibers, apartments.
 
-The census is checked against an independent oracle that enumerates raw
-edge multisets over every vertex count and dedupes by minimizing over
-all vertex permutations — no shared code with the library's generator.
+The library grows its census by splitting vertices.  It is checked
+against two oracles that share none of that code: raw edge multisets
+over every vertex count, deduped by minimizing over all vertex
+permutations, and a brute force over degree multisets and every
+labelled realisation, deduped by canonical key.  `networkx` checks that
+no two census keys are isomorphic, and every edge contraction of a
+census graph lands in the census one vertex down.
 """
 
 import random
+from collections import Counter
 from itertools import combinations, combinations_with_replacement, permutations
 
 import pytest
 
 from posetlab.enumeration import (
-    _degree_multisets,
     _forests,
-    _from_multiplicities,
     _group_permutations,
     _invariant_classes,
-    _realizations,
     apartment,
     canonical_form,
     canonical_key,
@@ -90,6 +92,83 @@ def census_oracle(rank):
     return found
 
 
+def _degree_multisets(nv, total):
+    """Nonincreasing sequences of length nv, entries >= 3, summing to total."""
+
+    def grow(prefix, remaining, cap):
+        slots = nv - len(prefix)
+        if slots == 0:
+            if remaining == 0:
+                yield tuple(prefix)
+            return
+        hi = min(cap, remaining - 3 * (slots - 1))
+        for d in range(hi, 2, -1):
+            yield from grow(prefix + [d], remaining - d, d)
+
+    yield from grow([], total, total)
+
+
+def _realizations(degrees):
+    """All multigraphs on labelled vertices with the given degrees, as
+    lists of ((u, v), multiplicity) with u <= v.
+
+    Distributes each vertex's remaining valence over loops and edges to
+    higher-numbered vertices; a loop consumes two units.
+    """
+    nv = len(degrees)
+
+    def place(v, residual, acc):
+        if v == nv:
+            if all(r == 0 for r in residual):
+                yield acc
+            return
+
+        def spread(units, targets, res, got):
+            """Distribute `units` among `targets` capped by residuals."""
+            if not targets:
+                if units == 0:
+                    yield got, res
+                return
+            w = targets[0]
+            for m in range(min(units, res[w]) + 1):
+                res2 = res.copy()
+                res2[w] -= m
+                more = got + ([((v, w), m)] if m else [])
+                yield from spread(units - m, targets[1:], res2, more)
+
+        r = residual[v]
+        for loops in range(r // 2 + 1):
+            base = acc + ([((v, v), loops)] if loops else [])
+            for got, res in spread(r - 2 * loops, list(range(v + 1, nv)), residual, []):
+                res2 = res.copy()
+                res2[v] = 0
+                yield from place(v + 1, res2, base + got)
+
+    yield from place(0, list(degrees), [])
+
+
+def _from_multiplicities(nv, mult):
+    pairs = [uv for uv, m in sorted(mult) for _ in range(m)]
+    return Multigraph(range(nv), [(e, u, v) for e, (u, v) in enumerate(pairs)])
+
+
+def _labelled_realisations(rank):
+    """Every connected labelled realisation of the brute-force census."""
+    for nv in range(1, 2 * (rank - 1) + 1):
+        for degrees in _degree_multisets(nv, 2 * (nv + rank - 1)):
+            for mult in _realizations(degrees):
+                g = _from_multiplicities(nv, mult)
+                if g.is_connected():
+                    yield g
+
+
+def _keys_by_vertex_count(graphs):
+    out = {}
+    for g in graphs:
+        out.setdefault(g.num_vertices(), set()).add(canonical_key(g))
+    return out
+
+
 class TestCensus:
     def test_rank2_against_oracle(self):
         assert len(census_oracle(2)) == len(enumerate_graphs(2)) == 3
@@ -99,8 +178,6 @@ class TestCensus:
         mine = enumerate_graphs(3)
         assert len(oracle) == len(mine) == 15
         # vertex-count profile must agree too
-        from collections import Counter
-
         oracle_profile = Counter(nv for nv, _ in oracle)
         mine_profile = Counter(parse_key(k).num_vertices() for k in mine)
         assert oracle_profile == mine_profile == Counter({1: 1, 2: 4, 3: 5, 4: 5})
@@ -116,10 +193,52 @@ class TestCensus:
         assert len(keys) == 111
         assert len(graphs_with_separating_edge(4)) == 68
 
+    def test_each_slice_equals_the_brute_force(self):
+        for rank in (2, 3, 4):
+            mine = _keys_by_vertex_count(parse_key(k) for k in enumerate_graphs(rank))
+            assert _keys_by_vertex_count(_labelled_realisations(rank)) == mine
+            assert sorted(mine) == list(range(1, 2 * rank - 1))
+
+    def test_rank4_no_two_keys_isomorphic_by_networkx(self):
+        nx = pytest.importorskip("networkx")
+        by_degrees = {}
+        for key in enumerate_graphs(4):
+            g = parse_key(key)
+            h = nx.MultiGraph()
+            h.add_nodes_from(g.vertices)
+            h.add_edges_from((u, v) for _, u, v in g.edges)
+            degrees = tuple(sorted(d for _, d in h.degree()))
+            by_degrees.setdefault(degrees, []).append(h)
+        pairs = 0
+        for group in by_degrees.values():
+            for a, b in combinations(group, 2):
+                assert not nx.is_isomorphic(a, b)
+                pairs += 1
+        assert pairs > 0
+
+    def test_rank4_contractions_land_one_vertex_down(self):
+        keys = enumerate_graphs(4)
+        by_count = _keys_by_vertex_count(parse_key(k) for k in keys)
+        contracted = 0
+        for key in keys:
+            g = parse_key(key)
+            for e, u, v in g.edges:
+                if u != v:
+                    assert canonical_key(g.collapse_edge(e)) in by_count[g.num_vertices() - 1]
+                    contracted += 1
+        assert contracted > 0
+
+    def test_rank5_census_pin(self):
+        # beyond the brute force's reach: its 8-vertex slice alone runs
+        # for minutes on canonical keys of labelled realisations
+        profile = Counter(parse_key(k).num_vertices() for k in enumerate_graphs(5))
+        assert sum(profile.values()) == 1076
+        assert profile == Counter({1: 1, 2: 10, 3: 48, 4: 153, 5: 277, 6: 323, 7: 193, 8: 71})
+
     def test_trivalent_slice_matches_cubic_multigraph_counts(self):
-        # connected trivalent multigraphs on 2, 4, 6 vertices: 2, 5, 17;
-        # these are exactly the top-vertex-count slices of ranks 2, 3, 4
-        for rank, expected in ((2, 2), (3, 5), (4, 17)):
+        # connected trivalent multigraphs on 2, 4, 6, 8 vertices: 2, 5, 17,
+        # 71; these are exactly the top-vertex-count slices of ranks 2 to 5
+        for rank, expected in ((2, 2), (3, 5), (4, 17), (5, 71)):
             top = 2 * rank - 2
             slice_ = [k for k in enumerate_graphs(rank) if parse_key(k).num_vertices() == top]
             assert len(slice_) == expected
@@ -214,16 +333,6 @@ def _string_min_key(g):
         if best is None or key < best:
             best = key
     return best if best is not None else "0;"
-
-
-def _labelled_realisations(rank):
-    """Every connected labelled realisation the census generator visits."""
-    for nv in range(1, 2 * (rank - 1) + 1):
-        for degrees in _degree_multisets(nv, 2 * (nv + rank - 1)):
-            for mult in _realizations(degrees):
-                g = _from_multiplicities(nv, mult)
-                if g.is_connected():
-                    yield g
 
 
 class TestCanonicalKeyOracle:

@@ -59,7 +59,6 @@ from .morse import (
 from .multigraph import (
     GraphError,
     Multigraph,
-    Subgraph,
     dumbbell,
     rose,
     theta_graph,
@@ -105,7 +104,6 @@ __all__ = [
     "verify_certificate",
     "GraphError",
     "Multigraph",
-    "Subgraph",
     "dumbbell",
     "rose",
     "theta_graph",

@@ -25,16 +25,17 @@ from .graph_posets import (
     CheckReport,
     _betti_profile,
     _edge_masks,
+    _forests,
     build_poset,
     graph_label,
     poset_elements,
+    subset_lattice_homology,
 )
 from .homology import HomologyResult, core_complex, reduced_homology
 from .multigraph import GraphError, Multigraph, rose
 from .poset import (
     FinitePoset,
     PosetMap,
-    _mask_bits,
     closure_retraction,
     is_order_isomorphic_via,
     subset_lattice,
@@ -230,16 +231,6 @@ def graphs_with_separating_edge(rank: int):
 # ---------------------------------------------------------------------------
 
 
-def _forests(g: Multigraph):
-    """Every forest edge set of `g`, in (size, sorted ids) order: the empty
-    set, the proper forests of the mask table, and the whole edge set
-    when `g` is itself a forest."""
-    out = [frozenset(), *poset_elements(g, "for")]
-    if g.num_edges() and g.rank() == 0:
-        out.append(frozenset(g.edge_ids))
-    return out
-
-
 def fiber_poset(g: Multigraph, connected_only: bool = False) -> FinitePoset:
     """The local fiber poset of `g`.
 
@@ -254,7 +245,6 @@ def fiber_poset(g: Multigraph, connected_only: bool = False) -> FinitePoset:
     reversed.  The order is computed on int64 edge masks, so `g` may have
     at most 63 edges.
     """
-    bit = _mask_bits(g.edge_ids)
     kind = "cc" if connected_only else "c"
     elements = []
     for forest in _forests(g):
@@ -263,8 +253,9 @@ def fiber_poset(g: Multigraph, connected_only: bool = False) -> FinitePoset:
             elements.append((forest, h))
     elements.sort(key=lambda fh: (sorted(fh[0]), sorted(fh[1])))
 
-    f = np.array([sum(bit[e] for e in fh[0]) for fh in elements], dtype=np.int64)
-    u = np.array([sum(bit[e] for e in fh[0] | fh[1]) for fh in elements], dtype=np.int64)
+    masks = _edge_masks(g)
+    f = np.array([masks.mask(fh[0]) for fh in elements], dtype=np.int64)
+    u = np.array([masks.mask(fh[0] | fh[1]) for fh in elements], dtype=np.int64)
     # leq[i, j]: F_j within F_i and F_j | H_j within F_i | H_i
     leq = ((f[None, :] & ~f[:, None]) == 0) & ((u[None, :] & ~u[:, None]) == 0)
     return FinitePoset(elements, leq)
@@ -361,8 +352,6 @@ def apartment(rank: int) -> FinitePoset:
 def verify_apartment(rank: int):
     """Confirm the apartment of the given rank is a sphere of
     dimension rank-2.  Returns (homology, expected, ok)."""
-    from .graph_posets import subset_lattice_homology
-
     h = subset_lattice_homology(rank)
     expected = HomologyResult.sphere(rank - 2)
     return h, expected, h == expected

@@ -51,6 +51,7 @@ from .multigraph import Multigraph
 from .poset import (
     FinitePoset,
     PosetMap,
+    _mask_bits,
     closure_retraction,
     order_complex,
     subset_lattice,
@@ -85,6 +86,12 @@ _KIND_FLAGS = {
 class _EdgeMasks:
     """The edge subsets of one graph as int masks: bit i is the i-th edge id.
 
+    This is the one representation of edge subsets: every forest, core,
+    connectivity and valence verdict, and every subset order, is read off
+    these masks.  The bits come from :func:`posetlab.poset._mask_bits`, so
+    a graph with more than 63 edges is rejected here, before any subset
+    is enumerated.
+
     Holds each edge's endpoint positions and each vertex's incident and
     loop edges, which is all that core peeling and the forest, connected
     and core tests need.
@@ -95,7 +102,7 @@ class _EdgeMasks:
     def __init__(self, g: Multigraph):
         pos = {v: i for i, v in enumerate(g.vertices)}
         self.ids = g.edge_ids
-        self.bit = {e: 1 << i for i, e in enumerate(self.ids)}
+        self.bit = _mask_bits(self.ids)
         self.ends = [(pos[u], pos[v]) for _, u, v in g.edges]
         self.incident = [0] * len(pos)
         self.loops = [0] * len(pos)
@@ -117,6 +124,8 @@ class _EdgeMasks:
 
         A vertex has valence one exactly when its incident edges in the
         mask are a single edge that is not a loop (loops count twice).
+        Tree components vanish, so the core has minimum valence two and a
+        cycle in every component; a core is its own core.
         """
         while True:
             hanging = 0
@@ -207,6 +216,22 @@ def build_poset(g: Multigraph, kind: str):
     return FinitePoset([frozenset(ids) for ids, _ in rows], leq)
 
 
+def _forests(g: Multigraph):
+    """Every forest edge set of `g`, in (size, sorted ids) order: the empty
+    set, the proper forests of the mask table, and the whole edge set
+    when `g` is itself a forest."""
+    out = [frozenset(), *poset_elements(g, "for")]
+    if g.num_edges() and g.rank() == 0:
+        out.append(frozenset(g.edge_ids))
+    return out
+
+
+def _spanning_trees(g: Multigraph):
+    """The forests of the connected graph `g` with |V| - 1 edges, in
+    (size, sorted ids) order; a one-vertex graph has the empty one."""
+    return [f for f in _forests(g) if len(f) == g.num_vertices() - 1]
+
+
 # ---------------------------------------------------------------------------
 # reports
 # ---------------------------------------------------------------------------
@@ -295,8 +320,6 @@ def subset_lattice_homology(num_elements: int) -> HomologyResult:
     This complex is the barycentric subdivision of the boundary of a
     simplex, hence a sphere of dimension `num_elements - 2`.
     """
-    from .poset import subset_lattice
-
     p = subset_lattice(range(num_elements))
     return reduced_homology(core_complex(p))
 
@@ -623,11 +646,11 @@ def forest_generator_cycles(g: Multigraph, label: str | None = None):
 
     masks = _edge_masks(g)
     cycles = []
-    for forest in g.maximal_forests():
-        petals = sorted(set(g.edge_ids) - forest.edges)
+    for forest in _spanning_trees(g):
+        petals = sorted(set(g.edge_ids) - forest)
         chain: dict = {}
         for sign, flag in _subset_flag_cycle(petals):
-            images = [masks.core_edges(forest.edges | part) for part in flag]
+            images = [masks.core_edges(forest | part) for part in flag]
             if len(set(images)) != len(images):
                 continue  # degenerate simplex contributes nothing
             verts = [p.index(img) for img in images]
@@ -731,7 +754,7 @@ def verify_duality(g: Multigraph, label: str | None = None) -> CheckReport:
     """
     label = label or graph_label(g)
     _require_connected_rank(g, "verify_duality")
-    ambient = subset_lattice(g.edge_ids)
+    ambient = build_poset(g, "sub")
     forests = poset_elements(g, "for")
     rep = alexander_duality_check(ambient, forests, g.num_edges() - 2)
     status = "pass" if rep.ok else "fail"

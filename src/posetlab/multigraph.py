@@ -10,12 +10,10 @@ Conventions used throughout:
 * the valence of a vertex counts loops twice;
 * the rank of a graph is |E| - |V| + (number of connected components),
   the rank of its first homology;
-* a forest is an edge set of rank zero;
-* the core of an edge set is what remains after repeatedly deleting edges
-  with a valence-one endpoint.  Tree components disappear entirely, so the
-  core has minimum valence two and every component of the core carries at
-  least one cycle.  The core of a graph that is already core is the graph
-  itself; properness is a condition imposed by callers, not here.
+* a forest is an edge set of rank zero.
+
+Edge subsets themselves (forests, cores, the six posets) are int masks in
+:mod:`posetlab.graph_posets`.
 """
 
 from __future__ import annotations
@@ -169,13 +167,10 @@ class Multigraph:
         Representatives are the minimum vertex id of each class, matching
         what iterated collapse_edge produces.
         """
-        edge_set = frozenset(edge_set)
-        if not self.subgraph(edge_set).is_forest():
-            raise GraphError("edge set contains a cycle")
         parent = {v: v for v in self.vertices}
         for e in sorted(edge_set):
-            u, v = self.endpoints(e)
-            _union(parent, u, v)
+            if not _union(parent, *self.endpoints(e)):
+                raise GraphError("edge set contains a cycle")
         return {v: _find(parent, v) for v in self.vertices}
 
     def collapse_forest(self, edge_set):
@@ -230,28 +225,6 @@ class Multigraph:
         vertices = [w for w in self.vertices if w != v]
         return Multigraph(vertices, edges), new_id
 
-    def maximal_forests(self):
-        """All spanning forests, as subgraphs, in a deterministic order.
-
-        For a connected graph these are the spanning trees; a graph on one
-        vertex has exactly the empty forest.
-        """
-        from itertools import combinations
-
-        n = len(self.vertices)
-        if n <= 1:
-            return [self.subgraph(frozenset())]
-        non_loops = [e for e, u, v in self.edges if u != v]
-        out = []
-        for combo in combinations(sorted(non_loops), n - 1):
-            sub = self.subgraph(frozenset(combo))
-            if sub.is_forest() and len(sub.vertices) == n:
-                out.append(sub)
-        return out
-
-    def subgraph(self, edge_set):
-        return Subgraph(self, frozenset(edge_set))
-
     # -- value semantics ---------------------------------------------------
 
     def __eq__(self, other):
@@ -266,125 +239,6 @@ class Multigraph:
 
     def __repr__(self):
         return f"Multigraph(|V|={len(self.vertices)}, |E|={len(self.edges)})"
-
-
-class Subgraph:
-    """An edge subset of a host graph, with its induced vertex set.
-
-    A subgraph never has isolated vertices: its vertices are exactly the
-    endpoints of its edges.  The empty subgraph has no vertices.
-    """
-
-    __slots__ = ("host", "edges", "vertices", "_hash")
-
-    def __init__(self, host, edges):
-        self.host = host
-        self.edges = frozenset(edges)
-        for e in self.edges:
-            host.endpoints(e)
-        verts = set()
-        for e in self.edges:
-            u, v = host.endpoints(e)
-            verts.add(u)
-            verts.add(v)
-        self.vertices = frozenset(verts)
-        self._hash = hash((host._hash, self.edges))
-
-    def pairs(self):
-        return [self.host.endpoints(e) for e in sorted(self.edges)]
-
-    def components(self):
-        classes = _components_of(self.vertices, self.pairs())
-        return sorted(classes.values(), key=min)
-
-    def num_components(self):
-        return len(self.components())
-
-    def rank(self):
-        return len(self.edges) - len(self.vertices) + self.num_components()
-
-    def is_forest(self):
-        return self.rank() == 0
-
-    def is_connected(self):
-        return self.num_components() == 1
-
-    def valence(self, v):
-        total = 0
-        for e in self.edges:
-            a, b = self.host.endpoints(e)
-            if a == v:
-                total += 1
-            if b == v:
-                total += 1
-        return total
-
-    def is_core(self):
-        """No valence-one vertex, every component of positive rank.
-
-        Minimum valence two already forces a cycle in every component, but
-        both conditions are checked to keep the definition explicit.  The
-        empty subgraph is vacuously core.
-        """
-        if any(self.valence(v) < 2 for v in self.vertices):
-            return False
-        classes = _components_of(self.vertices, self.pairs())
-        for root, verts in classes.items():
-            n_edges = sum(
-                1 for e in self.edges if _in_class(self.host.endpoints(e), verts)
-            )
-            if n_edges - len(verts) + 1 < 1:
-                return False
-        return True
-
-    def core(self):
-        """Trim valence-one edges until none remain.
-
-        Tree components are eaten completely, so the result is the maximal
-        sub-edge-set with minimum valence two.  Idempotent and monotone.
-        """
-        edges = set(self.edges)
-        while True:
-            val = {}
-            for e in edges:
-                u, v = self.host.endpoints(e)
-                val[u] = val.get(u, 0) + 1
-                val[v] = val.get(v, 0) + 1
-            hanging = {
-                e
-                for e in edges
-                if any(val[w] == 1 for w in self.host.endpoints(e))
-            }
-            if not hanging:
-                break
-            edges -= hanging
-        return Subgraph(self.host, edges)
-
-    def __contains__(self, eid):
-        return eid in self.edges
-
-    def __len__(self):
-        return len(self.edges)
-
-    def __le__(self, other):
-        return self.edges <= other.edges
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Subgraph)
-            and self.host == other.host
-            and self.edges == other.edges
-        )
-
-    def __hash__(self):
-        return self._hash
-
-    def __repr__(self):
-        return f"Subgraph({sorted(self.edges)})"
-
-
-def _in_class(pair, verts):
-    return pair[0] in verts
 
 
 # -- small constructors used all over the test and demo code ---------------

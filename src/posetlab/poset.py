@@ -212,12 +212,9 @@ class PosetMap:
         return self.mapping[x]
 
     def image(self):
-        seen = []
-        for x in self.source.elements:
-            y = self.mapping[x]
-            if y not in seen:
-                seen.append(y)
-        return [y for y in self.target.elements if y in set(seen)]
+        """The values of the map, in target order."""
+        values = {self.mapping[x] for x in self.source.elements}
+        return [y for y in self.target.elements if y in values]
 
     def is_endomap(self):
         return self.source == self.target

@@ -15,8 +15,8 @@ from itertools import combinations, combinations_with_replacement, permutations
 
 import pytest
 
+from posetlab import cli
 from posetlab.enumeration import (
-    _forests,
     _group_permutations,
     _invariant_classes,
     apartment,
@@ -30,8 +30,9 @@ from posetlab.enumeration import (
     verify_apartment,
     verify_fiber,
 )
+from posetlab.graph_posets import KINDS, _forests, build_poset
 from posetlab.homology import HomologyResult, reduced_homology
-from posetlab.multigraph import GraphError, Multigraph, Subgraph, dumbbell, rose, theta_graph
+from posetlab.multigraph import GraphError, Multigraph, dumbbell, rose, theta_graph
 from posetlab.poset import FinitePoset, order_complex
 
 # ---------------------------------------------------------------------------
@@ -388,8 +389,6 @@ class TestFiberPosets:
     def test_fiber_homology_matches_core_opposite_directly(self):
         g = theta_graph()
         p = fiber_poset(g, False)
-        from posetlab.graph_posets import build_poset
-
         core = build_poset(g, "c")
         assert reduced_homology(order_complex(p)) == reduced_homology(
             order_complex(core.opposite())
@@ -406,19 +405,36 @@ class TestFiberPosets:
                 oracle = FinitePoset.from_relation(p.elements, by_definition)
                 assert (p.leq == oracle.leq).all(), (key, connected_only)
 
-    def test_more_than_63_edges_rejected(self):
+    def test_more_than_63_edges_rejected(self, capsys):
+        # rejected where the masks are made, before any subset is listed
         with pytest.raises(ValueError, match="int64 mask"):
             fiber_poset(rose(64))
         with pytest.raises(ValueError, match="int64 mask"):
             fiber_poset(theta_graph(64), connected_only=True)
+        for kind in KINDS:
+            with pytest.raises(ValueError, match="int64 mask"):
+                build_poset(theta_graph(64), kind)
+        key = "2;" + ",".join(["0-1"] * 64)
+        assert cli.main(["poset", "--graph", key]) == 2
+        assert cli.main(["verify", "x", "--graph", key]) == 2
+        assert capsys.readouterr().err.count("int64 mask") == 2
 
     def test_forests_equal_subgraph_definition(self):
-        # every edge subset, the empty and the whole one included, that
-        # Subgraph calls a forest, in (size, sorted ids) order
+        # every edge subset, the empty and the whole one included, with
+        # |E| = |V(E)| - (number of components), in (size, sorted ids) order
+        def is_forest(g, edges):
+            comps = []
+            for e in edges:
+                ends = set(g.endpoints(e))
+                comps = [c for c in comps if not c & ends] + [
+                    ends.union(*(c for c in comps if c & ends))
+                ]
+            return len(edges) == sum(map(len, comps)) - len(comps)
+
         def by_definition(g):
             ids = g.edge_ids
             subsets = [frozenset(c) for k in range(len(ids) + 1) for c in combinations(ids, k)]
-            return [e for e in subsets if Subgraph(g, e).is_forest()]
+            return [e for e in subsets if is_forest(g, e)]
 
         graphs = [parse_key(key) for r in (2, 3) for key in enumerate_graphs(r)]
         graphs += [

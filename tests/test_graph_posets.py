@@ -28,7 +28,7 @@ from posetlab.graph_posets import (
     verify_valence_two,
 )
 from posetlab.homology import InvariantError, reduced_homology
-from posetlab.multigraph import Multigraph, Subgraph, dumbbell, rose, theta_graph
+from posetlab.multigraph import Multigraph, dumbbell, rose, theta_graph
 from posetlab.poset import poset_of_subsets
 
 # ---------------------------------------------------------------------------
@@ -104,58 +104,6 @@ def oracle_membership(g, edges, kind):
     raise ValueError(kind)
 
 
-def all_graphs_rank_le3():
-    return [parse_key(k) for k in (*enumerate_graphs(2), *enumerate_graphs(3))]
-
-
-class TestMembershipOracle:
-    def test_all_kinds_all_rank2_and_rank3_graphs(self):
-        for g in all_graphs_rank_le3():
-            subsets = [
-                frozenset(c)
-                for r in range(1, g.num_edges())
-                for c in combinations(g.edge_ids, r)
-            ]
-            for kind in KINDS:
-                mine = set(poset_elements(g, kind))
-                oracle = {s for s in subsets if oracle_membership(g, s, kind)}
-                assert mine == oracle, (kind, g.edges)
-
-    def test_kind_containments(self):
-        for g in all_graphs_rank_le3():
-            sub = set(poset_elements(g, "sub"))
-            forests = set(poset_elements(g, "for"))
-            x = set(poset_elements(g, "x"))
-            c = set(poset_elements(g, "c"))
-            cx = set(poset_elements(g, "cx"))
-            cc = set(poset_elements(g, "cc"))
-            assert forests | x == sub and not (forests & x)
-            assert c <= x and cx <= x and cc <= c and cc <= cx
-
-    def test_poset_order_is_inclusion(self):
-        g = theta_graph()
-        p = build_poset(g, "sub")
-        for a in p.elements:
-            for b in p.elements:
-                assert p.le(a, b) == (a <= b)
-
-
-def _subgraph_admits(sg, kind):
-    """Membership through the `Subgraph` methods, the definition the
-    mask classification must reproduce."""
-    if kind == "sub":
-        return True
-    if kind == "for":
-        return sg.is_forest()
-    if kind == "x":
-        return not sg.is_forest()
-    if kind == "c":
-        return sg.is_core()
-    if kind == "cx":
-        return sg.is_connected() and not sg.is_forest()
-    return sg.is_connected() and sg.is_core()
-
-
 def mask_oracle_graphs():
     """Every census graph of rank 2, 3 and 4, plus loops, parallel edges,
     separating edges, pendant trees, an isolated vertex and a
@@ -176,27 +124,63 @@ def mask_oracle_graphs():
     return graphs
 
 
-class TestEdgeMasks:
-    def test_classification_equals_subgraph_definition(self):
+def all_graphs_rank_le3():
+    return [parse_key(k) for k in (*enumerate_graphs(2), *enumerate_graphs(3))]
+
+
+def oracle_core(g, edges):
+    """Prune one edge at a valence-one vertex at a time until none is left."""
+    edges = set(edges)
+    while True:
+        val = {}
+        for e in edges:
+            for w in g.endpoints(e):
+                val[w] = val.get(w, 0) + 1
+        leaf = next((e for e in sorted(edges) if 1 in {val[w] for w in g.endpoints(e)}), None)
+        if leaf is None:
+            return frozenset(edges)
+        edges.remove(leaf)
+
+
+class TestMembershipOracle:
+    def test_all_kinds_on_mask_oracle_graphs(self):
+        # the same subsets, in the same (size, sorted ids) order
         for g in mask_oracle_graphs():
             subsets = [
                 frozenset(c)
                 for r in range(1, g.num_edges())
                 for c in combinations(g.edge_ids, r)
             ]
-            subgraphs = [Subgraph(g, s) for s in subsets]
             for kind in KINDS:
-                expected = [
-                    s for s, sg in zip(subsets, subgraphs) if _subgraph_admits(sg, kind)
-                ]
-                assert poset_elements(g, kind) == expected, (kind, g.edges)
+                oracle = [s for s in subsets if oracle_membership(g, s, kind)]
+                assert poset_elements(g, kind) == oracle, (kind, g.edges)
 
-    def test_peeling_equals_subgraph_core(self):
+    def test_kind_containments(self):
+        for g in all_graphs_rank_le3():
+            sub = set(poset_elements(g, "sub"))
+            forests = set(poset_elements(g, "for"))
+            x = set(poset_elements(g, "x"))
+            c = set(poset_elements(g, "c"))
+            cx = set(poset_elements(g, "cx"))
+            cc = set(poset_elements(g, "cc"))
+            assert forests | x == sub and not (forests & x)
+            assert c <= x and cx <= x and cc <= c and cc <= cx
+
+    def test_poset_order_is_inclusion(self):
+        g = theta_graph()
+        p = build_poset(g, "sub")
+        for a in p.elements:
+            for b in p.elements:
+                assert p.le(a, b) == (a <= b)
+
+
+class TestEdgeMasks:
+    def test_peeling_equals_leaf_pruning(self):
         for g in mask_oracle_graphs():
             masks = _EdgeMasks(g)
             for r in range(g.num_edges() + 1):
                 for c in combinations(g.edge_ids, r):
-                    core = Subgraph(g, c).core().edges
+                    core = oracle_core(g, c)
                     assert masks.edges(masks.core(masks.mask(c))) == core, (c, g.edges)
                     assert masks.core_edges(c) == core
 

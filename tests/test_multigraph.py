@@ -1,15 +1,18 @@
-"""Multigraph structure: valence, rank, separation, collapse, smoothing.
+"""Multigraph structure: valence, rank, separation, collapse, smoothing,
+and the cores and forests of its edge subsets.
 
-The spanning-forest count is checked against an independent oracle: the
-matrix-tree determinant of the loopless Laplacian, evaluated in exact
-rational arithmetic.
+The spanning trees that the forest generator cycles iterate are counted
+against an independent oracle: the matrix-tree determinant of the
+loopless Laplacian, evaluated in exact rational arithmetic.
 """
 
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 
 import pytest
 
+from posetlab.graph_posets import _EdgeMasks, _spanning_trees, poset_elements
 from posetlab.multigraph import (
     GraphError,
     Multigraph,
@@ -118,17 +121,17 @@ class TestSeparatingEdges:
 class TestForestsAndCollapse:
     def test_tree_count_matches_matrix_tree_oracle(self):
         for g in (theta_graph(), dumbbell(), k4(), rose(3)):
-            assert len(g.maximal_forests()) == kirchhoff_tree_count(g)
+            assert len(_spanning_trees(g)) == kirchhoff_tree_count(g)
 
     def test_k4_has_16_spanning_trees(self):
         # Cayley: 4^{4-2}
         assert kirchhoff_tree_count(k4()) == 16
-        assert len(k4().maximal_forests()) == 16
+        assert len(_spanning_trees(k4())) == 16
 
     def test_collapse_forest_matches_iterated_collapse(self):
         g = k4()
-        for forest in g.maximal_forests():
-            edges = sorted(forest.edges)
+        for forest in _spanning_trees(g):
+            edges = sorted(forest)
             direct = g.collapse_forest(frozenset(edges))
             step = g
             for e in edges:
@@ -138,8 +141,8 @@ class TestForestsAndCollapse:
 
     def test_collapse_spanning_tree_gives_rose(self):
         g = theta_graph()
-        (forest,) = [f for f in g.maximal_forests()][:1]
-        q = g.collapse_forest(forest.edges)
+        forest = _spanning_trees(g)[0]
+        q = g.collapse_forest(forest)
         assert q.num_vertices() == 1
         assert q.rank() == g.rank()
 
@@ -160,22 +163,24 @@ class TestSubgraphs:
         g = dumbbell()
         loops = [e for e in g.edge_ids if _is_loop(g, e)]
         bar = next(e for e in g.edge_ids if not _is_loop(g, e))
-        sub = g.subgraph(frozenset({loops[0], bar}))
-        assert sub.core().edges == frozenset({loops[0]})
+        assert _EdgeMasks(g).core_edges({loops[0], bar}) == frozenset({loops[0]})
 
     def test_core_of_core_is_core(self):
         g = k4()
+        masks = _EdgeMasks(g)
         for r in range(1, 7):
             for edges in combinations(g.edge_ids, r):
-                sub = g.subgraph(frozenset(edges))
-                core = sub.core()
-                assert core.core().edges == core.edges
-                assert core.is_core() or not core.edges
+                core = masks.core(masks.mask(edges))
+                assert masks.core(core) == core
+                # no vertex of valence one is left (K4 has no loops)
+                ends = Counter(w for e in masks.edges(core) for w in g.endpoints(e))
+                assert 1 not in ends.values()
 
     def test_forest_predicate(self):
         g = theta_graph()
-        assert g.subgraph(frozenset({0})).is_forest()
-        assert not g.subgraph(frozenset({0, 1})).is_forest()
+        forests = poset_elements(g, "for")
+        assert frozenset({0}) in forests
+        assert frozenset({0, 1}) not in forests
 
 
 class TestSmoothingAndSubdivision:

@@ -143,17 +143,17 @@ def oracle_core(g, edges):
 
 
 class TestMembershipOracle:
-    def test_all_kinds_on_mask_oracle_graphs(self):
-        # the same subsets, in the same (size, sorted ids) order
-        for g in mask_oracle_graphs():
+    def test_all_kinds_all_rank2_and_rank3_graphs(self):
+        for g in all_graphs_rank_le3():
             subsets = [
                 frozenset(c)
                 for r in range(1, g.num_edges())
                 for c in combinations(g.edge_ids, r)
             ]
             for kind in KINDS:
-                oracle = [s for s in subsets if oracle_membership(g, s, kind)]
-                assert poset_elements(g, kind) == oracle, (kind, g.edges)
+                mine = set(poset_elements(g, kind))
+                oracle = {s for s in subsets if oracle_membership(g, s, kind)}
+                assert mine == oracle, (kind, g.edges)
 
     def test_kind_containments(self):
         for g in all_graphs_rank_le3():
@@ -175,6 +175,18 @@ class TestMembershipOracle:
 
 
 class TestEdgeMasks:
+    def test_classification_equals_subgraph_definition(self):
+        # the same subsets, in the same (size, sorted ids) order
+        for g in mask_oracle_graphs():
+            subsets = [
+                frozenset(c)
+                for r in range(1, g.num_edges())
+                for c in combinations(g.edge_ids, r)
+            ]
+            for kind in KINDS:
+                expected = [s for s in subsets if oracle_membership(g, s, kind)]
+                assert poset_elements(g, kind) == expected, (kind, g.edges)
+
     def test_peeling_equals_leaf_pruning(self):
         for g in mask_oracle_graphs():
             masks = _EdgeMasks(g)

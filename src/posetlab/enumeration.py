@@ -24,6 +24,7 @@ import numpy as np
 from .graph_posets import (
     CheckReport,
     _betti_profile,
+    _certificate_failure,
     _edge_masks,
     _forests,
     build_poset,
@@ -34,6 +35,7 @@ from .graph_posets import (
 from .homology import HomologyResult, core_complex, reduced_homology
 from .multigraph import GraphError, Multigraph, rose
 from .poset import (
+    CertificateError,
     FinitePoset,
     PosetMap,
     closure_retraction,
@@ -300,7 +302,11 @@ def verify_fiber(
     """
     label = label or graph_label(g)
     kind = "cc" if connected_only else "c"
-    cert = fiber_retraction(g, connected_only)
+    check = "fiber-connected" if connected_only else "fiber"
+    try:
+        cert = fiber_retraction(g, connected_only)
+    except CertificateError as exc:
+        return _certificate_failure(label, check, {"connected_only": connected_only}, exc)
     p = cert.poset
     core = build_poset(g, kind)
 
@@ -326,7 +332,7 @@ def verify_fiber(
     ok = slice_ok and cert.direction in ("increasing", "both") and homology_ok
     return CheckReport(
         label,
-        "fiber-connected" if connected_only else "fiber",
+        check,
         "pass" if ok else "fail",
         _betti_profile(h_fiber),
         data,

@@ -49,6 +49,7 @@ from .homology import (
 )
 from .multigraph import Multigraph
 from .poset import (
+    CertificateError,
     FinitePoset,
     PosetMap,
     _mask_bits,
@@ -266,6 +267,14 @@ class CheckReport:
         }
 
 
+def _certificate_failure(label: str, check: str, data: dict, exc: CertificateError) -> CheckReport:
+    """The `fail` record of a closure-retraction certificate that did not
+    hold: the certificate's message and its witness go into `data`."""
+    data["certificate_error"] = str(exc)
+    data["witness"] = exc.witness
+    return CheckReport(label, check, "fail", (), data)
+
+
 def _plain(value):
     if isinstance(value, dict):
         return {str(k): _plain(v) for k, v in sorted(value.items(), key=lambda kv: str(kv[0]))}
@@ -466,11 +475,15 @@ def verify_core_retraction(
     p = build_poset(g, src_kind)
     endo = core_map(g, p, p)
     data: dict = {"source": src_kind, "image": dst_kind, "elements": p.n}
+    check = f"core-retraction-{src_kind}"
 
-    cert = closure_retraction(p, endo)
+    try:
+        cert = closure_retraction(p, endo)
+    except CertificateError as exc:
+        return _certificate_failure(label, check, data, exc)
     data["direction"] = cert.direction
     if cert.direction not in ("decreasing", "both"):
-        return CheckReport(label, f"core-retraction-{src_kind}", "fail", (), data)
+        return CheckReport(label, check, "fail", (), data)
 
     expected_image = set(poset_elements(g, dst_kind))
     actual_image = set(cert.image.elements)
@@ -480,7 +493,7 @@ def verify_core_retraction(
             "missing": sorted(map(sorted, expected_image - actual_image)),
             "extra": sorted(map(sorted, actual_image - expected_image)),
         }
-        return CheckReport(label, f"core-retraction-{src_kind}", "fail", (), data)
+        return CheckReport(label, check, "fail", (), data)
 
     h_src = reduced_homology(core_complex(p))
     h_img = reduced_homology(core_complex(cert.image))
@@ -489,7 +502,7 @@ def verify_core_retraction(
     ok = h_src == h_img
     return CheckReport(
         label,
-        f"core-retraction-{src_kind}",
+        check,
         "pass" if ok else "fail",
         _betti_profile(h_src),
         data,
@@ -791,7 +804,12 @@ def verify_sphericity_via_core(
     core_kind = "cc" if kind == "cx" else "c"
     target = g.rank() - 2
     p = build_poset(g, kind)
-    cert = closure_retraction(p, core_map(g, p, p))
+    endo = core_map(g, p, p)
+    try:
+        cert = closure_retraction(p, endo)
+    except CertificateError as exc:
+        data = {"kind": kind, "rank": g.rank(), "elements": p.n, "via": "core-retraction"}
+        return _certificate_failure(label, f"deep-sphericity-{kind}", data, exc)
     cert_ok = cert.direction in ("decreasing", "both")
     core_elements = poset_elements(g, core_kind)
     image_ok = set(cert.image.elements) == set(core_elements)

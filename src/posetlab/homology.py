@@ -16,6 +16,7 @@ side of the pairing is the empty poset.
 from __future__ import annotations
 
 import heapq
+from collections import OrderedDict
 from dataclasses import dataclass
 from math import gcd
 
@@ -454,16 +455,38 @@ def check_beat_witnesses(p, core, witnesses):
         raise InvariantError("beat-point survivors do not match the core")
 
 
+# The suites hand core_complex the same poset again and again (the x
+# poset of one graph is reduced by three verifiers), nearly always within
+# a few calls, so a short LRU catches the repeats at little memory.
+_core_complexes = OrderedDict()
+_CORE_COMPLEX_CACHE_MAX = 16
+
+
 def core_complex(p):
     """The order complex of p's beat-point core, every removal checked.
 
     Removing a beat point is a strong deformation retraction, so this
     complex has the homology and fundamental group of ``order_complex(p)``
     with (usually far) fewer faces.
+
+    The complex is remembered in a least-recently-used memo of at most
+    ``_CORE_COMPLEX_CACHE_MAX`` entries, keyed on p's exact content: its
+    element labels (the complex's vertices), its bit-packed order and its
+    size, compared for equality, not by hash alone.  An entry is stored
+    only after ``check_beat_witnesses`` has passed, so a failed check
+    raises again on every call.  Callers must not mutate the complex.
     """
+    key = (tuple(p.elements), np.packbits(p.leq).tobytes(), p.n)
+    k = _core_complexes.get(key)
+    if k is not None:
+        _core_complexes.move_to_end(key)
+        return k
     core, witnesses = beat_point_core(p)
     check_beat_witnesses(p, core, witnesses)
-    return order_complex(core)
+    k = _core_complexes[key] = order_complex(core)
+    if len(_core_complexes) > _CORE_COMPLEX_CACHE_MAX:
+        _core_complexes.popitem(last=False)
+    return k
 
 
 def poset_homology(p):

@@ -347,6 +347,7 @@ def subset_lattice(universe):
     universe = sorted(universe)
     if len(universe) == 0:
         return FinitePoset([], [])
+    _mask_bits(universe)  # refuse more than 63 members before listing 2^n subsets
     subs = [
         frozenset(c)
         for k in range(1, len(universe))

@@ -15,7 +15,7 @@ from itertools import combinations, combinations_with_replacement, permutations
 
 import pytest
 
-from posetlab import cli
+from posetlab import cli, enumeration
 from posetlab.enumeration import (
     _group_permutations,
     _invariant_classes,
@@ -33,7 +33,7 @@ from posetlab.enumeration import (
 from posetlab.graph_posets import KINDS, _forests, build_poset
 from posetlab.homology import HomologyResult, reduced_homology
 from posetlab.multigraph import GraphError, Multigraph, dumbbell, rose, theta_graph
-from posetlab.poset import FinitePoset, order_complex
+from posetlab.poset import CertificateError, FinitePoset, order_complex, subset_lattice
 
 # ---------------------------------------------------------------------------
 # independent census oracle
@@ -386,6 +386,20 @@ class TestFiberPosets:
                 assert rep.data["retraction_direction"] in ("increasing", "both")
                 assert rep.data["homology_matches_core"]
 
+    def test_false_retraction_is_a_fail_record(self, monkeypatch):
+        def refused(p, c):
+            x = p.elements[-1]
+            raise CertificateError(f"not idempotent at {x!r}", witness=(x, c(x), c(c(x))))
+
+        monkeypatch.setattr(enumeration, "closure_retraction", refused)
+        key = "2;0-1,0-1,0-1"
+        for connected_only in (False, True):
+            rep = verify_fiber(parse_key(key), connected_only)
+            assert rep.status == "fail"
+            assert rep.data["certificate_error"].startswith("not idempotent at")
+            assert rep.data["witness"][0] == fiber_poset(theta_graph(), connected_only).elements[-1]
+        assert cli.main(["fiber", "--graph", key]) == 1
+
     def test_fiber_homology_matches_core_opposite_directly(self):
         g = theta_graph()
         p = fiber_poset(g, False)
@@ -414,10 +428,17 @@ class TestFiberPosets:
         for kind in KINDS:
             with pytest.raises(ValueError, match="int64 mask"):
                 build_poset(theta_graph(64), kind)
+        # the subset lattice is refused before its 2^64 subsets are listed
+        with pytest.raises(ValueError, match="int64 mask"):
+            subset_lattice(range(64))
+        with pytest.raises(ValueError, match="int64 mask"):
+            apartment(64)
         key = "2;" + ",".join(["0-1"] * 64)
         assert cli.main(["poset", "--graph", key]) == 2
         assert cli.main(["verify", "x", "--graph", key]) == 2
-        assert capsys.readouterr().err.count("int64 mask") == 2
+        assert cli.main(["verify", "subset-sphere", "--graph", key]) == 2
+        assert cli.main(["apartment", "--rank", "64"]) == 2
+        assert capsys.readouterr().err.count("int64 mask") == 4
 
     def test_forests_equal_subgraph_definition(self):
         # every edge subset, the empty and the whole one included, with

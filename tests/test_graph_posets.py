@@ -5,11 +5,12 @@ with independent code: forests via the component-counting formula,
 cores via iterative leaf pruning, connectivity via a fresh union-find.
 """
 
+import json
 from itertools import combinations
 
 import pytest
 
-from posetlab import graph_posets
+from posetlab import cli, graph_posets
 from posetlab.enumeration import enumerate_graphs, parse_key
 from posetlab.graph_posets import (
     KINDS,
@@ -29,7 +30,7 @@ from posetlab.graph_posets import (
 )
 from posetlab.homology import InvariantError, reduced_homology
 from posetlab.multigraph import Multigraph, dumbbell, rose, theta_graph
-from posetlab.poset import poset_of_subsets
+from posetlab.poset import PosetMap, poset_of_subsets
 
 # ---------------------------------------------------------------------------
 # membership oracles (independent re-derivations)
@@ -281,6 +282,27 @@ class TestCoreRetraction:
         ]
         oracle = {s for s in subsets if oracle_membership(g, s, "c")}
         assert rec.data["image_size"] == len(oracle)
+
+    def test_false_retraction_is_a_fail_record(self, monkeypatch, capsys):
+        # x of the theta graph is an antichain of its three cycles, so
+        # shifting each to the next is order-preserving but not idempotent
+        def shifted(g, p, q):
+            step = dict(zip(p.elements, p.elements[1:] + p.elements[:1]))
+            return PosetMap.from_function(p, q, step.__getitem__)
+
+        monkeypatch.setattr(graph_posets, "core_map", shifted)
+        key = "2;0-1,0-1,0-1"
+        first = build_poset(parse_key(key), "x").elements[0]
+        for rec in (
+            verify_core_retraction(parse_key(key)),
+            verify_sphericity_via_core(parse_key(key), "x"),
+        ):
+            assert rec.status == "fail"
+            assert rec.data["certificate_error"] == f"not idempotent at {first!r}"
+            assert rec.data["witness"][0] == first
+        assert cli.main(["verify", "retraction", "--graph", key, "--json"]) == 1
+        printed = json.loads(capsys.readouterr().out)
+        assert printed["status"] == "fail" and printed["data"]["witness"][0] == sorted(first)
 
 
 class TestValenceTwo:

@@ -4,10 +4,12 @@ subdivision invariance, nerves, duality, and contractibility certificates.
 """
 
 import random
+from collections import OrderedDict
 from fractions import Fraction
 from itertools import combinations
 from math import gcd
 
+import numpy as np
 import pytest
 
 from posetlab import homology
@@ -33,7 +35,7 @@ from posetlab.homology import (
     smith_normal_form,
     snf_from_entries,
 )
-from posetlab.poset import FinitePoset, order_complex, subset_lattice
+from posetlab.poset import FinitePoset, beat_point_core, order_complex, subset_lattice
 from posetlab.simplicial import SimplicialComplex
 
 # ---------------------------------------------------------------------------
@@ -551,3 +553,71 @@ class TestBeatPointReduction:
         first = two.components()
         first[0].add(99)
         assert two.components() == [{0, 1}, {2, 3}]
+
+
+def chain(labels):
+    return FinitePoset(labels, np.triu(np.ones((len(labels), len(labels)), dtype=bool)))
+
+
+def antichain(labels):
+    return FinitePoset(labels, np.eye(len(labels), dtype=bool))
+
+
+class TestCoreComplexMemo:
+    @pytest.fixture
+    def reductions(self, monkeypatch):
+        """A cleared memo, and the posets `beat_point_core` is run on."""
+        monkeypatch.setattr(homology, "_core_complexes", OrderedDict())
+        seen = []
+
+        def counting(p):
+            seen.append(p)
+            return beat_point_core(p)
+
+        monkeypatch.setattr(homology, "beat_point_core", counting)
+        return seen
+
+    def test_equal_poset_reuses_the_checked_core(self, reductions):
+        g = parse_key("3;0-1,0-1,0-2,1-2,2-2")
+        first = core_complex(build_poset(g, "x"))
+        again = build_poset(g, "x")
+        assert core_complex(again) is first
+        assert len(reductions) == 1
+        fresh = order_complex(beat_point_core(again)[0])
+        assert first.vertices == fresh.vertices
+        assert first.structure_key() == fresh.structure_key()
+
+    def test_same_labels_other_order_is_another_entry(self, reductions):
+        point, four = core_complex(chain(range(4))), core_complex(antichain(range(4)))
+        assert len(reductions) == 2 and len(homology._core_complexes) == 2
+        assert (point.num_faces(), four.num_faces()) == (1, 4)
+
+    def test_same_order_other_labels_is_another_entry(self, reductions):
+        digits, letters = core_complex(antichain(range(4))), core_complex(antichain("abcd"))
+        assert len(reductions) == 2 and len(homology._core_complexes) == 2
+        assert (digits.vertices, letters.vertices) == ([0, 1, 2, 3], list("abcd"))
+
+    def test_memo_is_bounded_and_least_recently_used(self, reductions):
+        bound = homology._CORE_COMPLEX_CACHE_MAX
+        posets = [antichain(range(n)) for n in range(1, bound + 4)]
+        kept = core_complex(posets[0])
+        for p in posets[1:]:
+            assert core_complex(posets[0]) is kept  # keep the first one fresh
+            core_complex(p)
+        assert len(homology._core_complexes) == bound
+        assert len(reductions) == len(posets)
+        assert core_complex(posets[0]) is kept and len(reductions) == len(posets)
+        core_complex(posets[1])  # evicted, so reduced again
+        assert len(reductions) == len(posets) + 1
+
+    def test_failed_check_is_never_stored(self, monkeypatch):
+        monkeypatch.setattr(homology, "_core_complexes", OrderedDict())
+
+        def no_witnesses(p):
+            return beat_point_core(p)[0], []
+
+        monkeypatch.setattr(homology, "beat_point_core", no_witnesses)
+        for _ in range(2):
+            with pytest.raises(InvariantError, match="do not match the core"):
+                core_complex(chain(range(4)))
+        assert not homology._core_complexes

@@ -2,11 +2,13 @@
 
 import json
 import os
+from collections import OrderedDict
 from pathlib import Path
 
 import pytest
 
-from posetlab import suites
+from posetlab import homology, suites
+from posetlab.poset import beat_point_core
 from posetlab.suites import (
     DEFAULT_REPORT_SUITES,
     SUITE_NAMES,
@@ -142,6 +144,26 @@ class TestPerKeyMemo:
         finally:
             suites._fiber_checks.cache_clear()
             suites._duality_check.cache_clear()
+
+    def test_battery_reduces_each_poset_once(self, monkeypatch):
+        reduced = []
+
+        def counting(p):
+            reduced.append((tuple(p.elements), p.leq.tobytes()))
+            return beat_point_core(p)
+
+        monkeypatch.setattr(homology, "_core_complexes", OrderedDict())
+        monkeypatch.setattr(homology, "beat_point_core", counting)
+        suites._fiber_checks.cache_clear()
+        suites._duality_check.cache_clear()
+        try:
+            key = suites.enumerate_graphs(3)[-1]
+            suites._battery_records(key)
+        finally:
+            suites._fiber_checks.cache_clear()
+            suites._duality_check.cache_clear()
+        calls, distinct = len(reduced), len(set(reduced))
+        assert calls and distinct == calls
 
     def test_callers_get_their_own_records(self):
         key = suites.enumerate_graphs(2)[0]

@@ -1,0 +1,89 @@
+"""Condense alternating parent/change benchmark runs into one BENCH_*.json.
+
+Usage, from the root of a checkout:
+
+    python3 tools/condense_bench.py OUT.json SIDE=RESULT.json ...
+
+Each argument after the output path names a side (``parent`` or
+``change``) and a ``result.json`` written by ``perfbench/run.py``, in the
+order the runs were made.  Untraced runs (``--trace 0``) of one workload
+with the same seed form a pair.  For each workload and end-to-end metric
+of ``BENCHMARK.json`` the output gives each side's runs, median and
+quartiles, and how many pairs the change won (ties count for neither).
+Traced runs (``--trace 1``) contribute their per-layer metrics as they
+are.
+"""
+
+from __future__ import annotations
+
+import json
+import statistics
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+SIDES = ("parent", "change")
+
+
+def _spread(values):
+    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return {"median": median, "q1": q1, "q3": q3, "runs": values}
+
+
+def condense(runs):
+    """`runs`: (side, result) pairs in run order -> the BENCH_*.json object."""
+    bench = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+    out = {"command": bench["command"], "machine": None, "workloads": {}}
+    for side, res in runs:
+        if side not in SIDES:
+            raise ValueError(f"side must be one of {SIDES}, not {side!r}")
+        out["machine"] = out["machine"] or res["machine"]
+        w = out["workloads"].setdefault(
+            res["workload"], {"seconds": res["seconds"], "pairs": {}, "traced": {}}
+        )
+        if res["trace"]:
+            w["traced"][side] = {"seed": res["seed"], "metrics": res["all_metrics"]}
+            continue
+        pair = w["pairs"].setdefault(res["seed"], {"order": [], "runs": {}})
+        pair["order"].append(side)
+        pair["runs"][side] = res
+    for w in out["workloads"].values():
+        pairs = [p for p in w.pop("pairs").items() if len(p[1]["runs"]) == 2]
+        w["seeds"] = [seed for seed, _ in pairs]
+        w["run_order"] = [p["order"] for _, p in pairs]
+        w["correct"] = all(r["summary"]["correct"] for _, p in pairs for r in p["runs"].values())
+        w["failed"] = {s: sum(p["runs"][s]["summary"]["failed"] for _, p in pairs) for s in SIDES}
+        w["metrics"] = {}
+        for m in bench["end_to_end"]:
+            values = {
+                s: [p["runs"][s]["summary"]["metrics"][m["name"]]["value"] for _, p in pairs]
+                for s in SIDES
+            }
+            sign = 1 if m["better"] == "lower" else -1
+            wins = sum(sign * (c - p) < 0 for p, c in zip(values["parent"], values["change"]))
+            w["metrics"][m["name"]] = {
+                "unit": m["unit"],
+                "better": m["better"],
+                "bound": m["bound"],
+                **{s: _spread(values[s]) for s in SIDES},
+                "change_wins": wins,
+                "pairs": len(pairs),
+            }
+    return out
+
+
+def main(argv):
+    if len(argv) < 2:
+        sys.stderr.write(__doc__)
+        return 2
+    runs = []
+    for arg in argv[1:]:
+        side, _, path = arg.partition("=")
+        runs.append((side, json.loads(Path(path).read_text(encoding="utf-8"))))
+    text = json.dumps(condense(runs), indent=1, sort_keys=True) + "\n"
+    Path(argv[0]).write_text(text, encoding="utf-8")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

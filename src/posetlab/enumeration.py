@@ -19,8 +19,6 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import combinations, permutations
 
-import numpy as np
-
 from .graph_posets import (
     CheckReport,
     _betti_profile,
@@ -35,9 +33,10 @@ from .graph_posets import (
 from .homology import HomologyResult, core_complex, reduced_homology
 from .multigraph import GraphError, Multigraph, rose
 from .poset import (
-    CertificateError,
     FinitePoset,
+    PosetError,
     PosetMap,
+    _inclusion_rows,
     closure_retraction,
     is_order_isomorphic_via,
     subset_lattice,
@@ -244,8 +243,8 @@ def fiber_poset(g: Multigraph, connected_only: bool = False) -> FinitePoset:
         (F1, H1) <= (F2, H2)  iff  F1 >= F2 and F1 | H1 >= F2 | H2.
 
     The slice at F = empty is the (connected) core poset with its order
-    reversed.  The order is computed on int64 edge masks, so `g` may have
-    at most 63 edges.
+    reversed.  The order is read off the edge masks of `g`, which hold at
+    most 63 edges.
     """
     kind = "cc" if connected_only else "c"
     elements = []
@@ -256,11 +255,10 @@ def fiber_poset(g: Multigraph, connected_only: bool = False) -> FinitePoset:
     elements.sort(key=lambda fh: (sorted(fh[0]), sorted(fh[1])))
 
     masks = _edge_masks(g)
-    f = np.array([masks.mask(fh[0]) for fh in elements], dtype=np.int64)
-    u = np.array([masks.mask(fh[0] | fh[1]) for fh in elements], dtype=np.int64)
-    # leq[i, j]: F_j within F_i and F_j | H_j within F_i | H_i
-    leq = ((f[None, :] & ~f[:, None]) == 0) & ((u[None, :] & ~u[:, None]) == 0)
-    return FinitePoset(elements, leq)
+    f = _inclusion_rows([masks.mask(fh[0]) for fh in elements], below=True)
+    u = _inclusion_rows([masks.mask(fh[0] | fh[1]) for fh in elements], below=True)
+    # bit j of row i: F_j within F_i and F_j | H_j within F_i | H_i
+    return FinitePoset(elements, [a & b for a, b in zip(f, u)])
 
 
 def fiber_retraction(g: Multigraph, connected_only: bool = False):
@@ -305,7 +303,7 @@ def verify_fiber(
     check = "fiber-connected" if connected_only else "fiber"
     try:
         cert = fiber_retraction(g, connected_only)
-    except CertificateError as exc:
+    except PosetError as exc:
         return _certificate_failure(label, check, {"connected_only": connected_only}, exc)
     p = cert.poset
     core = build_poset(g, kind)

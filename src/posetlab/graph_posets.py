@@ -33,8 +33,6 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import combinations
 
-import numpy as np
-
 from .homology import (
     PI1_NONTRIVIAL,
     PI1_TRIVIAL,
@@ -49,9 +47,10 @@ from .homology import (
 )
 from .multigraph import Multigraph
 from .poset import (
-    CertificateError,
     FinitePoset,
+    PosetError,
     PosetMap,
+    _inclusion_rows,
     _mask_bits,
     closure_retraction,
     order_complex,
@@ -212,9 +211,9 @@ def build_poset(g: Multigraph, kind: str):
     nonempty edge subset contains a loop).
     """
     rows = _admitted(g, kind)
-    masks = np.array([mask for _, mask in rows], dtype=np.int64)
-    leq = (masks[:, None] & ~masks[None, :]) == 0
-    return FinitePoset([frozenset(ids) for ids, _ in rows], leq)
+    return FinitePoset(
+        [frozenset(ids) for ids, _ in rows], _inclusion_rows([mask for _, mask in rows])
+    )
 
 
 def _forests(g: Multigraph):
@@ -267,9 +266,11 @@ class CheckReport:
         }
 
 
-def _certificate_failure(label: str, check: str, data: dict, exc: CertificateError) -> CheckReport:
-    """The `fail` record of a closure-retraction certificate that did not
-    hold: the certificate's message and its witness go into `data`."""
+def _certificate_failure(label: str, check: str, data: dict, exc: PosetError) -> CheckReport:
+    """The `fail` record of a poset map or closure-retraction certificate
+    that did not hold: the error's message and its witness (for a map
+    that is not order-preserving, the first pair it breaks) go into
+    `data`."""
     data["certificate_error"] = str(exc)
     data["witness"] = exc.witness
     return CheckReport(label, check, "fail", (), data)
@@ -473,13 +474,12 @@ def verify_core_retraction(
     src_kind, dst_kind = ("cx", "cc") if connected_only else ("x", "c")
     _require_connected_rank(g, f"verify_core_retraction[{src_kind}]", min_rank=1)
     p = build_poset(g, src_kind)
-    endo = core_map(g, p, p)
     data: dict = {"source": src_kind, "image": dst_kind, "elements": p.n}
     check = f"core-retraction-{src_kind}"
 
     try:
-        cert = closure_retraction(p, endo)
-    except CertificateError as exc:
+        cert = closure_retraction(p, core_map(g, p, p))
+    except PosetError as exc:
         return _certificate_failure(label, check, data, exc)
     data["direction"] = cert.direction
     if cert.direction not in ("decreasing", "both"):
@@ -566,7 +566,10 @@ def verify_valence_two(g: Multigraph, v: int, label: str | None = None) -> Check
         raise VerificationError("verify_valence_two: graph must be connected")
     if g.rank() < 1:
         raise VerificationError("verify_valence_two: graph must contain a cycle")
-    g2, fwd, bwd = valence_two_maps(g, v)
+    try:
+        g2, fwd, bwd = valence_two_maps(g, v)
+    except PosetError as exc:
+        return _certificate_failure(label, "valence-two-smoothing", {"vertex": v}, exc)
     p, q = fwd.source, fwd.target
     data: dict = {
         "vertex": v,
@@ -804,10 +807,9 @@ def verify_sphericity_via_core(
     core_kind = "cc" if kind == "cx" else "c"
     target = g.rank() - 2
     p = build_poset(g, kind)
-    endo = core_map(g, p, p)
     try:
-        cert = closure_retraction(p, endo)
-    except CertificateError as exc:
+        cert = closure_retraction(p, core_map(g, p, p))
+    except PosetError as exc:
         data = {"kind": kind, "rank": g.rank(), "elements": p.n, "via": "core-retraction"}
         return _certificate_failure(label, f"deep-sphericity-{kind}", data, exc)
     cert_ok = cert.direction in ("decreasing", "both")

@@ -20,9 +20,7 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from math import gcd
 
-import numpy as np
-
-from .poset import beat_point_core, order_complex
+from .poset import _bits, beat_point_core, order_complex
 from .simplicial import SimplicialComplex
 
 PI1_TRIVIAL = "Trivial"
@@ -52,9 +50,8 @@ class SNFResult:
 def smith_normal_form(matrix):
     """Smith normal form data of an integer matrix.
 
-    Accepts any nested sequence (or numpy array) of integers.  Returns the
-    rank and the full tuple of invariant factors d1 | d2 | ... | dr, the
-    ones included.
+    Accepts any nested sequence of integers.  Returns the rank and the
+    full tuple of invariant factors d1 | d2 | ... | dr, the ones included.
 
     >>> smith_normal_form([[1, 0], [0, 1]]).factors
     (1, 1)
@@ -419,40 +416,52 @@ def reduced_cohomology(k):
 
 
 def check_beat_witnesses(p, core, witnesses):
-    """Replay beat-point removals against `p.leq`; raise on a bad step.
+    """Replay beat-point removals against `p.up`; raise on a bad step.
 
     Each witness ``(x, y, side)`` must remove a survivor x whose strict
     up-set (``"up"``) among the survivors has the survivor y as its
     minimum, or whose strict down-set (``"down"``) has y as its maximum.
     The survivors must then be exactly `core`, with the induced order.
     A failure is a defect in the reduction, so it raises InvariantError.
+
+    The replay works on whole rows of p, masked by the survivors; it
+    calls neither `beat_point_core` nor `induced`, the code it checks.
     """
     index = {x: i for i, x in enumerate(p.elements)}
-    alive = np.ones(p.n, dtype=bool)
-    lt = p.leq & ~np.eye(p.n, dtype=bool)
+    alive = (1 << p.n) - 1
     for x, y, side in witnesses:
         i, j = index.get(x), index.get(y)
         if i is None or j is None:
             raise InvariantError(f"beat witness ({x!r}, {y!r}) names a non-element")
-        if not alive[i]:
+        if not alive >> i & 1:
             raise InvariantError(f"beat point {x!r} removed twice")
-        if not alive[j]:
+        if not alive >> j & 1:
             raise InvariantError(f"witness {y!r} of {x!r} was already removed")
         if side == "up":
-            strict, below = lt[i, :] & alive, p.leq[j, :]
+            rows = p.up
         elif side == "down":
-            strict, below = lt[:, i] & alive, p.leq[:, j]
+            rows = p._down_rows()
         else:
             raise InvariantError(f"beat witness for {x!r} has side {side!r}")
-        if not strict[j] or (strict & ~below).any():
+        # y is in x's strict side-set, and that set lies within y's side-set
+        strict = rows[i] & alive & ~(1 << i)
+        if not strict >> j & 1 or strict & ~rows[j]:
             extreme = "minimum" if side == "up" else "maximum"
             raise InvariantError(
                 f"{y!r} is not the {extreme} of the strict {side}-set of {x!r}"
             )
-        alive[i] = False
-    survivors = [x for x, a in zip(p.elements, alive) if a]
-    if survivors != core.elements or (core.leq != p.leq[np.ix_(alive, alive)]).any():
+        alive &= ~(1 << i)
+    # spread each core row back over p's positions and compare it with
+    # p's own row among the survivors
+    survivors = _bits(alive)
+    if [p.elements[i] for i in survivors] != core.elements:
         raise InvariantError("beat-point survivors do not match the core")
+    for k, i in enumerate(survivors):
+        row = 1 << i
+        for b in core._strict[k]:
+            row |= 1 << survivors[b]
+        if row != p.up[i] & alive:
+            raise InvariantError("beat-point survivors do not match the core")
 
 
 # The suites hand core_complex the same poset again and again (the x
@@ -471,12 +480,12 @@ def core_complex(p):
 
     The complex is remembered in a least-recently-used memo of at most
     ``_CORE_COMPLEX_CACHE_MAX`` entries, keyed on p's exact content: its
-    element labels (the complex's vertices), its bit-packed order and its
-    size, compared for equality, not by hash alone.  An entry is stored
+    element labels (the complex's vertices) and its up-rows, compared for
+    equality, not by hash alone.  An entry is stored
     only after ``check_beat_witnesses`` has passed, so a failed check
     raises again on every call.  Callers must not mutate the complex.
     """
-    key = (tuple(p.elements), np.packbits(p.leq).tobytes(), p.n)
+    key = (tuple(p.elements), p.up)
     k = _core_complexes.get(key)
     if k is not None:
         _core_complexes.move_to_end(key)

@@ -1,9 +1,11 @@
 """Finite posets, order-preserving maps, and order complexes.
 
-A FinitePoset stores its full <= relation as a boolean matrix, validated to
-be reflexive, antisymmetric and transitive on construction.  Elements are
-arbitrary hashable labels; positions in the element list double as vertex
-indices of the order complex.
+A FinitePoset stores its <= relation as one Python int per element, its
+up-row: bit j of ``up[i]`` is set when element i <= element j.  The rows
+are validated to be reflexive, antisymmetric and transitive on
+construction.  Elements are arbitrary hashable labels; positions in the
+element list double as bit positions and as vertex indices of the order
+complex.
 
 The order complex of a poset has the elements as vertices and the finite
 chains as simplices.  Chains are enumerated by ascending depth-first search
@@ -14,98 +16,114 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .simplicial import SimplicialComplex
 
 
 class PosetError(ValueError):
-    """An invalid order relation or an order-violating map."""
+    """An invalid order relation or an order-violating map.
 
-
-class CertificateError(PosetError):
-    """A closure retraction certificate failed; carries a witness."""
+    `witness`, when given, is the offending pair or element, for the
+    `fail` record of a claim that did not hold.
+    """
 
     def __init__(self, message, witness=None):
         super().__init__(message)
         self.witness = witness
 
 
-def _compose(a, b):
-    """The composite of two boolean relations: out[i, k] = any_j a[i, j] & b[j, k].
+class CertificateError(PosetError):
+    """A closure retraction certificate failed; carries a witness."""
 
-    Row i is the OR of the bit-packed rows of `b` that row i of `a`
-    selects.  Nothing is counted, so unlike an integer matmul it cannot
-    wrap, and no BLAS threads are started.
-    """
-    packed = np.packbits(b, axis=1)
-    out = np.empty((a.shape[0], packed.shape[1]), dtype=np.uint8)
-    for i, row in enumerate(a):
-        np.bitwise_or.reduce(packed[row], axis=0, out=out[i])
-    return np.unpackbits(out, axis=1, count=b.shape[1]).astype(bool)
+
+def _bits(row):
+    """The positions of the set bits of a nonnegative int, ascending."""
+    out = []
+    while row:
+        low = row & -row
+        out.append(low.bit_length() - 1)
+        row ^= low
+    return out
 
 
 class FinitePoset:
-    __slots__ = ("elements", "leq", "_index", "_lt")
+    """A finite poset on `elements`, given by their up-rows.
 
-    def __init__(self, elements, leq):
+    Bit j of ``up[i]`` is set when ``elements[i] <= elements[j]``.  The
+    strict up-set of each element is listed once, on construction, and
+    reused by every query; the transposed (down) rows are built only
+    when asked for.
+    """
+
+    __slots__ = ("elements", "up", "_index", "_strict", "_down")
+
+    def __init__(self, elements, up):
         self.elements = list(elements)
         n = len(self.elements)
         self._index = {x: i for i, x in enumerate(self.elements)}
         if len(self._index) != n:
             raise PosetError("duplicate elements")
-        leq = np.asarray(leq, dtype=bool)
-        if n == 0:
-            leq = np.zeros((0, 0), dtype=bool)
-        if leq.shape != (n, n):
-            raise PosetError(f"relation shape {leq.shape} does not match {n} elements")
-        if n:
-            if not leq.diagonal().all():
-                i = int(np.flatnonzero(~leq.diagonal())[0])
+        up = tuple(up)
+        if len(up) != n:
+            raise PosetError(f"{len(up)} rows do not match {n} elements")
+        for i, row in enumerate(up):
+            # a negative row shifts to -1, so it is refused here too
+            if not isinstance(row, int) or row >> n:
+                raise PosetError(f"row of {self.elements[i]!r} is not a mask of {n} bits")
+        for i, row in enumerate(up):
+            if not row >> i & 1:
                 raise PosetError(f"not reflexive at {self.elements[i]!r}")
-            sym = leq & leq.T
-            if (sym != np.eye(n, dtype=bool)).any():
-                i, j = map(int, np.argwhere(sym & ~np.eye(n, dtype=bool))[0])
-                raise PosetError(
-                    f"antisymmetry fails on {self.elements[i]!r}, {self.elements[j]!r}"
-                )
-            closure = _compose(leq, leq)
-            if (closure & ~leq).any():
-                i, j = map(int, np.argwhere(closure & ~leq)[0])
-                raise PosetError(
-                    f"transitivity fails: {self.elements[i]!r} .. {self.elements[j]!r}"
-                )
-        leq.setflags(write=False)
-        self.leq = leq
-        lt = leq & ~np.eye(n, dtype=bool)
-        lt.setflags(write=False)
-        self._lt = lt
+        strict = [_bits(row ^ (1 << i)) for i, row in enumerate(up)]
+        # one pass: row i is closed when the rows above it add nothing,
+        # and antisymmetric when none of them reaches back to i
+        unclosed = None
+        for i, above in enumerate(strict):
+            row = reach = up[i]
+            for j in above:
+                r = up[j]
+                if r >> i & 1:
+                    raise PosetError(
+                        f"antisymmetry fails on {self.elements[i]!r}, {self.elements[j]!r}"
+                    )
+                reach |= r
+            if unclosed is None and reach != row:
+                extra = reach & ~row
+                unclosed = i, (extra & -extra).bit_length() - 1
+        if unclosed is not None:
+            i, j = unclosed
+            raise PosetError(
+                f"transitivity fails: {self.elements[i]!r} .. {self.elements[j]!r}"
+            )
+        self.up = up
+        self._strict = strict
+        self._down = None
 
     @classmethod
     def from_relation(cls, elements, relation):
         elements = list(elements)
-        n = len(elements)
-        leq = np.zeros((n, n), dtype=bool)
-        for i, x in enumerate(elements):
-            for j, y in enumerate(elements):
-                leq[i, j] = bool(relation(x, y))
-        return cls(elements, leq)
+        return cls(
+            elements,
+            [sum(1 << j for j, y in enumerate(elements) if relation(x, y)) for x in elements],
+        )
 
     @classmethod
     def from_covers(cls, elements, covers):
         """Build from cover pairs (i, j) of indices meaning i < j."""
         elements = list(elements)
-        n = len(elements)
-        leq = np.eye(n, dtype=bool)
+        up = [1 << i for i in range(len(elements))]
         for i, j in covers:
-            leq[i, j] = True
-        # transitive closure by repeated squaring
-        while True:
-            closure = leq | _compose(leq, leq)
-            if (closure == leq).all():
-                break
-            leq = closure
-        return cls(elements, leq)
+            up[i] |= 1 << j
+        # transitive closure: widen each row by the rows it reaches until none grows
+        grew = True
+        while grew:
+            grew = False
+            for i, row in enumerate(up):
+                reach = row
+                for j in _bits(row):
+                    reach |= up[j]
+                if reach != row:
+                    up[i] = reach
+                    grew = True
+        return cls(elements, up)
 
     # -- queries -----------------------------------------------------------
 
@@ -120,34 +138,56 @@ class FinitePoset:
             raise PosetError(f"{x!r} is not an element") from None
 
     def le(self, x, y):
-        return bool(self.leq[self.index(x), self.index(y)])
+        return bool(self.up[self.index(x)] >> self.index(y) & 1)
 
     def comparable(self, x, y):
         i, j = self.index(x), self.index(y)
-        return bool(self.leq[i, j] or self.leq[j, i])
+        return bool(self.up[i] >> j & 1 or self.up[j] >> i & 1)
 
     def comparables(self, x):
         """All elements comparable to x, including x itself."""
         i = self.index(x)
-        mask = self.leq[i, :] | self.leq[:, i]
-        return [self.elements[j] for j in np.flatnonzero(mask)]
+        return [self.elements[j] for j in _bits(self.up[i] | self._down_rows()[i])]
 
     def covers(self):
         """Cover pairs (i, j): i < j with nothing strictly between."""
-        lt = self._lt
-        via = _compose(lt, lt)
-        return [tuple(map(int, ij)) for ij in np.argwhere(lt & ~via)]
+        up, out = self.up, []
+        for i, above in enumerate(self._strict):
+            between = 0
+            for k in above:
+                between |= up[k] ^ (1 << k)
+            out += [(i, j) for j in above if not between >> j & 1]
+        return out
+
+    def _down_rows(self):
+        """The transposed rows: bit j of ``down[i]`` is set when j <= i."""
+        if self._down is None:
+            down = [1 << i for i in range(self.n)]
+            for i, above in enumerate(self._strict):
+                bit = 1 << i
+                for j in above:
+                    down[j] |= bit
+            self._down = tuple(down)
+        return self._down
 
     # -- constructions -----------------------------------------------------
 
     def opposite(self):
-        return FinitePoset(self.elements, self.leq.T.copy())
+        return FinitePoset(self.elements, self._down_rows())
 
     def induced(self, subset):
         """The induced subposet on the given elements (order preserved)."""
         idx = [self.index(x) for x in subset]
-        sub = self.leq[np.ix_(idx, idx)].copy()
-        return FinitePoset([self.elements[i] for i in idx], sub)
+        pos = {i: k for k, i in enumerate(idx)}
+        rows = []
+        for k, i in enumerate(idx):
+            row = 1 << k
+            for j in self._strict[i]:
+                kj = pos.get(j)
+                if kj is not None:
+                    row |= 1 << kj
+            rows.append(row)
+        return FinitePoset([self.elements[i] for i in idx], rows)
 
     # -- serialization -------------------------------------------------------
 
@@ -165,7 +205,7 @@ class FinitePoset:
         return (
             isinstance(other, FinitePoset)
             and self.elements == other.elements
-            and (self.leq == other.leq).all()
+            and self.up == other.up
         )
 
     def __repr__(self):
@@ -181,9 +221,10 @@ def _label_text(x):
 class PosetMap:
     """A map of posets, checked to be order-preserving on construction.
 
-    The check is one numpy comparison: with ``idx`` the target positions
-    of the images, ``source.leq`` must imply ``target.leq[idx][:, idx]``.
-    A violation is reported at its first pair in row-major order.
+    For every source element and every element above it, the target
+    up-row of the first image must hold the second image.  A violation
+    is reported at its first pair in row-major order, and that pair is
+    the error's witness.
     """
 
     __slots__ = ("source", "target", "mapping")
@@ -195,14 +236,17 @@ class PosetMap:
         missing = [x for x in source.elements if x not in self.mapping]
         if missing:
             raise PosetError(f"map not defined on {missing[0]!r}")
-        idx = np.array(
-            [target.index(self.mapping[x]) for x in source.elements], dtype=np.intp
-        )
-        bad = source.leq & ~target.leq[np.ix_(idx, idx)]
-        if bad.any():
-            i, j = np.argwhere(bad)[0]
-            x, y = source.elements[i], source.elements[j]
-            raise PosetError(f"not order-preserving: {x!r} <= {y!r} but images are not")
+        idx = [target.index(self.mapping[x]) for x in source.elements]
+        rows = target.up
+        for i, above in enumerate(source._strict):
+            row = rows[idx[i]]
+            for j in above:
+                if not row >> idx[j] & 1:
+                    x, y = source.elements[i], source.elements[j]
+                    raise PosetError(
+                        f"not order-preserving: {x!r} <= {y!r} but images are not",
+                        witness=(x, y),
+                    )
 
     @classmethod
     def from_function(cls, source, target, fn):
@@ -307,32 +351,62 @@ def is_order_isomorphic_via(p, q, mapping):
     images = [mapping[x] for x in p.elements]
     if len(set(images)) != p.n or set(images) != set(q.elements):
         return False
-    idx = np.array([q.index(y) for y in images], dtype=np.intp)
-    return bool((p.leq == q.leq[np.ix_(idx, idx)]).all())
+    back = {q.index(y): i for i, y in enumerate(images)}
+    for i, y in enumerate(images):
+        row = 1 << i
+        for j in q._strict[q.index(y)]:
+            row |= 1 << back[j]
+        if row != p.up[i]:
+            return False
+    return True
 
 
 def poset_of_subsets(subsets):
     """FinitePoset of the given frozensets under inclusion.
 
     Elements are sorted by (size, sorted members), which is both stable and
-    independent of input order.  The relation matrix is computed through
-    bitmasks, so a few hundred subsets cost nothing.
+    independent of input order.  The order is read off int masks of the
+    subsets, so a few hundred subsets cost nothing.
     """
     elements = sorted(set(subsets), key=lambda s: (len(s), tuple(sorted(s))))
     bit = _mask_bits(sorted({x for s in elements for x in s}))
-    masks = np.array(
-        [sum(bit[x] for x in s) for s in elements], dtype=np.int64
-    ).reshape(-1, 1)
-    if len(elements) == 0:
-        return FinitePoset([], [])
-    leq = (masks & ~masks.T) == 0
-    return FinitePoset(elements, leq)
+    masks = [sum(bit[x] for x in s) for s in elements]
+    return FinitePoset(elements, _inclusion_rows(masks))
+
+
+def _inclusion_rows(masks, below=False):
+    """Up-rows of the inclusion order on int masks.
+
+    Bit j of row i is set when masks[i] is within masks[j] or, with
+    `below`, when masks[j] is within masks[i].  Row i is the AND, over
+    each member in masks[i] (with `below`: each member outside it), of
+    the positions whose mask holds (lacks) that member, so n masks over
+    m members cost O(n*m) ANDs.
+    """
+    everyone = (1 << len(masks)) - 1
+    members = [_bits(mask) for mask in masks]
+    holders = {}
+    for k, bits in enumerate(members):
+        for b in bits:
+            holders[b] = holders.get(b, 0) | 1 << k
+    if below:
+        # masks[j] is within masks[i] when j lacks every member i lacks
+        holders = {b: everyone ^ h for b, h in holders.items()}
+        members = [[b for b in holders if not mask >> b & 1] for mask in masks]
+    rows = []
+    for bits in members:
+        row = everyone
+        for b in bits:
+            row &= holders[b]
+        rows.append(row)
+    return rows
 
 
 def _mask_bits(universe):
-    """The bit of each member in an int64 subset mask, in the given order.
+    """The bit of each member in a subset mask, in the given order.
 
-    Bit 63 is the sign bit, so at most 63 members fit.
+    At most 63 members, so every mask fits an int64: a larger universe
+    is refused before any of its 2^n subsets is listed.
     """
     universe = list(universe)
     if len(universe) > 63:
@@ -366,33 +440,43 @@ def beat_point_core(p):
     ``(core, witnesses)``: the induced subposet on the survivors, and the
     removals in order as ``(x, y, side)`` label triples.
 
-    Each pass counts covers among the survivors; an element with exactly
-    one upper (else lower) cover is a beat point whose witness is that
-    cover.  Candidates are removed in index order, skipping one whose
-    witness went earlier in the same pass: removing anything else leaves
-    its witness the minimum (maximum), so every removal stays valid.
+    Each pass lists the covers among the survivors; an element with
+    exactly one upper (else lower) cover is a beat point whose witness is
+    that cover.  Candidates are removed in index order, skipping one
+    whose witness went earlier in the same pass: removing anything else
+    leaves its witness the minimum (maximum), so every removal stays
+    valid.
     """
-    alive = np.arange(p.n)
+    up, strict = p.up, p._strict
+    alive = [True] * p.n
     witnesses = []
-    while len(alive):
-        lt = p._lt[np.ix_(alive, alive)]
-        covers = lt & ~_compose(lt, lt)
-        ups = covers.sum(axis=1)
-        downs = covers.sum(axis=0)
-        removed = np.zeros(len(alive), dtype=bool)
-        for i in np.flatnonzero((ups == 1) | (downs == 1)):
-            if ups[i] == 1:
-                j, side = np.flatnonzero(covers[i, :])[0], "up"
+    while True:
+        live = [i for i, a in enumerate(alive) if a]
+        uppers, lowers = {}, {i: [] for i in live}
+        for i in live:
+            above = [j for j in strict[i] if alive[j]]
+            between = 0
+            for k in above:
+                between |= up[k] ^ (1 << k)
+            uppers[i] = [j for j in above if not between >> j & 1]
+            for j in uppers[i]:
+                lowers[j].append(i)
+        removed = False
+        for i in live:
+            if len(uppers[i]) == 1:
+                j, side = uppers[i][0], "up"
+            elif len(lowers[i]) == 1:
+                j, side = lowers[i][0], "down"
             else:
-                j, side = np.flatnonzero(covers[:, i])[0], "down"
-            if removed[j]:
                 continue
-            removed[i] = True
-            witnesses.append((p.elements[alive[i]], p.elements[alive[j]], side))
-        if not removed.any():
+            if not alive[j]:
+                continue
+            alive[i] = False
+            removed = True
+            witnesses.append((p.elements[i], p.elements[j], side))
+        if not removed:
             break
-        alive = alive[~removed]
-    return p.induced([p.elements[i] for i in alive]), witnesses
+    return p.induced([x for x, a in zip(p.elements, alive) if a]), witnesses
 
 
 def order_complex(p):
@@ -402,8 +486,7 @@ def order_complex(p):
     spans a simplex exactly when it is totally ordered.
     """
     n = p.n
-    lt = p._lt
-    up = [np.flatnonzero(lt[i, :]).tolist() for i in range(n)]
+    up = p._strict
     faces = []
 
     def grow(chain, last):

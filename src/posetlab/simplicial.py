@@ -69,10 +69,6 @@ class SimplicialComplex:
                 faces.update(combinations(facet, k))
         return cls(vertices, faces)
 
-    @classmethod
-    def empty(cls):
-        return cls([], [])
-
     # -- queries -----------------------------------------------------------
 
     @property

@@ -20,7 +20,6 @@ import os
 import time
 from dataclasses import dataclass
 from functools import lru_cache
-from multiprocessing import Pool
 
 from . import __version__
 from .enumeration import (
@@ -84,6 +83,8 @@ def _map_jobs(jobs, threads: int | None):
     n = _thread_count(threads)
     if n <= 1 or len(jobs) <= 1:
         return [_run_job(job) for job in jobs]
+    from multiprocessing import Pool  # imported only when a pool runs
+
     with Pool(processes=min(n, len(jobs))) as pool:
         return pool.map(_run_job, jobs, chunksize=1)
 

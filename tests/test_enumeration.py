@@ -417,7 +417,7 @@ class TestFiberPosets:
             for connected_only in (False, True):
                 p = fiber_poset(parse_key(key), connected_only)
                 oracle = FinitePoset.from_relation(p.elements, by_definition)
-                assert (p.leq == oracle.leq).all(), (key, connected_only)
+                assert p.up == oracle.up, (key, connected_only)
 
     def test_more_than_63_edges_rejected(self, capsys):
         # rejected where the masks are made, before any subset is listed

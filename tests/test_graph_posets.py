@@ -11,7 +11,7 @@ from itertools import combinations
 import pytest
 
 from posetlab import cli, graph_posets
-from posetlab.enumeration import enumerate_graphs, parse_key
+from posetlab.enumeration import enumerate_graphs, fiber_poset, parse_key, verify_fiber
 from posetlab.graph_posets import (
     KINDS,
     _edge_masks,
@@ -303,6 +303,60 @@ class TestCoreRetraction:
         assert cli.main(["verify", "retraction", "--graph", key, "--json"]) == 1
         printed = json.loads(capsys.readouterr().out)
         assert printed["status"] == "fail" and printed["data"]["witness"][0] == sorted(first)
+
+
+    def test_map_that_breaks_the_order_is_a_fail_record(self, monkeypatch, capsys):
+        # reversing the x poset of the dumbbell sends a subset below one
+        # of its supersets: the map is refused, and the record names the pair
+        def reversed_map(g, p, q):
+            return PosetMap(p, q, dict(zip(p.elements, reversed(q.elements))))
+
+        monkeypatch.setattr(graph_posets, "core_map", reversed_map)
+        key = "2;0-0,0-1,1-1"
+        p = build_poset(parse_key(key), "x")
+        x, y = first_broken_pair(p, p, dict(zip(p.elements, reversed(p.elements))))
+        assert cli.main(["verify", "retraction", "--graph", key, "--json"]) == 1
+        printed = json.loads(capsys.readouterr().out)
+        assert printed["status"] == "fail"
+        assert printed["data"]["witness"] == [sorted(x), sorted(y)]
+        assert printed["data"]["certificate_error"] == (
+            f"not order-preserving: {x!r} <= {y!r} but images are not"
+        )
+
+    def test_every_map_boundary_gives_a_fail_record(self, monkeypatch):
+        # every poset map built by a verifier reverses its target's order
+        def reversing(cls, source, target, fn):
+            flip = {x: target.elements[-1 - i % target.n] for i, x in enumerate(source.elements)}
+            return cls(source, target, flip)
+
+        monkeypatch.setattr(PosetMap, "from_function", classmethod(reversing))
+        g = parse_key("2;0-0,0-1,1-1")
+        sub, w = g.subdivide_edge(min(g.edge_ids))
+        cases = [
+            (verify_core_retraction(g), build_poset(g, "x"), build_poset(g, "x")),
+            (verify_sphericity_via_core(g, "x"), build_poset(g, "x"), build_poset(g, "x")),
+            (verify_fiber(g), fiber_poset(g), fiber_poset(g)),
+            (
+                verify_valence_two(sub, w),
+                build_poset(sub, "cx"),
+                build_poset(sub.smooth_valence_two(w)[0], "cx"),
+            ),
+        ]
+        for rec, source, target in cases:
+            flip = {x: target.elements[-1 - i % target.n] for i, x in enumerate(source.elements)}
+            assert rec.status == "fail", rec.check
+            assert rec.data["witness"] == first_broken_pair(source, target, flip), rec.check
+            assert rec.data["certificate_error"].startswith("not order-preserving")
+
+
+def first_broken_pair(source, target, image):
+    """The first pair x <= y, in row-major order, whose images are not ordered."""
+    return next(
+        (x, y)
+        for x in source.elements
+        for y in source.elements
+        if source.le(x, y) and not target.le(image[x], image[y])
+    )
 
 
 class TestValenceTwo:

@@ -88,20 +88,51 @@ def _warshall(leq):
     return leq
 
 
+def _rows(leq):
+    """The up-rows of a boolean relation matrix: bit j of row i is leq[i, j]."""
+    return tuple(sum(1 << int(j) for j in np.flatnonzero(row)) for row in leq)
+
+
+def _matrix(p):
+    """The <= matrix of p, read back bit by bit from its up-rows."""
+    bits = [[row >> j & 1 for j in range(p.n)] for row in p.up]
+    return np.array(bits, dtype=bool).reshape(p.n, p.n)
+
+
+def _first_fault(labels, leq):
+    """The message FinitePoset must give for a boolean relation matrix,
+    from a numpy reference: reflexivity first, then antisymmetry, then
+    transitivity, each at its first pair in row-major order."""
+    n = len(labels)
+    diagonal = leq.diagonal()
+    if not diagonal.all():
+        return f"not reflexive at {labels[int(np.flatnonzero(~diagonal)[0])]!r}"
+    sym = leq & leq.T & ~np.eye(n, dtype=bool)
+    if sym.any():
+        i, j = np.argwhere(sym)[0]
+        return f"antisymmetry fails on {labels[i]!r}, {labels[j]!r}"
+    counts = leq.astype(np.int64) @ leq.astype(np.int64)
+    missing = (counts > 0) & ~leq
+    if missing.any():
+        i, j = np.argwhere(missing)[0]
+        return f"transitivity fails: {labels[i]!r} .. {labels[j]!r}"
+    return None
+
+
 class TestExactComposition:
     def test_transitivity_failure_seen_past_256_paths(self):
         with pytest.raises(PosetError, match="transitivity fails: 0 .. 1"):
-            FinitePoset(range(258), _fan_relation(False))
+            FinitePoset(range(258), _rows(_fan_relation(False)))
 
     def test_covers_skip_pair_with_256_elements_between(self):
-        covers = set(FinitePoset(range(258), _fan_relation(True)).covers())
+        covers = set(FinitePoset(range(258), _rows(_fan_relation(True))).covers())
         assert (0, 1) not in covers
         assert covers == {(0, m) for m in range(2, 258)} | {(m, 1) for m in range(2, 258)}
 
     def test_from_covers_equals_warshall_closure(self):
         covers = [(0, m) for m in range(2, 258)] + [(m, 1) for m in range(2, 258)]
         p = FinitePoset.from_covers(range(258), covers)
-        assert (p.leq == _warshall(_fan_relation(False))).all()
+        assert p.up == _rows(_warshall(_fan_relation(False)))
         assert p.le(0, 1)
 
     def test_from_covers_random_dags_equal_warshall(self):
@@ -112,7 +143,47 @@ class TestExactComposition:
             for i, j in covers:
                 base[i, j] = True
             p = FinitePoset.from_covers(range(n), covers)
-            assert (p.leq == _warshall(base)).all()
+            assert p.up == _rows(_warshall(base))
+
+
+class TestValidation:
+    def test_first_fault_matches_numpy_reference(self):
+        # random partial orders on shuffled positions, with a few entries
+        # flipped: a flipped diagonal breaks reflexivity, an added pair
+        # may close a cycle or open a gap, a dropped pair may open a gap
+        rng = random.Random(13)
+        kinds = {"valid": 0, "not reflexive": 0, "antisymmetry": 0, "transitivity": 0}
+        for _ in range(600):
+            n = rng.randrange(1, 24)
+            perm = rng.sample(range(n), n)
+            base = np.eye(n, dtype=bool)
+            for a, b in combinations(range(n), 2):
+                if rng.random() < 0.15:
+                    base[perm[a], perm[b]] = True
+            leq = _warshall(base)
+            for _ in range(rng.randrange(0, 4)):
+                i, j = rng.randrange(n), rng.randrange(n)
+                leq[i, j] = not leq[i, j]
+            labels = [f"e{i}" for i in range(n)]
+            expected = _first_fault(labels, leq)
+            if expected is None:
+                kinds["valid"] += 1
+                assert FinitePoset(labels, _rows(leq)).up == _rows(leq)
+                continue
+            with pytest.raises(PosetError) as exc:
+                FinitePoset(labels, _rows(leq))
+            assert str(exc.value) == expected
+            kinds[next(k for k in kinds if expected.startswith(k))] += 1
+        assert min(kinds.values()) >= 40, kinds
+
+    def test_rows_must_be_masks_of_the_elements(self):
+        with pytest.raises(PosetError, match="1 rows do not match 2 elements"):
+            FinitePoset("ab", [1])
+        for row in (0b101, -1, 1.0):
+            with pytest.raises(PosetError, match="not a mask of 2 bits"):
+                FinitePoset("ab", [row, 0b10])
+        with pytest.raises(PosetError, match="duplicate"):
+            FinitePoset("aa", [1, 2])
 
 
 class TestSubsetLattices:
@@ -141,8 +212,9 @@ def naive_beat_points(p):
     """Elements whose strict up-set has a minimum or whose strict down-set
     has a maximum, straight from the definition."""
     out = []
+    leq = _matrix(p)
     for i, x in enumerate(p.elements):
-        for rel in (p.leq, p.leq.T):
+        for rel in (leq, leq.T):
             strict = np.flatnonzero(rel[i])
             strict = strict[strict != i]
             if len(strict) and rel[np.ix_(strict, strict)].all(axis=1).any():
@@ -230,6 +302,13 @@ class TestBeatPointCore:
             check_beat_witnesses(p, p, [(4, 2, "down")])
         with pytest.raises(InvariantError, match="survivors"):
             check_beat_witnesses(p, p.induced([0, 1, 2, 3]), [])
+
+    def test_checker_rejects_survivors_in_another_order(self):
+        # the right survivors, but the core forgets that 0 <= 2
+        core = FinitePoset.from_relation([0, 2], lambda a, b: a == b)
+        with pytest.raises(InvariantError, match="survivors"):
+            check_beat_witnesses(chain(3), core, [(1, 2, "up")])
+        check_beat_witnesses(chain(3), chain(3).induced([0, 2]), [(1, 2, "up")])
 
     def test_invariant_error_is_not_a_value_error(self):
         with pytest.raises(InvariantError) as info:

@@ -3,7 +3,10 @@
 import ast
 import doctest
 import importlib
+import json
 import pkgutil
+import subprocess
+import sys
 from pathlib import Path
 
 import posetlab
@@ -33,6 +36,43 @@ def test_no_assert_statements():
             f"{path.name}:{node.lineno}" for node in ast.walk(tree) if isinstance(node, ast.Assert)
         ]
     assert found == []
+
+
+# The package runs on the standard library alone: the order of a poset
+# is kept in Python ints, and nothing else needed a third-party module.
+def test_imports_are_standard_library_or_relative():
+    found = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module]
+            else:
+                continue
+            found += [
+                f"{path.name}:{node.lineno}:{name}"
+                for name in names
+                if name.partition(".")[0] not in sys.stdlib_module_names
+            ]
+    assert found == []
+
+
+def test_cli_import_leaves_numpy_and_multiprocessing_out():
+    # a fresh interpreter, so modules the tests import do not count; the
+    # pool module is imported only when a suite runs on several processes
+    probe = "import sys, json, posetlab.cli; print(json.dumps(sorted(sys.modules)))"
+    proc = subprocess.run(
+        [sys.executable, "-c", probe],
+        env={"PATH": "/usr/bin:/bin", "PYTHONPATH": str(PACKAGE.parent)},
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    modules = set(json.loads(proc.stdout))
+    assert "posetlab.cli" in modules
+    assert {"numpy", "multiprocessing"} & modules == set()
 
 
 # Homology and pi1 verdicts of a poset are computed on its checked

@@ -149,7 +149,7 @@ class TestPerKeyMemo:
         reduced = []
 
         def counting(p):
-            reduced.append((tuple(p.elements), p.leq.tobytes()))
+            reduced.append((tuple(p.elements), p.up))
             return beat_point_core(p)
 
         monkeypatch.setattr(homology, "_core_complexes", OrderedDict())

@@ -1,5 +1,6 @@
 """Suites: contents, summaries, determinism, and golden fixtures."""
 
+import hashlib
 import json
 import os
 from collections import OrderedDict
@@ -18,6 +19,9 @@ from posetlab.suites import (
 )
 
 GOLDEN = Path(__file__).parent / "golden"
+FIXTURE_SUITES = ("rank3", "duality", "fibers", "morse", "rank4-deep")
+# sha256 of the canonical report of each suite too large for a golden file
+SUITE_SHA256: dict[str, str] = {}
 
 
 class TestRankSuites:
@@ -188,13 +192,34 @@ class TestGolden:
         frozen = (GOLDEN / "apartments_report.json").read_text()
         assert run_suite("apartments").to_json() == frozen
 
-    @pytest.mark.parametrize("suite", ["rank3", "fibers", "morse", "rank4-deep"])
+    @pytest.mark.parametrize("suite", FIXTURE_SUITES)
     def test_matches_frozen_fixture(self, suite):
         frozen = (GOLDEN / f"{suite}_report.json").read_text()
         assert run_suite(suite).to_json() == frozen
+
+    # The aggregate report of the default suites, pinned by its digest: the
+    # same bytes `posetlab report` writes, at one worker and at two.
+    REPORT_SHA256 = "4b032f92f65836c5eaafd243a103f37a584111cd750eeab6010877751fc1095c"
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_report_all_matches_pinned_digest(self, threads, monkeypatch):
+        monkeypatch.setenv("POSETLAB_THREADS", threads)
+        text = canonical_json(report_all()[0])
+        assert hashlib.sha256(text.encode()).hexdigest() == self.REPORT_SHA256
 
 
 class TestSuiteNames:
     def test_all_names_present(self):
         assert set(DEFAULT_REPORT_SUITES) <= set(SUITE_NAMES)
         assert "rank4-deep" in SUITE_NAMES
+
+    def test_every_suite_has_a_pinned_output(self):
+        # a suite lands with its bytes frozen: a golden that TestGolden
+        # compares, or a digest in SUITE_SHA256
+        goldens = {p.name.removesuffix("_report.json") for p in GOLDEN.glob("*_report.json")}
+        assert goldens == {"rank2", "apartments", *FIXTURE_SUITES}
+        assert set(SUITE_NAMES) <= goldens | set(SUITE_SHA256)
+
+    def test_pinned_digests_hold(self):
+        for suite, digest in SUITE_SHA256.items():
+            assert hashlib.sha256(run_suite(suite).to_json().encode()).hexdigest() == digest

@@ -414,14 +414,29 @@ def _mask_bits(universe):
     return {x: 1 << i for i, x in enumerate(universe)}
 
 
+#: The most members :func:`subset_lattice` takes.  Its order complex has
+#: no beat points to strip, so every chain is built: 8 members already
+#: take about a minute and 0.9 GB, and 9 have 13 times as many chains.
+SUBSET_LATTICE_MAX_MEMBERS = 8
+
+
 def subset_lattice(universe):
-    """All proper nonempty subsets of `universe`, ordered by inclusion."""
+    """All proper nonempty subsets of `universe`, ordered by inclusion.
+
+    At most :data:`SUBSET_LATTICE_MAX_MEMBERS` members; a larger universe
+    is refused before any subset is listed.
+    """
     from itertools import combinations
 
     universe = sorted(universe)
     if len(universe) == 0:
         return FinitePoset([], [])
-    _mask_bits(universe)  # refuse more than 63 members before listing 2^n subsets
+    _mask_bits(universe)  # refuse more than 63 members as an int64 overflow first
+    if len(universe) > SUBSET_LATTICE_MAX_MEMBERS:
+        raise ValueError(
+            f"subset lattice of {len(universe)} members refused: "
+            f"at most SUBSET_LATTICE_MAX_MEMBERS = {SUBSET_LATTICE_MAX_MEMBERS}"
+        )
     subs = [
         frozenset(c)
         for k in range(1, len(universe))

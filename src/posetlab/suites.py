@@ -16,13 +16,16 @@ thread count never changes a report.
 from __future__ import annotations
 
 import json
+import math
 import os
 import time
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Callable, NamedTuple
 
 from . import __version__
 from .enumeration import (
+    canonical_key,
     enumerate_graphs,
     graphs_with_separating_edge,
     parse_key,
@@ -43,19 +46,7 @@ from .graph_posets import (
 )
 from .homology import core_complex, reduced_homology
 from .morse import search_certificate, verify_certificate
-
-SUITE_NAMES = (
-    "rank2",
-    "rank3",
-    "rank4-deep",
-    "duality",
-    "fibers",
-    "morse",
-    "apartments",
-)
-
-#: suites run by the aggregate report (the deep suite is opt-in)
-DEFAULT_REPORT_SUITES = ("rank2", "rank3", "duality", "fibers", "morse", "apartments")
+from .multigraph import theta_graph
 
 APARTMENT_RANKS = (2, 3, 4, 5, 6)
 
@@ -68,19 +59,12 @@ CENSUS_SIZES = {2: 3, 3: 15, 4: 111}
 DEEP_BUDGET_SECONDS = 600.0
 
 
-def _thread_count(threads: int | None) -> int:
-    if threads is not None:
-        return max(1, int(threads))
-    raw = os.environ.get("POSETLAB_THREADS", "1")
+def _map_jobs(jobs):
+    """Run jobs in order on up to ``POSETLAB_THREADS`` processes."""
     try:
-        return max(1, int(raw))
+        n = int(os.environ.get("POSETLAB_THREADS", "1"))
     except ValueError:
-        return 1
-
-
-def _map_jobs(jobs, threads: int | None):
-    """Run jobs (deterministic order) on up to `threads` processes."""
-    n = _thread_count(threads)
+        n = 1
     if n <= 1 or len(jobs) <= 1:
         return [_run_job(job) for job in jobs]
     from multiprocessing import Pool  # imported only when a pool runs
@@ -140,29 +124,33 @@ def _duality_check(key: str) -> CheckReport:
     return verify_duality(parse_key(key), key)
 
 
-def _morse_records(key: str) -> list[dict]:
-    """Find and verify a level-function certificate for the core poset."""
-    g = parse_key(key)
-    p = build_poset(g, "c")
+def _morse_search(key: str):
+    """The core poset of `key`, its certificate search, and the data
+    that both morse records carry."""
+    p = build_poset(parse_key(key), "c")
     res = search_certificate(p)
-    h = reduced_homology(core_complex(p))
     data: dict = {
         "elements": p.n,
         "found": res.found,
         "exhausted": res.exhausted,
-        "centers_tried": res.centers_tried,
-        "homology": h,
+        "homology": reduced_homology(core_complex(p)),
     }
+    return p, res, data
+
+
+def _morse_records(key: str) -> list[dict]:
+    """Find and verify a level-function certificate for the core poset."""
+    p, res, data = _morse_search(key)
+    data["centers_tried"] = res.centers_tried
+    status = "fail"
     if res.found:
         chk = verify_certificate(p, res.certificate)
         data["levels"] = [len(level) for level in res.certificate.levels]
         data["verified"] = chk.ok
         data["reason"] = chk.reason
         status = "pass" if chk.ok else "fail"
-    else:
-        status = "fail"
-    rec = CheckReport(key, "morse-certificate", status, _betti_profile(h), data)
-    return [rec.to_json_obj()]
+    h = data["homology"]
+    return [CheckReport(key, "morse-certificate", status, _betti_profile(h), data).to_json_obj()]
 
 
 def _morse_absence_records(key: str) -> list[dict]:
@@ -174,10 +162,8 @@ def _morse_absence_records(key: str) -> list[dict]:
     nonvanishing homology rules out certificates of every depth — not
     merely the depths the search visits.
     """
-    g = parse_key(key)
-    p = build_poset(g, "c")
-    res = search_certificate(p)
-    h = reduced_homology(core_complex(p))
+    p, res, data = _morse_search(key)
+    h = data["homology"]
     antichain = all(
         not p.le(a, b)
         for i, a in enumerate(p.elements)
@@ -186,14 +172,8 @@ def _morse_absence_records(key: str) -> list[dict]:
     )
     proof_total = antichain and not h.is_trivial()
     ok = (not res.found) and res.exhausted and proof_total
-    data = {
-        "elements": p.n,
-        "found": res.found,
-        "exhausted": res.exhausted,
-        "is_antichain": antichain,
-        "homology": h,
-        "absence_proof_complete": proof_total,
-    }
+    data["is_antichain"] = antichain
+    data["absence_proof_complete"] = proof_total
     rec = CheckReport(
         key, "morse-absence", "pass" if ok else "fail", _betti_profile(h), data
     )
@@ -229,8 +209,7 @@ def _apartment_records(rank: int) -> list[dict]:
 def _census_record(rank: int) -> dict:
     keys = enumerate_graphs(rank)
     separating = graphs_with_separating_edge(rank)
-    expected = CENSUS_SIZES.get(rank)
-    ok = expected is None or len(keys) == expected
+    expected = CENSUS_SIZES[rank]
     data = {
         "rank": rank,
         "count": len(keys),
@@ -241,7 +220,7 @@ def _census_record(rank: int) -> dict:
     rec = CheckReport(
         f"census-{rank}",
         "census-count",
-        "pass" if ok else "fail",
+        "pass" if len(keys) == expected else "fail",
         (),
         data,
     )
@@ -249,22 +228,9 @@ def _census_record(rank: int) -> dict:
 
 
 def _run_job(job):
-    kind = job[0]
-    if kind == "battery":
-        return _battery_records(job[1])
-    if kind == "duality":
-        return _duality_records(job[1])
-    if kind == "fiber":
-        return _fiber_records(job[1])
-    if kind == "morse":
-        return _morse_records(job[1])
-    if kind == "morse-absence":
-        return _morse_absence_records(job[1])
-    if kind == "deep":
-        return _deep_records(job[1])
-    if kind == "apartment":
-        return _apartment_records(job[1])
-    raise ValueError(f"unknown job kind {kind!r}")
+    """Run one ``(record builder, argument)`` job: its list of records."""
+    build, arg = job
+    return build(arg)
 
 
 # ---------------------------------------------------------------------------
@@ -291,25 +257,25 @@ class SuiteReport:
     def ok(self) -> bool:
         return self.summary.get("fail", 0) == 0
 
-    def to_json_obj(self, include_timing: bool = False) -> dict:
-        obj = {
+    def to_json_obj(self) -> dict:
+        return {
             "suite": self.suite,
             "version": self.version,
             "assumptions": list(self.assumptions),
             "records": [dict(r) for r in self.records],
             "summary": dict(self.summary),
         }
-        if include_timing:
-            obj["wall_seconds"] = round(self.wall_seconds, 3)
-        return obj
 
-    def to_json(self, include_timing: bool = False) -> str:
-        return canonical_json(self.to_json_obj(include_timing=include_timing))
+    def to_json(self) -> str:
+        return canonical_json(self.to_json_obj())
 
 
 def canonical_json(obj) -> str:
-    """Deterministic rendering used for all reports and golden fixtures."""
-    return json.dumps(obj, indent=2, sort_keys=True, ensure_ascii=True) + "\n"
+    """Deterministic rendering used for all reports and golden fixtures.
+
+    NaN and the infinities are refused: strict JSON has no such tokens.
+    """
+    return json.dumps(obj, indent=2, sort_keys=True, ensure_ascii=True, allow_nan=False) + "\n"
 
 
 def _summarize(records) -> dict:
@@ -323,22 +289,9 @@ def _summarize(records) -> dict:
     return counts
 
 
-def _finish(suite, assumptions, record_lists, extra_records, t0, extra_summary=None):
-    records = [r for sub in record_lists for r in sub]
-    records.extend(extra_records)
-    records.sort(key=lambda r: (r["graph"], r["check"]))
-    summary = _summarize(records)
-    if extra_summary:
-        summary.update(extra_summary)
-    return SuiteReport(
-        suite=suite,
-        version=__version__,
-        assumptions=tuple(assumptions),
-        records=tuple(records),
-        summary=summary,
-        wall_seconds=time.monotonic() - t0,
-    )
-
+# ---------------------------------------------------------------------------
+# the suites: one row each
+# ---------------------------------------------------------------------------
 
 _FIBER_ASSUMPTION = (
     "fiber elements are indexed by the forest itself, not its isomorphism "
@@ -351,130 +304,117 @@ _CENSUS_ASSUMPTION = (
 )
 
 
-def _rank_suite(rank: int, threads: int | None) -> SuiteReport:
-    t0 = time.monotonic()
-    keys = enumerate_graphs(rank)
-    jobs = [("battery", key) for key in keys]
-    lists = _map_jobs(jobs, threads)
-    return _finish(
-        f"rank{rank}",
+class _Suite(NamedTuple):
+    jobs: Callable[[], list]  # the (record builder, argument) jobs, in order
+    assumptions: tuple = ()
+    census: tuple = ()  # ranks whose census-count record joins the report
+    budgeted: bool = False  # run sequentially under the wall-clock budget
+
+
+def _each(build, args) -> list:
+    return [(build, arg) for arg in args]
+
+
+def _rank_keys(ranks) -> list[str]:
+    return [key for rank in ranks for key in enumerate_graphs(rank)]
+
+
+def _battery_suite(rank: int) -> _Suite:
+    return _Suite(
+        lambda: _each(_battery_records, enumerate_graphs(rank)),
         (_FIBER_ASSUMPTION, _CENSUS_ASSUMPTION),
-        lists,
-        [_census_record(rank)],
-        t0,
+        (rank,),
     )
 
 
-def _duality_suite(threads: int | None) -> SuiteReport:
-    t0 = time.monotonic()
-    keys = [*enumerate_graphs(2), *enumerate_graphs(3)]
-    lists = _map_jobs([("duality", key) for key in keys], threads)
-    return _finish("duality", (), lists, [], t0)
-
-
-def _fibers_suite(threads: int | None) -> SuiteReport:
-    t0 = time.monotonic()
-    keys = [*enumerate_graphs(2), *enumerate_graphs(3)]
-    lists = _map_jobs([("fiber", key) for key in keys], threads)
-    return _finish("fibers", (_FIBER_ASSUMPTION,), lists, [], t0)
-
-
-def _theta_key() -> str:
-    from .enumeration import canonical_key
-    from .multigraph import theta_graph
-
-    return canonical_key(theta_graph())
-
-
-def _morse_suite(threads: int | None) -> SuiteReport:
-    t0 = time.monotonic()
-    keys = [*graphs_with_separating_edge(2), *graphs_with_separating_edge(3)]
-    jobs = [("morse", key) for key in keys]
-    jobs.append(("morse-absence", _theta_key()))
-    lists = _map_jobs(jobs, threads)
-    return _finish("morse", (), lists, [], t0)
-
-
-def _apartments_suite(threads: int | None) -> SuiteReport:
-    t0 = time.monotonic()
-    lists = _map_jobs([("apartment", r) for r in APARTMENT_RANKS], threads)
-    return _finish("apartments", (), lists, [], t0)
-
-
-def _deep_suite(threads: int | None, budget_seconds: float) -> SuiteReport:
-    """The rank-4 suite: sphericity of x and cx through the core retraction.
+def _deep_suite(rank: int) -> _Suite:
+    """Sphericity of x and cx for every graph of `rank`, via the core.
 
     Order complexes of the cycle-containing posets at nine edges are far
     too large to build, so each graph is handled by validating the core
     retraction on the full poset and computing homology on the core
-    side.  Runs sequentially so the wall-clock budget is enforced
-    between graphs; if the budget runs out the summary says how many
-    graphs were completed and the suite does not claim the rest.
+    side.  The graphs run sequentially so the wall-clock budget is
+    enforced between them; if the budget runs out the summary says how
+    many graphs were completed and the suite does not claim the rest.
     """
-    t0 = time.monotonic()
-    keys = enumerate_graphs(4)
-    lists = []
-    completed = 0
-    for key in keys:
-        if time.monotonic() - t0 > budget_seconds:
-            break
-        lists.append(_deep_records(key))
-        completed += 1
-    extra = {
-        "deep_budget_seconds": budget_seconds,
-        "graphs_completed": completed,
-        "graphs_total": len(keys),
-        "budget_exhausted": completed < len(keys),
-    }
-    return _finish(
-        "rank4-deep",
+    return _Suite(
+        lambda: _each(_deep_records, enumerate_graphs(rank)),
         (_CENSUS_ASSUMPTION,),
-        lists,
-        [_census_record(4)],
-        t0,
-        extra_summary=extra,
+        (rank,),
+        budgeted=True,
     )
 
 
-def run_suite(
-    name: str,
-    threads: int | None = None,
-    deep_budget: float = DEEP_BUDGET_SECONDS,
-) -> SuiteReport:
+def _morse_jobs() -> list:
+    keys = [*graphs_with_separating_edge(2), *graphs_with_separating_edge(3)]
+    theta = canonical_key(theta_graph())
+    return [*_each(_morse_records, keys), (_morse_absence_records, theta)]
+
+
+_SUITES = {
+    "rank2": _battery_suite(2),
+    "rank3": _battery_suite(3),
+    "rank4-deep": _deep_suite(4),
+    "duality": _Suite(lambda: _each(_duality_records, _rank_keys((2, 3)))),
+    "fibers": _Suite(lambda: _each(_fiber_records, _rank_keys((2, 3))), (_FIBER_ASSUMPTION,)),
+    "morse": _Suite(_morse_jobs),
+    "apartments": _Suite(lambda: _each(_apartment_records, APARTMENT_RANKS)),
+}
+
+SUITE_NAMES = tuple(_SUITES)
+
+#: suites run by the aggregate report (the deep suites are opt-in)
+DEFAULT_REPORT_SUITES = tuple(name for name, row in _SUITES.items() if not row.budgeted)
+
+
+def run_suite(name: str, deep_budget: float = DEEP_BUDGET_SECONDS) -> SuiteReport:
     """Run one named suite and return its report.
 
-    Suite names: rank2, rank3, rank4-deep, duality, fibers, morse,
-    apartments.  `threads` overrides the POSETLAB_THREADS environment
-    variable; `deep_budget` only affects rank4-deep.
+    `name` is one of :data:`SUITE_NAMES`.  `deep_budget` (seconds,
+    finite) only affects the deep suites.
     """
-    if name == "rank2":
-        return _rank_suite(2, threads)
-    if name == "rank3":
-        return _rank_suite(3, threads)
-    if name == "rank4-deep":
-        return _deep_suite(threads, deep_budget)
-    if name == "duality":
-        return _duality_suite(threads)
-    if name == "fibers":
-        return _fibers_suite(threads)
-    if name == "morse":
-        return _morse_suite(threads)
-    if name == "apartments":
-        return _apartments_suite(threads)
-    raise ValueError(f"unknown suite {name!r}; choose from {', '.join(SUITE_NAMES)}")
+    if name not in _SUITES:
+        raise ValueError(f"unknown suite {name!r}; choose from {', '.join(SUITE_NAMES)}")
+    if not math.isfinite(deep_budget):
+        raise ValueError(f"the deep budget must be a finite number of seconds, not {deep_budget}")
+    suite = _SUITES[name]
+    t0 = time.monotonic()
+    jobs = suite.jobs()
+    budget = {}
+    if suite.budgeted:
+        lists = []
+        for build, arg in jobs:
+            if time.monotonic() - t0 > deep_budget:
+                break
+            lists.append(build(arg))
+        budget = {
+            "deep_budget_seconds": deep_budget,
+            "graphs_completed": len(lists),
+            "graphs_total": len(jobs),
+            "budget_exhausted": len(lists) < len(jobs),
+        }
+    else:
+        lists = _map_jobs(jobs)
+    records = [r for sub in lists for r in sub]
+    records.extend(_census_record(rank) for rank in suite.census)
+    records.sort(key=lambda r: (r["graph"], r["check"]))
+    return SuiteReport(
+        suite=name,
+        version=__version__,
+        assumptions=suite.assumptions,
+        records=tuple(records),
+        summary={**_summarize(records), **budget},
+        wall_seconds=time.monotonic() - t0,
+    )
 
 
-def report_all(
-    names=DEFAULT_REPORT_SUITES,
-    threads: int | None = None,
-    deep_budget: float = DEEP_BUDGET_SECONDS,
-):
+def report_all(names=DEFAULT_REPORT_SUITES, deep_budget: float = DEEP_BUDGET_SECONDS):
     """Run several suites and bundle them into one deterministic object.
 
     Returns (obj, all_ok); `obj` renders byte-identically across runs
     via :func:`canonical_json`.
     """
-    reports = [run_suite(name, threads=threads, deep_budget=deep_budget) for name in names]
+    reports = [run_suite(name, deep_budget=deep_budget) for name in names]
     obj = {
         "version": __version__,
         "suites": [r.to_json_obj() for r in reports],

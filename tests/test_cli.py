@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import posetlab
+from posetlab import cli
 from posetlab.cli import main
 
 THETA = "2;0-1,0-1,0-1"
@@ -190,3 +191,28 @@ class TestReport:
             assert proc.returncode == 0, proc.stderr
             out.append(path.read_bytes())
         assert out[0] == out[1]
+
+    @pytest.mark.parametrize("budget", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("suite", [["--suite", "rank4-deep"], ["--deep"]], ids=["suite", "deep"])
+    def test_non_finite_budget_exits_2(self, budget, suite, tmp_path, capsys):
+        # a NaN budget would be silently ignored (no comparison with it
+        # holds) and written as a token strict JSON parsers reject
+        out_path = tmp_path / "r.json"
+        argv = ["report", *suite, f"--budget={budget}", "--out", str(out_path)]
+        code, _, err = run_main(argv, capsys)
+        assert code == 2 and "finite" in err
+        assert not out_path.exists()
+
+    def test_canonical_json_refuses_non_finite_numbers(self, monkeypatch, tmp_path, capsys):
+        real = cli.run_suite
+
+        def with_nan(name, deep_budget):
+            rep = real(name, deep_budget)
+            rep.summary["deep_budget_seconds"] = float("nan")
+            return rep
+
+        monkeypatch.setattr(cli, "run_suite", with_nan)
+        out_path = tmp_path / "r.json"
+        code, _, err = run_main(["report", "--suite", "apartments", "--out", str(out_path)], capsys)
+        assert code == 2 and "JSON" in err
+        assert not out_path.exists()

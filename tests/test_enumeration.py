@@ -10,8 +10,12 @@ census graph lands in the census one vertex down.
 """
 
 import random
+import resource
+import subprocess
+import sys
 from collections import Counter
 from itertools import combinations, combinations_with_replacement, permutations
+from pathlib import Path
 
 import pytest
 
@@ -439,6 +443,33 @@ class TestFiberPosets:
         assert cli.main(["verify", "subset-sphere", "--graph", key]) == 2
         assert cli.main(["apartment", "--rank", "64"]) == 2
         assert capsys.readouterr().err.count("int64 mask") == 4
+
+    def test_more_than_8_lattice_members_refused(self, capsys):
+        with pytest.raises(ValueError, match="SUBSET_LATTICE_MAX_MEMBERS = 8"):
+            subset_lattice(range(9))
+        nine_edges = next(k for k in enumerate_graphs(4) if parse_key(k).num_edges() == 9)
+        assert cli.main(["verify", "subset-sphere", "--graph", nine_edges]) == 2
+        assert cli.main(["apartment", "--rank", "9"]) == 2
+        assert capsys.readouterr().err.count("SUBSET_LATTICE_MAX_MEMBERS") == 2
+
+    def test_apartment_rank_40_refused_in_a_child(self):
+        # before the member limit this listed 2^40 subsets until memory ran
+        # out; the child gets 512 MB of address space and 60 s, so a
+        # regression fails here instead of exhausting the machine
+        def limit_memory():
+            resource.setrlimit(resource.RLIMIT_AS, (512 << 20, 512 << 20))
+
+        package_root = str(Path(cli.__file__).resolve().parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-m", "posetlab.cli", "apartment", "--rank", "40"],
+            env={"PATH": "/usr/bin:/bin", "PYTHONPATH": package_root},
+            preexec_fn=limit_memory,
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert proc.returncode == 2, proc.stderr
+        assert "SUBSET_LATTICE_MAX_MEMBERS" in proc.stderr
 
     def test_forests_equal_subgraph_definition(self):
         # every edge subset, the empty and the whole one included, with

@@ -261,8 +261,11 @@ class TestSphericity:
             for kind in ("x", "cx"):
                 direct = verify_sphericity(g, kind)
                 via = verify_sphericity_via_core(g, kind)
-                assert via.betti == direct.betti
-                assert (via.status == "fail") == (direct.status == "fail")
+                where = (g.edges, kind)
+                assert via.betti == direct.betti, where
+                assert via.status == direct.status, where
+                assert via.data["homology"] == direct.data["homology"], where
+                assert via.data["pi1"] == direct.data["pi1"], where
 
 
 class TestCoreRetraction:

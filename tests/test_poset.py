@@ -188,7 +188,7 @@ class TestValidation:
 
 class TestSubsetLattices:
     def test_proper_nonempty_subsets_count(self):
-        for n in range(1, 7):
+        for n in range(1, 9):  # up to SUBSET_LATTICE_MAX_MEMBERS
             assert subset_lattice(range(n)).n == 2**n - 2
 
     def test_poset_of_subsets_inclusion_order(self):

@@ -259,10 +259,12 @@ def _cmd_report(args) -> int:
     if args.suite:
         rep = run_suite(args.suite, deep_budget=args.budget)
         _emit(rep.to_json(), args.out)
+        s = rep.summary
+        ran = f", {s['graphs_completed']} of {s['graphs_total']} graphs" if "graphs_total" in s else ""
         sys.stderr.write(
-            f"{rep.suite}: {rep.summary.get('pass', 0)} pass, "
-            f"{rep.summary.get('homology-only', 0)} homology-only, "
-            f"{rep.summary.get('fail', 0)} fail  ({rep.wall_seconds:.2f}s)\n"
+            f"{rep.suite}: {s.get('pass', 0)} pass, "
+            f"{s.get('homology-only', 0)} homology-only, "
+            f"{s.get('fail', 0)} fail{ran}  ({rep.wall_seconds:.2f}s)\n"
         )
         return 0 if rep.ok else 1
     names = list(DEFAULT_REPORT_SUITES)

@@ -21,13 +21,13 @@ from itertools import combinations, permutations
 
 from .graph_posets import (
     CheckReport,
+    _EdgeMasks,
     _betti_profile,
     _certificate_failure,
     _edge_masks,
     _forests,
     build_poset,
     graph_label,
-    poset_elements,
     subset_lattice_homology,
 )
 from .homology import HomologyResult, core_complex, reduced_homology
@@ -249,9 +249,10 @@ def fiber_poset(g: Multigraph, connected_only: bool = False) -> FinitePoset:
     kind = "cc" if connected_only else "c"
     elements = []
     for forest in _forests(g):
-        collapsed = g.collapse_forest(forest)
-        for h in poset_elements(collapsed, kind):
-            elements.append((forest, h))
+        # each quotient is classified on its own, so g's memoised table
+        # survives for the slice at the empty forest and for build_poset
+        masks = _EdgeMasks(g.collapse_forest(forest)) if forest else _edge_masks(g)
+        elements += [(forest, frozenset(ids)) for ids, _ in masks.admitted(kind)]
     elements.sort(key=lambda fh: (sorted(fh[0]), sorted(fh[1])))
 
     masks = _edge_masks(g)

@@ -140,12 +140,15 @@ class _EdgeMasks:
     def core_edges(self, edges) -> frozenset:
         return self.edges(self.core(self.mask(edges)))
 
-    def table(self) -> list:
-        """(edge ids, mask, flags) of every proper nonempty edge subset,
-        ordered by (size, sorted ids); computed once per graph."""
+    def admitted(self, kind: str) -> list:
+        """(edge ids, mask) of the subsets in the `kind` poset, in
+        (size, sorted ids) order; the table is classified once."""
+        if kind not in KINDS:
+            raise ValueError(f"unknown poset kind {kind!r}; expected one of {KINDS}")
         if self._table is None:
             self._table = list(self._classify())
-        return self._table
+        want, value = _KIND_FLAGS[kind]
+        return [(ids, mask) for ids, mask, flags in self._table if flags & want == value]
 
     def _classify(self):
         # one union-find on vertex positions per subset: a failed union is
@@ -188,17 +191,9 @@ def _edge_masks(g: Multigraph) -> _EdgeMasks:
     return _EdgeMasks(g)
 
 
-def _admitted(g: Multigraph, kind: str) -> list:
-    """(edge ids, mask) of the subsets in the `kind` poset, in table order."""
-    if kind not in KINDS:
-        raise ValueError(f"unknown poset kind {kind!r}; expected one of {KINDS}")
-    want, value = _KIND_FLAGS[kind]
-    return [(ids, mask) for ids, mask, flags in _edge_masks(g).table() if flags & want == value]
-
-
 def poset_elements(g: Multigraph, kind: str):
     """Sorted list of the edge subsets admitted into the `kind` poset of `g`."""
-    return [frozenset(ids) for ids, _ in _admitted(g, kind)]
+    return [frozenset(ids) for ids, _ in _edge_masks(g).admitted(kind)]
 
 
 def build_poset(g: Multigraph, kind: str):
@@ -210,7 +205,7 @@ def build_poset(g: Multigraph, kind: str):
     the forest poset of a one-vertex graph has no elements, since every
     nonempty edge subset contains a loop).
     """
-    rows = _admitted(g, kind)
+    rows = _edge_masks(g).admitted(kind)
     return FinitePoset(
         [frozenset(ids) for ids, _ in rows], _inclusion_rows([mask for _, mask in rows])
     )
@@ -362,30 +357,12 @@ def _wedge_status(k, h: HomologyResult, target: int) -> tuple[str, str]:
     """Status for the claim 'this complex is a wedge of `target`-spheres'.
 
     Assumes the homology side of the claim already checked out: `h` is
-    free and concentrated in degree `target` (possibly trivial).
-    Returns (status, pi1 field value).
+    free and concentrated in degree `target` (possibly trivial).  At
+    target 0 every component is then acyclic, and above it the complex
+    is connected, so one pi1 verdict over all components settles the
+    homotopy side.  Returns (status, pi1 field value).
     """
-    if h.is_trivial():
-        # An empty wedge: the claim is contractibility per component —
-        # here trivial homology means at most certification remains.
-        v = pi1_field(k)
-        if v == PI1_TRIVIAL:
-            return "pass", v
-        if v == PI1_NONTRIVIAL:
-            return "fail", v
-        return "homology-only", v
-    if target == 0:
-        # A wedge of 0-spheres: every component must be contractible.
-        comps = k.components()
-        for comp in comps:
-            sub = k.full_subcomplex(sorted(comp))
-            hc = reduced_homology(sub)
-            if not hc.is_trivial():
-                return "fail", PI1_NONTRIVIAL
-            if pi1_field(sub) != PI1_TRIVIAL:
-                return "homology-only", pi1_field(k)
-        return "pass", PI1_TRIVIAL
-    if target == 1:
+    if target == 1 and not h.is_trivial():
         # A wedge of circles has free nonabelian fundamental group; that
         # is consistent but not certifiable by abelian invariants.
         return "homology-only", PI1_NONTRIVIAL

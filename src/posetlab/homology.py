@@ -27,9 +27,6 @@ PI1_TRIVIAL = "Trivial"
 PI1_NONTRIVIAL = "Nontrivial"
 PI1_UNKNOWN = "Unknown"
 
-_TIETZE_MAX_PASSES = 1000
-_TIETZE_MAX_LETTERS = 500_000
-
 
 class InvariantError(RuntimeError):
     """An internal consistency check failed: a defect in posetlab itself.
@@ -513,60 +510,21 @@ def cone_point(p):
     return None
 
 
-def pi1_triviality(k):
-    """Three-valued triviality test for the fundamental group.
+def pi1_field(k):
+    """Three-valued triviality test for the fundamental group of every
+    component of k at once.
 
-    Builds the edge-path presentation on a spanning tree of the 1-skeleton
-    (one generator per non-tree edge, one relator per 2-simplex) and tries
-    to kill it by bounded Tietze simplification.  Returns "Trivial" only if
-    the presentation empties; "Nontrivial" only if reduced H_1 is nonzero;
-    otherwise "Unknown".  Never returns "Trivial" when H_1 is nonzero.
+    The presentation is read off a spanning forest of the 1-skeleton:
+    one generator per edge off the forest, one relator of at most three
+    letters per 2-simplex.  Relators never cross components, so none
+    needs a copy of its own.  Returns "Trivial" only if every generator
+    is proved trivial (see :func:`_live_classes`); "Nontrivial" only if
+    reduced H_1 is nonzero; otherwise "Unknown".  Never returns
+    "Trivial" when H_1 is nonzero.
     """
-    if not k.is_connected() and len(k.vertices) > 1:
-        raise ComplexConnectivityError("pi1 needs a connected complex")
     h = reduced_homology(k)
     h1_nonzero = bool(h.betti(1)) or bool(h.torsion(1))
-
-    verts = range(len(k.vertices))
-    adj = {v: [] for v in verts}
-    for u, v in k.faces(1):
-        adj[u].append(v)
-        adj[v].append(u)
-    tree = set()
-    if len(k.vertices):
-        seen = {0}
-        queue = [0]
-        while queue:
-            u = queue.pop()
-            for v in sorted(adj[u]):
-                if v not in seen:
-                    seen.add(v)
-                    tree.add((min(u, v), max(u, v)))
-                    queue.append(v)
-
-    gens = {}
-    for idx, (u, v) in enumerate(e for e in k.faces(1) if e not in tree):
-        gens[(min(u, v), max(u, v))] = idx + 1  # signed letters, so 1-based
-
-    def letter(u, v):
-        """Generator letter for the directed edge u -> v; 0 for tree edges."""
-        key = (min(u, v), max(u, v))
-        g = gens.get(key)
-        if g is None:
-            return 0
-        return g if u < v else -g
-
-    relators = []
-    for a, b, c in k.faces(2):
-        word = [letter(a, b), letter(b, c), letter(c, a)]
-        word = tuple(x for x in word if x)
-        relators.append(word)
-
-    alive = set(gens.values())
-    if not alive:
-        return PI1_TRIVIAL
-    outcome = _tietze_trivialize(relators, alive)
-    if outcome:
+    if not _live_classes(k):
         if h1_nonzero:
             raise InvariantError("presentation emptied but H1 is nonzero")
         return PI1_TRIVIAL
@@ -575,110 +533,85 @@ def pi1_triviality(k):
     return PI1_UNKNOWN
 
 
-class ComplexConnectivityError(ValueError):
-    pass
+def _live_classes(k):
+    """How many generator classes of k's forest presentation stay alive.
 
-
-def _free_reduce(word):
-    out = []
-    for x in word:
-        if out and out[-1] == -x:
-            out.pop()
-        else:
-            out.append(x)
-    # cyclic reduction
-    while len(out) > 1 and out[0] == -out[-1]:
-        out = out[1:-1]
-    return tuple(out)
-
-
-def _tietze_trivialize(relators, alive):
-    """True if the presentation reduces to no generators, no relators."""
-    relators = [w for w in (_free_reduce(r) for r in relators) if w]
-    for _ in range(_TIETZE_MAX_PASSES):
-        if not alive:
-            return True
-        if sum(len(r) for r in relators) > _TIETZE_MAX_LETTERS:
-            return False
-        progress = False
-
-        # kill generators forced trivial by a length-one relator
-        short = [r for r in relators if len(r) == 1]
-        if short:
-            dead = {abs(r[0]) for r in short}
-            alive -= dead
-            relators = [
-                w
-                for w in (
-                    _free_reduce(tuple(x for x in r if abs(x) not in dead))
-                    for r in relators
-                )
-                if w
-            ]
-            progress = True
-            continue
-
-        # find a relator using some generator exactly once and eliminate it
-        best = None
-        for ri, r in enumerate(relators):
-            counts = {}
-            for x in r:
-                counts[abs(x)] = counts.get(abs(x), 0) + 1
-            for g, c in counts.items():
-                if c == 1 and g in alive:
-                    if best is None or len(r) < len(relators[best[0]]):
-                        best = (ri, g)
-                    break
-        if best is not None:
-            ri, g = best
-            r = relators[ri]
-            pos = next(i for i, x in enumerate(r) if abs(x) == g)
-            # rotate so the g-letter is first, then g = inverse of the rest
-            rot = r[pos:] + r[:pos]
-            if rot[0] == g:
-                replacement = tuple(-x for x in reversed(rot[1:]))
-            else:
-                replacement = tuple(rot[1:])
-            new_relators = []
-            for i, w in enumerate(relators):
-                if i == ri:
-                    continue
-                out = []
-                for x in w:
-                    if x == g:
-                        out.extend(replacement)
-                    elif x == -g:
-                        out.extend(-y for y in reversed(replacement))
-                    else:
-                        out.append(x)
-                red = _free_reduce(tuple(out))
-                if red:
-                    new_relators.append(red)
-            relators = new_relators
-            alive.discard(g)
-            progress = True
-
-        if not progress:
-            return not alive and not relators
-    return False
-
-
-def pi1_field(k):
-    """Componentwise pi1 verdict; tolerates empty and disconnected complexes.
-
-    "Trivial" when every component certifies trivial, "Nontrivial" when any
-    component does, otherwise "Unknown".
+    A signed union-find sorts the generators into classes: generator g
+    is ``root[g] ** sign[g]``.  A relator is read in root letters, dead
+    roots dropped, and reduced freely and cyclically.  One letter left
+    proves its class trivial, so the class dies; two letters of distinct
+    classes prove one class a power +-1 of the other, so the two merge.
+    A relator is read again only when one of its classes dies or merges,
+    and never after it has given its fact.  Every step is a consequence
+    of the relators, so no live class means a trivial group.
     """
-    if len(k.vertices) == 0:
-        return PI1_TRIVIAL
-    comps = k.components()
-    pieces = [k] if len(comps) == 1 else [k.full_subcomplex(c) for c in comps]
-    verdicts = [pi1_triviality(piece) for piece in pieces]
-    if all(v == PI1_TRIVIAL for v in verdicts):
-        return PI1_TRIVIAL
-    if any(v == PI1_NONTRIVIAL for v in verdicts):
-        return PI1_NONTRIVIAL
-    return PI1_UNKNOWN
+    tree = list(range(len(k.vertices)))
+
+    def vertex_root(v):
+        while tree[v] != v:
+            tree[v] = tree[tree[v]]
+            v = tree[v]
+        return v
+
+    gens = {}  # non-forest edge -> generator, numbered from 1 for signed letters
+    for u, v in k.faces(1):
+        ru, rv = vertex_root(u), vertex_root(v)
+        if ru == rv:
+            gens[(u, v)] = len(gens) + 1
+        else:
+            tree[ru] = rv
+
+    root = list(range(len(gens) + 1))
+    sign = [1] * len(root)
+    dead = [False] * len(root)
+    members = [[g] for g in root]
+    watchers = [[] for _ in root]
+    relators = []
+    # a < b < c: the loop a -> b -> c -> a crosses the edge (a, c) backwards
+    for a, b, c in k.faces(2):
+        word = (gens.get((a, b), 0), gens.get((b, c), 0), -gens.get((a, c), 0))
+        word = tuple(x for x in word if x)
+        if word:
+            for x in word:
+                watchers[abs(x)].append(len(relators))
+            relators.append(word)
+
+    live = len(gens)
+    queue = list(range(len(relators)))
+    while queue:
+        i = queue.pop()
+        word = []
+        for x in relators[i]:
+            g = abs(x)
+            r = root[g]
+            if dead[r]:
+                continue
+            y = r if (x > 0) == (sign[g] > 0) else -r
+            if word and word[-1] == -y:
+                word.pop()
+            else:
+                word.append(y)
+        if len(word) == 3 and word[0] == -word[2]:
+            word = word[1:2]
+        if len(word) == 1:
+            r = abs(word[0])
+            dead[r] = True
+        elif len(word) == 2 and abs(word[0]) != abs(word[1]):
+            # x y = 1 with x = r ** e and y = b ** f gives r = b ** (-e f);
+            # the class with fewer watchers joins the other
+            r, b = sorted(map(abs, word), key=lambda g: len(watchers[g]))
+            s = -1 if (word[0] > 0) == (word[1] > 0) else 1
+            for g in members[r]:
+                root[g], sign[g] = b, sign[g] * s
+            members[b] += members[r]
+            watchers[b] += watchers[r]
+        else:
+            continue
+        relators[i] = ()  # it reads empty from now on
+        live -= 1
+        queue += watchers[r]
+        watchers[r] = []
+    return live
 
 
 CONTRACTIBLE_CONE = "cone"
@@ -693,8 +626,8 @@ def certify_contractible(p):
     Returns one of the four module constants.  A cone point settles it
     outright; otherwise trivial reduced homology plus a trivial pi1 verdict
     on the beat-point core upgrades "homology-only" to a genuine
-    certificate (a one-point core needs no Tietze search).  The empty
-    poset is not contractible (its order complex is the empty complex).
+    certificate.  The empty poset is not contractible (its order complex
+    is the empty complex).
     """
     if p.n and cone_point(p) is not None:
         return CONTRACTIBLE_CONE

@@ -119,9 +119,6 @@ class SimplicialComplex:
             comps.setdefault(find(v), set()).add(v)
         return sorted(comps.values(), key=min)
 
-    def is_connected(self):
-        return len(self.components()) == 1
-
     def full_subcomplex(self, vertex_indices):
         """All faces whose vertices lie in the given index set."""
         keep = sorted(set(vertex_indices))

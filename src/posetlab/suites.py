@@ -255,7 +255,8 @@ class SuiteReport:
 
     @property
     def ok(self) -> bool:
-        return self.summary.get("fail", 0) == 0
+        """No check failed, and a budgeted suite ran every graph."""
+        return self.summary.get("fail", 0) == 0 and not self.summary.get("budget_exhausted")
 
     def to_json_obj(self) -> dict:
         return {

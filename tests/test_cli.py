@@ -203,6 +203,20 @@ class TestReport:
         assert code == 2 and "finite" in err
         assert not out_path.exists()
 
+    @pytest.mark.parametrize("suite", [["--suite", "rank4-deep"], ["--deep"]], ids=["suite", "deep"])
+    def test_exhausted_budget_exits_1(self, suite, tmp_path, capsys):
+        # a deep suite that ran none of its graphs makes no claim about them
+        out_path = tmp_path / "r.json"
+        code, _, err = run_main(["report", *suite, "--budget=-1", "--out", str(out_path)], capsys)
+        assert code == 1
+        obj = json.loads(out_path.read_text())
+        reports = [obj] if "suite" in obj else obj["suites"]
+        deep = next(r for r in reports if r["suite"] == "rank4-deep")
+        assert deep["summary"]["budget_exhausted"] is True
+        assert deep["summary"]["fail"] == 0
+        if suite[0] == "--suite":
+            assert "0 of 111 graphs" in err
+
     def test_canonical_json_refuses_non_finite_numbers(self, monkeypatch, tmp_path, capsys):
         real = cli.run_suite
 

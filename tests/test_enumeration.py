@@ -19,7 +19,7 @@ from pathlib import Path
 
 import pytest
 
-from posetlab import cli, enumeration
+from posetlab import cli, enumeration, graph_posets
 from posetlab.enumeration import (
     _group_permutations,
     _invariant_classes,
@@ -34,7 +34,7 @@ from posetlab.enumeration import (
     verify_apartment,
     verify_fiber,
 )
-from posetlab.graph_posets import KINDS, _forests, build_poset
+from posetlab.graph_posets import KINDS, _EdgeMasks, _forests, build_poset
 from posetlab.homology import HomologyResult, reduced_homology
 from posetlab.multigraph import GraphError, Multigraph, dumbbell, rose, theta_graph
 from posetlab.poset import CertificateError, FinitePoset, order_complex, subset_lattice
@@ -403,6 +403,24 @@ class TestFiberPosets:
             assert rep.data["certificate_error"].startswith("not idempotent at")
             assert rep.data["witness"][0] == fiber_poset(theta_graph(), connected_only).elements[-1]
         assert cli.main(["fiber", "--graph", key]) == 1
+
+    def test_fibers_classify_the_host_graph_once(self, monkeypatch):
+        # each quotient gets a mask table of its own, so the memoised table
+        # of g itself serves both fiber checks and their build_poset calls
+        g = parse_key("4;0-1,0-2,0-3,1-2,1-3,2-3")
+        own = _EdgeMasks(g)
+        real = _EdgeMasks._classify
+        tables = Counter()
+
+        def counting(masks):
+            tables[(masks.ids, masks.ends) == (own.ids, own.ends)] += 1
+            return real(masks)
+
+        monkeypatch.setattr(_EdgeMasks, "_classify", counting)
+        graph_posets._edge_masks.cache_clear()
+        for connected_only in (False, True):
+            assert verify_fiber(g, connected_only).status == "pass"
+        assert tables[True] == 1
 
     def test_fiber_homology_matches_core_opposite_directly(self):
         g = theta_graph()

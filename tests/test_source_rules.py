@@ -80,7 +80,7 @@ def test_cli_import_leaves_numpy_and_multiprocessing_out():
 # code that needs the full order complex may hand one over: the poset
 # module itself, the forest generator cycles, whose faces they name, and
 # the final cross-check of a validated level certificate.
-HOMOTOPY_ROUTINES = {"reduced_homology", "reduced_cohomology", "pi1_field", "pi1_triviality"}
+HOMOTOPY_ROUTINES = {"reduced_homology", "reduced_cohomology", "pi1_field"}
 FULL_COMPLEX_FILES = {"poset.py"}
 FULL_COMPLEX_FUNCTIONS = {"forest_generator_cycles", "verify_certificate"}
 _SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
@@ -170,6 +170,7 @@ TEST_REFERENCES = {
     "from_facets": "tests and a doctest build complexes from their facets",
     "smith_normal_form": "the dense-matrix SNF that tests and doctests check",
     "collapse_edge": "the census contraction check and the collapse tests",
+    "full_subcomplex": "the morse tests check descending posets against it",
 }
 
 

@@ -6,6 +6,18 @@ phases: a sparse phase that eliminates +-1 pivots (which is almost all of
 the work on boundary matrices of order complexes) and a dense textbook
 phase on whatever small residue is left, which is where torsion shows up.
 
+`reduced_homology` runs one SNF per degree, from the bottom up, and
+clears as it goes (the "twist" of Chen and Kerber, *Persistent homology
+computation with a twist*, 2011): the boundary matrix of degree d+1 is
+built without the rows indexed by the unit-pivot columns C of degree d.
+Over Z this loses nothing.  The elimination uses row operations only, so
+in pivot order the unit pivots form a unit-triangular block and the
+original block bd_d[R, C] has determinant +-1.  Since bd_d bd_(d+1) = 0,
+the rows C of bd_(d+1) are then integer combinations of the other rows,
+and removing them is a unimodular row operation that keeps the rank and
+the invariant factors.  Only unit pivots clear; a pivot of the dense
+residue gives no such block.
+
 Homology is reduced throughout.  The chain complex is augmented with the
 empty simplex in dimension -1, so a point has no homology at all and the
 empty complex has a single Z in degree -1.  That convention is load-bearing:
@@ -17,7 +29,7 @@ from __future__ import annotations
 
 import heapq
 from collections import OrderedDict
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import gcd
 
 from .poset import _bits, beat_point_core, order_complex
@@ -39,6 +51,9 @@ class InvariantError(RuntimeError):
 class SNFResult:
     rank: int
     factors: tuple
+    # the columns the sparse phase pivoted on with a +-1; they clear the
+    # rows of the next boundary matrix (see the module docstring)
+    unit_pivot_cols: frozenset = field(default=frozenset(), compare=False, repr=False)
 
     def torsion(self):
         return tuple(f for f in self.factors if f > 1)
@@ -81,16 +96,19 @@ def snf_from_entries(entries, nrows, ncols):
         rows.setdefault(i, {})[j] = v
         cols.setdefault(j, set()).add(i)
 
-    unit_rank = _eliminate_unit_pivots(rows, cols)
+    pivots = _eliminate_unit_pivots(rows, cols)
     residue = _gather_dense(rows)
     # A unit divides every factor, so only the dense residue needs the
     # pairwise divisibility pass; the invariant factors are unique.
-    factors = [1] * unit_rank + _normalize_chain(_dense_snf(residue))
-    return SNFResult(rank=len(factors), factors=tuple(factors))
+    factors = [1] * len(pivots) + _normalize_chain(_dense_snf(residue))
+    return SNFResult(
+        rank=len(factors), factors=tuple(factors), unit_pivot_cols=frozenset(pivots)
+    )
 
 
 def _eliminate_unit_pivots(rows, cols):
-    """Eliminate +-1 pivots by integer row operations; returns pivot count.
+    """Eliminate +-1 pivots by integer row operations; returns the pivot
+    columns in pivot order.
 
     Rows are visited shortest first through a lazy heap; within a row the
     unit entry in the thinnest column is chosen.  Short pivot rows keep
@@ -100,7 +118,7 @@ def _eliminate_unit_pivots(rows, cols):
     """
     heap = [(len(r), i) for i, r in sorted(rows.items())]
     heapq.heapify(heap)
-    rank = 0
+    pivots = []
     while heap:
         length, r = heapq.heappop(heap)
         row = rows.get(r)
@@ -144,8 +162,8 @@ def _eliminate_unit_pivots(rows, cols):
                 heapq.heappush(heap, (len(other), i))
         if c in cols:
             del cols[c]
-        rank += 1
-    return rank
+        pivots.append(c)
+    return pivots
 
 
 def _gather_dense(rows):
@@ -317,12 +335,19 @@ class HomologyResult:
         return ", ".join(parts)
 
 
-_homology_cache = {}
+# A caller that walks many complexes and comes back keeps its recent
+# results: the memo evicts the least recently used entry, one at a time.
+_homology_cache = OrderedDict()
 _HOMOLOGY_CACHE_MAX = 128
 
 
-def boundary_entries(k, d):
-    """Sparse entries of the boundary map C_d -> C_(d-1), augmented at d=0."""
+def boundary_entries(k, d, skip_rows=frozenset()):
+    """Sparse entries of the boundary map C_d -> C_(d-1), augmented at d=0.
+
+    Rows are numbered by the (d-1)-faces of k.  Entries in `skip_rows`
+    are left out, so those rows read as zero; `reduced_homology` clears
+    rows with it.
+    """
     faces = k.faces(d)
     entries = {}
     if d == 0:
@@ -332,13 +357,24 @@ def boundary_entries(k, d):
     lower = k.face_index(d - 1)
     for j, face in enumerate(faces):
         for t in range(len(face)):
-            sub = face[:t] + face[t + 1 :]
-            entries[(lower[sub], j)] = (-1) ** t
+            i = lower[face[:t] + face[t + 1 :]]
+            if i not in skip_rows:
+                entries[(i, j)] = (-1) ** t
     return entries, len(lower), len(faces)
 
 
 def reduced_homology(k):
     """Reduced integer homology of a complex, all degrees at once.
+
+    The boundary matrices are reduced from degree 0 up, with clearing
+    (Chen and Kerber, 2011; the module docstring has why it is exact over
+    Z): the matrix of degree d+1 leaves out the rows at the unit-pivot
+    columns of degree d.  Those pivots form a block of determinant +-1 and
+    bd_d bd_(d+1) = 0, so the dropped rows are integer combinations of the
+    kept ones.  Pivots of the dense residue never clear a row.
+
+    Results are kept in a least-recently-used memo of at most
+    ``_HOMOLOGY_CACHE_MAX`` complexes, keyed on the face lists.
 
     >>> triangle = SimplicialComplex.from_facets("abc", [(0, 1), (1, 2), (0, 2)])
     >>> str(reduced_homology(triangle))
@@ -347,18 +383,21 @@ def reduced_homology(k):
     key = k.structure_key()
     cached = _homology_cache.get(key)
     if cached is not None:
+        _homology_cache.move_to_end(key)
         return cached
 
     top = k.dim
     counts = {-1: 1}
     ranks = {}
     torsion_at = {}
+    cleared = frozenset()
     for d in range(0, top + 1):
         counts[d] = k.num_faces(d)
-        entries, nr, nc = boundary_entries(k, d)
+        entries, nr, nc = boundary_entries(k, d, cleared)
         res = snf_from_entries(entries, nr, nc)
         ranks[d] = res.rank
         torsion_at[d] = res.torsion()
+        cleared = res.unit_pivot_cols
     ranks[top + 1] = 0
     torsion_at[top + 1] = ()
 
@@ -375,8 +414,9 @@ def reduced_homology(k):
 
     # Euler characteristic bookkeeping check, reduced form.  The ranks
     # telescope out of it, so it guards the arithmetic above but cannot see
-    # a wrong SNF rank; the 1-skeleton's components give H~_-1 and H~_0
-    # without SNF, which catches a wrong rank in degrees 0 and 1.
+    # a wrong SNF rank or a wrong clearing; the 1-skeleton's components give
+    # H~_-1 and H~_0 without SNF, which catches a wrong rank in degrees 0
+    # and 1.
     chi_faces = sum((-1) ** d * c for d, c in counts.items())
     chi_betti = sum((-1) ** d * b for d, b in betti.items())
     if chi_faces != chi_betti:
@@ -389,9 +429,9 @@ def reduced_homology(k):
     ):
         raise InvariantError(f"SNF ranks disagree with {pieces} components")
 
-    if len(_homology_cache) >= _HOMOLOGY_CACHE_MAX:
-        _homology_cache.clear()
     _homology_cache[key] = result
+    if len(_homology_cache) > _HOMOLOGY_CACHE_MAX:
+        _homology_cache.popitem(last=False)
     return result
 
 

@@ -243,6 +243,13 @@ def torus():
     return SimplicialComplex.from_facets(range(7), facets)
 
 
+def suspension(k):
+    """The join of k with two points: every face coned off twice."""
+    n = len(k.vertices)
+    faces = [f + (apex,) for f in k.all_faces() for apex in (n, n + 1)]
+    return SimplicialComplex.from_facets(range(n + 2), faces)
+
+
 # ---------------------------------------------------------------------------
 # SNF
 # ---------------------------------------------------------------------------
@@ -321,7 +328,7 @@ class TestSmithNormalForm:
             for (i, j), v in entries.items():
                 rows.setdefault(i, {})[j] = v
                 cols.setdefault(j, set()).add(i)
-            units = homology._eliminate_unit_pivots(rows, cols)
+            units = len(homology._eliminate_unit_pivots(rows, cols))
             diag = homology._dense_snf(homology._gather_dense(rows))
             return tuple(homology._normalize_chain([1] * units + diag))
 
@@ -567,9 +574,80 @@ def census_posets():
             )
 
 
+def uncleared_snfs(k):
+    """One SNF per degree of the full boundary matrix, no row cleared."""
+    return [snf_from_entries(*boundary_entries(k, d)) for d in range(k.dim + 1)]
+
+
+def random_complexes(seed, count):
+    """Seeded random 2- and 3-complexes on 4 to 8 vertices."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        nverts = rng.randrange(4, 9)
+        size = rng.choice((3, 4))
+        pool = list(combinations(range(nverts), size))
+        facets = rng.sample(pool, rng.randrange(1, min(14, len(pool)) + 1))
+        yield SimplicialComplex.from_facets(range(nverts), facets + [(v,) for v in range(nverts)])
+
+
+class TestClearing:
+    @pytest.fixture
+    def handed_over(self, monkeypatch):
+        """A fresh homology memo, and each (entries, SNF) pair that
+        `reduced_homology` hands to and gets from `snf_from_entries`."""
+        monkeypatch.setattr(homology, "_homology_cache", OrderedDict())
+        real = homology.snf_from_entries
+        calls = []
+
+        def recording(entries, nrows, ncols):
+            res = real(entries, nrows, ncols)
+            calls.append((entries, res))
+            return res
+
+        monkeypatch.setattr(homology, "snf_from_entries", recording)
+        return calls
+
+    def test_cleared_ranks_and_factors_equal_the_uncleared_ones(self, handed_over):
+        rp2 = projective_plane()
+        named = [
+            ("torus", torus()),
+            ("RP2", rp2),
+            ("dunce hat", dunce_hat()),
+            ("S RP2", suspension(rp2)),
+            ("S2 RP2", suspension(suspension(rp2))),
+        ]
+        named += [
+            (f"subset lattice {m}", order_complex(subset_lattice(range(m)))) for m in range(1, 7)
+        ]
+        census = {}  # 108 distinct complexes among the 288
+        for name, p in census_posets():
+            for side, k in (("core", core_complex(p)), ("full", order_complex(p))):
+                census.setdefault(k.structure_key(), (f"{name} {side}", k))
+        named += census.values()
+        named += [(f"random {i}", k) for i, k in enumerate(random_complexes(13, 300))]
+        for name, k in named:
+            homology._homology_cache.clear()
+            handed_over.clear()
+            reduced_homology(k)
+            # SNFResult equality compares rank and factors only
+            assert [res for _, res in handed_over] == uncleared_snfs(k), name
+        torsion = [str(reduced_homology(k)) for _, k in named[1:5]]
+        assert torsion == ["H~1=Z/2", "0", "H~2=Z/2", "H~3=Z/2"]
+
+    def test_rows_at_unit_pivot_columns_are_cleared(self, handed_over):
+        k = order_complex(subset_lattice(range(6)))
+        assert reduced_homology(k) == HomologyResult.sphere(4)
+        assert len(handed_over) == k.dim + 1 == 5
+        for (_, below), (entries, _) in zip(handed_over, handed_over[1:]):
+            assert below.unit_pivot_cols
+            assert not {i for i, _ in entries} & below.unit_pivot_cols
+        # uncleared the matrices hold 62, 1,080, 4,680, 7,200 and 3,600 entries
+        assert [len(entries) for entries, _ in handed_over] == [62, 1050, 4106, 4934, 1438]
+
+
 class TestBeatPointReduction:
     def test_core_keeps_homology(self, monkeypatch):
-        monkeypatch.setattr(homology, "_homology_cache", {})
+        monkeypatch.setattr(homology, "_homology_cache", OrderedDict())
         shrunk = 0
         for name, p in census_posets():
             full, core = order_complex(p), core_complex(p)
@@ -613,6 +691,37 @@ def chain(labels):
 
 def antichain(labels):
     return FinitePoset(labels, _rows(np.eye(len(labels), dtype=bool)))
+
+
+class TestHomologyMemo:
+    def test_memo_is_bounded_and_least_recently_used(self, monkeypatch):
+        monkeypatch.setattr(homology, "_homology_cache", OrderedDict())
+        bound = homology._HOMOLOGY_CACHE_MAX
+        paths = [
+            SimplicialComplex.from_facets(range(n), [(i, i + 1) for i in range(n - 1)])
+            for n in range(2, bound + 4)
+        ]
+        for k in paths:
+            reduced_homology(k)
+        assert len(paths) == bound + 2 and len(homology._homology_cache) == bound
+        built = []
+        real = homology.boundary_entries
+
+        def counting(k, d, skip_rows=frozenset()):
+            built.append(k)
+            return real(k, d, skip_rows)
+
+        monkeypatch.setattr(homology, "boundary_entries", counting)
+        for k in paths[-(bound - 1) :]:
+            reduced_homology(k)
+        assert built == []
+        # a hit refreshes an entry, so the next miss evicts paths[3], not it
+        reduced_homology(paths[2])
+        assert built == []
+        reduced_homology(paths[0])
+        assert built and len(homology._homology_cache) == bound
+        assert paths[2].structure_key() in homology._homology_cache
+        assert paths[3].structure_key() not in homology._homology_cache
 
 
 class TestCoreComplexMemo:

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import combinations, permutations
+from operator import itemgetter
 
 from .graph_posets import (
     CheckReport,
@@ -232,63 +233,98 @@ def graphs_with_separating_edge(rank: int):
 # ---------------------------------------------------------------------------
 
 
+def _quotient(g: Multigraph, masks: _EdgeMasks, forest: frozenset):
+    """(table, reach) of g with the nonempty `forest` collapsed, kept in
+    `masks.quotients` (g's memoised table) so that both fiber variants
+    and the retraction share it.
+
+    `table` classifies g/forest on g's bits.  `reach` sends each edge of
+    g - forest to the forest edges in the classes of its two ends, which
+    a subgraph through that edge touches once lifted back into g.
+    """
+    entry = masks.quotients.get(forest)
+    if entry is None:
+        vm = g.forest_vertex_map(forest)
+        classes = {}
+        for e in forest:
+            root = vm[g.endpoints(e)[0]]
+            classes[root] = classes.get(root, 0) | masks.bit[e]
+        reach = {
+            e: classes.get(vm[u], 0) | classes.get(vm[v], 0)
+            for e, u, v in g.edges
+            if e not in forest
+        }
+        table = _EdgeMasks(g.collapse_forest(forest), masks.bit)
+        entry = masks.quotients[forest] = table, reach
+    return entry
+
+
 def fiber_poset(g: Multigraph, connected_only: bool = False) -> FinitePoset:
     """The local fiber poset of `g`.
 
     Elements are pairs (F, H) where F is any forest of `g` (possibly
     empty) and H is a core subgraph of the graph obtained by collapsing
     F — connected when `connected_only` is set.  Edge ids survive the
-    collapse, so both coordinates are edge-id sets, and
+    collapse, so both coordinates are edge-id sets, sorted by (sorted F,
+    sorted H), and
 
         (F1, H1) <= (F2, H2)  iff  F1 >= F2 and F1 | H1 >= F2 | H2.
 
     The slice at F = empty is the (connected) core poset with its order
-    reversed.  The order is read off the edge masks of `g`, which hold at
-    most 63 edges.
+    reversed.  Each quotient is classified once per graph, on the bits
+    of `g`'s edge masks (at most 63 edges), and both variants read that
+    table.  The order is the reverse inclusion of one concatenated mask
+    per element, F | (F | H) << m for m edges: F and F | H each take m
+    bits of their own, so one mask lies within another exactly when
+    both halves do, which is the definition above.
     """
     kind = "cc" if connected_only else "c"
-    elements = []
-    for forest in _forests(g):
-        # each quotient is classified on its own, so g's memoised table
-        # survives for the slice at the empty forest and for build_poset
-        masks = _EdgeMasks(g.collapse_forest(forest)) if forest else _edge_masks(g)
-        elements += [(forest, frozenset(ids)) for ids, _ in masks.admitted(kind)]
-    elements.sort(key=lambda fh: (sorted(fh[0]), sorted(fh[1])))
-
     masks = _edge_masks(g)
-    f = _inclusion_rows([masks.mask(fh[0]) for fh in elements], below=True)
-    u = _inclusion_rows([masks.mask(fh[0] | fh[1]) for fh in elements], below=True)
-    # bit j of row i: F_j within F_i and F_j | H_j within F_i | H_i
-    return FinitePoset(elements, [a & b for a, b in zip(f, u)])
+    shift = len(masks.ids)
+    rows = []
+    for forest in _forests(g):
+        table = _quotient(g, masks, forest)[0] if forest else masks
+        f = masks.mask(forest)
+        key = tuple(sorted(forest))
+        rows += [
+            ((key, ids), (forest, frozenset(ids)), f | (f | h) << shift)
+            for ids, h in table.admitted(kind)
+        ]
+    rows.sort(key=itemgetter(0))
+    return FinitePoset(
+        [x for _, x, _ in rows], _inclusion_rows([fh for _, _, fh in rows], below=True)
+    )
 
 
 def fiber_retraction(g: Multigraph, connected_only: bool = False):
     """The closure retraction of the fiber poset onto its empty slice.
 
     A pair (F, H) maps to (empty, core of H plus the F-components whose
-    collapse image lies in H).  Returns the certificate produced by
+    collapse image lies in H): in masks, the core of H's mask together
+    with the `reach` of each edge of H (see :func:`_quotient`), which is
+    looked up among the empty slice by mask.  The empty slice is fixed.
+    Returns the certificate produced by
     :func:`posetlab.poset.closure_retraction`; the certified direction is
     increasing and the image is the empty slice.
     """
     p = fiber_poset(g, connected_only)
     masks = _edge_masks(g)
     empty = frozenset()
-
-    def retract(pair):
-        forest, h = pair
+    slice_by_mask = {masks.mask(h): (f, h) for f, h in p.elements if not f}
+    images = {}
+    for x in p.elements:
+        forest, h = x
         if not forest:
-            return pair
-        vm = g.forest_vertex_map(forest)
-        h_vertices = set()
+            images[x] = x
+            continue
+        reach = _quotient(g, masks, forest)[1]
+        m = masks.mask(h)
         for e in h:
-            u, v = g.endpoints(e)
-            h_vertices.add(vm[u])
-            h_vertices.add(vm[v])
-        extra = {e for e in forest if vm[g.endpoints(e)[0]] in h_vertices}
-        return (empty, masks.core_edges(h | extra))
-
-    endo = PosetMap.from_function(p, p, retract)
-    return closure_retraction(p, endo)
+            m |= reach[e]
+        c = masks.core(m)
+        # a core outside the slice goes to the map as a pair, which it refuses
+        images[x] = slice_by_mask.get(c) or (empty, masks.edges(c))
+    return closure_retraction(p, PosetMap.from_function(p, p, images.__getitem__))
 
 
 def verify_fiber(

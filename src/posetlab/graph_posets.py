@@ -95,47 +95,61 @@ class _EdgeMasks:
     Holds each edge's endpoint positions and each vertex's incident and
     loop edges, which is all that core peeling and the forest, connected
     and core tests need.
+
+    A quotient G/F keeps the edge ids of G - F, so its table can take the
+    bits of G's (`bit`): its masks are then masks of G, and the fiber
+    poset reads them without translation.  G's own table keeps those
+    quotient tables in `quotients`, keyed by forest (see
+    :func:`posetlab.enumeration.fiber_poset`), so they are dropped with it.
     """
 
-    __slots__ = ("ids", "bit", "ends", "incident", "loops", "_table")
+    __slots__ = ("ids", "bit", "ends", "incident", "loops", "quotients", "_table")
 
-    def __init__(self, g: Multigraph):
+    def __init__(self, g: Multigraph, bit: dict | None = None):
         pos = {v: i for i, v in enumerate(g.vertices)}
         self.ids = g.edge_ids
-        self.bit = _mask_bits(self.ids)
+        self.bit = _mask_bits(self.ids) if bit is None else {e: bit[e] for e in self.ids}
         self.ends = [(pos[u], pos[v]) for _, u, v in g.edges]
         self.incident = [0] * len(pos)
         self.loops = [0] * len(pos)
-        for i, (u, v) in enumerate(self.ends):
-            self.incident[u] |= 1 << i
-            self.incident[v] |= 1 << i
+        for e, (u, v) in zip(self.ids, self.ends):
+            b = self.bit[e]
+            self.incident[u] |= b
+            self.incident[v] |= b
             if u == v:
-                self.loops[u] |= 1 << i
+                self.loops[u] |= b
+        self.quotients = {}
         self._table = None
 
     def mask(self, edges) -> int:
-        return sum(self.bit[e] for e in edges)
+        return sum(map(self.bit.__getitem__, edges))
 
     def edges(self, mask: int) -> frozenset:
         return frozenset(e for e, b in self.bit.items() if mask & b)
 
-    def core(self, mask: int) -> int:
-        """Drop the edges at valence-one vertices until none are left.
+    def hanging(self, mask: int) -> int:
+        """The edges of `mask` at its valence-one vertices: one peel step.
 
         A vertex has valence one exactly when its incident edges in the
         mask are a single edge that is not a loop (loops count twice).
-        Tree components vanish, so the core has minimum valence two and a
-        cycle in every component; a core is its own core.
         """
-        while True:
-            hanging = 0
-            for inc, loop in zip(self.incident, self.loops):
-                x = mask & inc
-                if x and not x & (x - 1) and not x & loop:
-                    hanging |= x
-            if not hanging:
-                return mask
-            mask &= ~hanging
+        out = 0
+        for inc, loop in zip(self.incident, self.loops):
+            x = mask & inc
+            if x and not x & (x - 1) and not x & loop:
+                out |= x
+        return out
+
+    def core(self, mask: int) -> int:
+        """Drop the hanging edges until none are left.
+
+        Tree components vanish, so the core has minimum valence two and a
+        cycle in every component; a core is its own core, and a mask has
+        the core of itself minus its hanging edges.
+        """
+        while hanging := self.hanging(mask):
+            mask ^= hanging
+        return mask
 
     def core_edges(self, edges) -> frozenset:
         return self.edges(self.core(self.mask(edges)))
@@ -182,7 +196,7 @@ class _EdgeMasks:
                     flags |= _CONNECTED
                 if 1 not in valence:
                     flags |= _CORE
-                yield ids, sum(1 << i for i in combo), flags
+                yield ids, self.mask(ids), flags
 
 
 @lru_cache(maxsize=1)
@@ -434,8 +448,27 @@ def verify_sphericity(g: Multigraph, kind: str = "x", label: str | None = None) 
 
 
 def core_map(g: Multigraph, p, q) -> PosetMap:
-    """The map sending a subgraph to its core, as a poset map p -> q."""
-    return PosetMap.from_function(p, q, _edge_masks(g).core_edges)
+    """The map sending a subgraph to its core, as a poset map p -> q.
+
+    Each element is peeled once: its core is the core of the element
+    minus its hanging edges (:meth:`_EdgeMasks.hanging`), a smaller set
+    that comes earlier in p's (size, sorted ids) order.  In `x` and `cx`
+    that set is again an element, whose core is already known; only a
+    set outside p is peeled in full.  Images are looked up in q by mask;
+    a core that is not an element of q goes to the map as its edge set,
+    so the map refuses it as any non-element.
+    """
+    masks = _edge_masks(g)
+    target = {masks.mask(y): y for y in q.elements}
+    cores, images = {}, {}
+    for x in p.elements:
+        m = masks.mask(x)
+        c = m ^ masks.hanging(m)
+        if c != m:
+            c = cores.get(c) or masks.core(c)
+        cores[m] = c
+        images[x] = target[c] if c in target else masks.edges(c)
+    return PosetMap.from_function(p, q, images.__getitem__)
 
 
 def verify_core_retraction(

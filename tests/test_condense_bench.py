@@ -1,0 +1,76 @@
+"""The verdicts that tools/condense_bench.py gives each benchmark metric,
+on synthetic ``result.json`` objects."""
+
+import importlib.util
+import json
+from pathlib import Path
+
+REPO = Path(__file__).resolve().parent.parent
+_spec = importlib.util.spec_from_file_location(
+    "condense_bench", REPO / "tools" / "condense_bench.py"
+)
+condense_bench = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(condense_bench)
+
+METRICS = [m["name"] for m in json.loads((REPO / "BENCHMARK.json").read_text())["end_to_end"]]
+
+
+def result(seed, wall_s, checks_per_s=100.0):
+    """An untraced `report` run: every metric 1.0 but the two given."""
+    values = dict.fromkeys(METRICS, 1.0)
+    values.update(wall_s=wall_s, checks_per_s=checks_per_s)
+    return {
+        "machine": {"cpu": "synthetic"},
+        "workload": "report",
+        "seconds": 55,
+        "trace": 0,
+        "seed": seed,
+        "summary": {
+            "correct": True,
+            "failed": 0,
+            "metrics": {name: {"value": v} for name, v in values.items()},
+        },
+    }
+
+
+def condensed(parent_walls, change_walls, change_checks=100.0):
+    runs = []
+    for seed, (p, c) in enumerate(zip(parent_walls, change_walls)):
+        runs += [("parent", result(seed, p)), ("change", result(seed, c, change_checks))]
+    return condense_bench.condense(runs)["workloads"]["report"]["metrics"]
+
+
+PARENT = [0.26, 0.25, 0.27, 0.26, 0.26, 0.25, 0.27, 0.26, 0.28, 0.26]
+
+
+def test_a_clear_win_meets_the_gain_rule():
+    change = [w - 0.03 for w in PARENT[:9]] + [PARENT[9] + 0.01]  # loses one pair
+    wall = condensed(PARENT, change)["wall_s"]
+    assert wall["change_wins"] == 9 and wall["pairs"] == 10
+    assert wall["gain_rule_met"] and wall["within_bound"]
+
+
+def test_a_tie_is_within_bound_but_no_gain():
+    metrics = condensed(PARENT, PARENT)
+    for name in METRICS:
+        assert metrics[name]["change_wins"] == 0
+        assert not metrics[name]["gain_rule_met"], name
+        assert metrics[name]["within_bound"], name
+
+
+def test_a_small_win_inside_the_spread_is_no_gain():
+    # every pair won, but the medians differ by less than the parent's IQR
+    wall = condensed(PARENT, [w - 0.001 for w in PARENT])["wall_s"]
+    assert wall["change_wins"] == 10
+    assert not wall["gain_rule_met"] and wall["within_bound"]
+
+
+def test_a_regression_leaves_the_bound():
+    # wall_s 30 % worse (bound 25 %), checks_per_s 30 % lower (higher is better)
+    metrics = condensed(PARENT, [w * 1.3 for w in PARENT], change_checks=70.0)
+    for name in ("wall_s", "checks_per_s"):
+        assert not metrics[name]["gain_rule_met"], name
+        assert not metrics[name]["within_bound"], name
+    assert metrics["cpu_s"]["within_bound"]
+    # 20 % worse stays inside the same bound
+    assert condensed(PARENT, [w * 1.2 for w in PARENT])["wall_s"]["within_bound"]

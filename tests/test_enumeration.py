@@ -370,6 +370,16 @@ class TestCanonicalKeyOracle:
             assert canonical_key(g) == _string_min_key(g) == f"{g.num_vertices()};"
 
 
+def _fiber_oracle_graphs():
+    """Every census graph of rank 2 and 3, a tree, and a graph with
+    loops, parallel edges and a pendant edge."""
+    graphs = [parse_key(key) for r in (2, 3) for key in enumerate_graphs(r)]
+    return graphs + [
+        Multigraph(range(5), [(0, 0, 1), (1, 1, 2), (2, 1, 3), (3, 3, 4)]),
+        Multigraph(range(3), [(0, 0, 0), (1, 0, 1), (2, 0, 1), (3, 1, 1), (4, 1, 2)]),
+    ]
+
+
 class TestFiberPosets:
     def test_theta_fiber_size(self):
         # 3 cores over the empty forest + 2 over each single-edge forest
@@ -421,6 +431,78 @@ class TestFiberPosets:
         for connected_only in (False, True):
             assert verify_fiber(g, connected_only).status == "pass"
         assert tables[True] == 1
+
+    def test_fibers_classify_each_quotient_once(self, monkeypatch):
+        # the c and cc fibers share one table per quotient: g's own and
+        # one for each of K4's 37 nonempty forests
+        g = parse_key("4;0-1,0-2,0-3,1-2,1-3,2-3")
+        real = _EdgeMasks._classify
+        tables = Counter()
+
+        def counting(masks):
+            tables[masks.ids] += 1
+            return real(masks)
+
+        monkeypatch.setattr(_EdgeMasks, "_classify", counting)
+        graph_posets._edge_masks.cache_clear()
+        for connected_only in (False, True):
+            assert verify_fiber(g, connected_only).status == "pass"
+        assert tables[g.edge_ids] == 1
+        assert len(tables) == 1 + 37
+        assert set(tables.values()) == {1}
+
+    def test_elements_equal_definition(self):
+        # every forest F, and every proper nonempty H of E(g) - F that is a
+        # core (a connected core) of g/F, in (sorted F, sorted H) order
+        def is_core(q, edges, connected_only):
+            valence = Counter(w for e in edges for w in q.endpoints(e))
+            if 1 in valence.values():
+                return False  # minimum valence 2 also puts a cycle in each component
+            pos = {v: i for i, v in enumerate(valence)}
+            pairs = [(pos[u], pos[v]) for u, v in map(q.endpoints, edges)]
+            return not connected_only or _oracle_connected(len(pos), pairs)
+
+        def by_definition(g, connected_only):
+            out = []
+            for forest in _forests(g):
+                q = g.collapse_forest(forest)
+                out += [
+                    (forest, frozenset(h))
+                    for k in range(1, q.num_edges())
+                    for h in combinations(q.edge_ids, k)
+                    if is_core(q, h, connected_only)
+                ]
+            return sorted(out, key=lambda fh: (sorted(fh[0]), sorted(fh[1])))
+
+        for g in _fiber_oracle_graphs():
+            for connected_only in (False, True):
+                expected = by_definition(g, connected_only)
+                assert fiber_poset(g, connected_only).elements == expected, g.edges
+
+    def test_retraction_equals_per_element_definition(self):
+        # (F, H) goes to (empty, core of H and of the F-components that
+        # H meets once lifted back into g), one element at a time
+        def retract_by_definition(g):
+            masks = _EdgeMasks(g)
+            empty = frozenset()
+
+            def retract(pair):
+                forest, h = pair
+                if not forest:
+                    return pair
+                vm = g.forest_vertex_map(forest)
+                h_vertices = {vm[w] for e in h for w in g.endpoints(e)}
+                extra = {e for e in forest if vm[g.endpoints(e)[0]] in h_vertices}
+                return (empty, masks.core_edges(h | extra))
+
+            return retract
+
+        for g in _fiber_oracle_graphs():
+            retract = retract_by_definition(g)
+            for connected_only in (False, True):
+                cert = fiber_retraction(g, connected_only)
+                for x in cert.poset.elements:
+                    assert cert.map(x) == retract(x), (g.edges, connected_only, x)
 
     def test_fiber_homology_matches_core_opposite_directly(self):
         g = theta_graph()

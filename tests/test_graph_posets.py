@@ -6,6 +6,7 @@ cores via iterative leaf pruning, connectivity via a fresh union-find.
 """
 
 import json
+import re
 from itertools import combinations
 
 import pytest
@@ -18,6 +19,7 @@ from posetlab.graph_posets import (
     _EdgeMasks,
     VerificationError,
     build_poset,
+    core_map,
     forest_generator_cycles,
     poset_elements,
     verify_core_retraction,
@@ -30,7 +32,7 @@ from posetlab.graph_posets import (
 )
 from posetlab.homology import InvariantError, reduced_homology
 from posetlab.multigraph import Multigraph, dumbbell, rose, theta_graph
-from posetlab.poset import PosetMap, poset_of_subsets
+from posetlab.poset import PosetError, PosetMap, poset_of_subsets
 
 # ---------------------------------------------------------------------------
 # membership oracles (independent re-derivations)
@@ -285,6 +287,34 @@ class TestCoreRetraction:
         ]
         oracle = {s for s in subsets if oracle_membership(g, s, "c")}
         assert rec.data["image_size"] == len(oracle)
+
+    def test_core_map_equals_per_element_peeling(self):
+        # each element peeled in full on its own, on the x and cx posets
+        # of every census graph of rank 2 to 4
+        for g in (parse_key(k) for r in (2, 3, 4) for k in enumerate_graphs(r)):
+            masks = _EdgeMasks(g)
+            for kind in ("x", "cx"):
+                p = build_poset(g, kind)
+                f = core_map(g, p, p)
+                assert all(f(x) == masks.core_edges(x) for x in p.elements), (kind, g.edges)
+
+    def test_core_map_peels_past_a_missing_element(self):
+        # two loops with a path of two edges hanging off them: {0, 1, 2}
+        # loses 2, then 1; without {0, 1} in the source it is peeled in full
+        g = Multigraph(range(3), [(0, 0, 0), (1, 0, 1), (2, 1, 2), (3, 0, 0)])
+        x = build_poset(g, "x")
+        p = x.induced([y for y in x.elements if y != frozenset({0, 1})])
+        assert core_map(g, p, x)(frozenset({0, 1, 2})) == frozenset({0})
+
+    def test_core_outside_the_target_is_refused(self):
+        # the loop {0} of the dumbbell is its own core; a target without it
+        # refuses the map by that edge set, never with a KeyError
+        g = parse_key("2;0-0,0-1,1-1")
+        p = build_poset(g, "x")
+        loop = frozenset({0})
+        q = p.induced([x for x in p.elements if x != loop])
+        with pytest.raises(PosetError, match=re.escape(f"{loop!r} is not an element")):
+            core_map(g, p, q)
 
     def test_false_retraction_is_a_fail_record(self, monkeypatch, capsys):
         # x of the theta graph is an antichain of its three cycles, so

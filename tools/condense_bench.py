@@ -10,6 +10,14 @@ order the runs were made.  Untraced runs (``--trace 0``) of one workload
 with the same seed form a pair.  For each workload and end-to-end metric
 of ``BENCHMARK.json`` the output gives each side's runs, median and
 quartiles, and how many pairs the change won (ties count for neither).
+Each metric also gets two verdicts:
+
+- ``gain_rule_met``: the change won at least 9 of every 10 pairs, and
+  its median is better than the parent's by more than the parent's
+  interquartile range;
+- ``within_bound``: the change's median is worse than the parent's by at
+  most the metric's ``bound``, a fraction of the parent's median.
+
 Traced runs (``--trace 1``) contribute their per-layer metrics as they
 are.
 """
@@ -61,13 +69,20 @@ def condense(runs):
             }
             sign = 1 if m["better"] == "lower" else -1
             wins = sum(sign * (c - p) < 0 for p, c in zip(values["parent"], values["change"]))
+            spread = {s: _spread(values[s]) for s in SIDES}
+            parent = spread["parent"]
+            # positive when the change's median is the better one
+            gap = sign * (parent["median"] - spread["change"]["median"])
             w["metrics"][m["name"]] = {
                 "unit": m["unit"],
                 "better": m["better"],
                 "bound": m["bound"],
-                **{s: _spread(values[s]) for s in SIDES},
+                **spread,
                 "change_wins": wins,
                 "pairs": len(pairs),
+                "gain_rule_met": 10 * wins >= 9 * len(pairs)
+                and gap > parent["q3"] - parent["q1"],
+                "within_bound": -gap <= m["bound"] * parent["median"],
             }
     return out
 

@@ -254,7 +254,7 @@ def _quotient(g: Multigraph, masks: _EdgeMasks, forest: frozenset):
             for e, u, v in g.edges
             if e not in forest
         }
-        table = _EdgeMasks(g.collapse_forest(forest), masks.bit)
+        table = _EdgeMasks(g.collapse_forest(forest, vm), masks.bit)
         entry = masks.quotients[forest] = table, reach
     return entry
 

@@ -454,20 +454,22 @@ def core_map(g: Multigraph, p, q) -> PosetMap:
     minus its hanging edges (:meth:`_EdgeMasks.hanging`), a smaller set
     that comes earlier in p's (size, sorted ids) order.  In `x` and `cx`
     that set is again an element, whose core is already known; only a
-    set outside p is peeled in full.  Images are looked up in q by mask;
-    a core that is not an element of q goes to the map as its edge set,
-    so the map refuses it as any non-element.
+    set outside p is peeled in full.  Each element goes to the map as
+    its core's edge set, built once per distinct core, so a core that is
+    not an element of q is refused as any non-element.
     """
     masks = _edge_masks(g)
-    target = {masks.mask(y): y for y in q.elements}
-    cores, images = {}, {}
+    cores, core_edges, images = {}, {}, {}
     for x in p.elements:
         m = masks.mask(x)
         c = m ^ masks.hanging(m)
         if c != m:
             c = cores.get(c) or masks.core(c)
         cores[m] = c
-        images[x] = target[c] if c in target else masks.edges(c)
+        y = core_edges.get(c)
+        if y is None:
+            y = core_edges[c] = masks.edges(c)
+        images[x] = y
     return PosetMap.from_function(p, q, images.__getitem__)
 
 
@@ -825,7 +827,9 @@ def verify_sphericity_via_core(
     cert_ok = cert.direction in ("decreasing", "both")
     core_elements = poset_elements(g, core_kind)
     image_ok = set(cert.image.elements) == set(core_elements)
-    core_poset = p.induced(core_elements)
+    # both lists are in p's (size, sorted ids) order, so a matching
+    # image is the induced core poset itself
+    core_poset = cert.image if image_ok else p.induced(core_elements)
     k = core_complex(core_poset)
     h = reduced_homology(k)
     separating = sorted(e for e in g.edge_ids if g.is_separating_edge(e))

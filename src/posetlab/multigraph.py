@@ -173,14 +173,17 @@ class Multigraph:
                 raise GraphError("edge set contains a cycle")
         return {v: _find(parent, v) for v in self.vertices}
 
-    def collapse_forest(self, edge_set):
+    def collapse_forest(self, edge_set, vmap=None):
         """Collapse every edge of a forest at once.
 
         The result does not depend on the order the edges are collapsed in;
-        the test suite checks this against iterated collapse_edge.
+        the test suite checks this against iterated collapse_edge.  `vmap`
+        is the forest's :meth:`forest_vertex_map`, for a caller that
+        already has it.
         """
         edge_set = frozenset(edge_set)
-        vmap = self.forest_vertex_map(edge_set)
+        if vmap is None:
+            vmap = self.forest_vertex_map(edge_set)
         edges = [(e, vmap[u], vmap[v]) for e, u, v in self.edges if e not in edge_set]
         vertices = sorted(set(vmap.values()))
         return Multigraph(vertices, edges)

@@ -451,6 +451,24 @@ class TestFiberPosets:
         assert len(tables) == 1 + 37
         assert set(tables.values()) == {1}
 
+    def test_fibers_map_each_forest_once(self, monkeypatch):
+        # the quotient of each of K4's 37 nonempty forests is built from
+        # the vertex map its reach was read from, for both fiber variants
+        g = parse_key("4;0-1,0-2,0-3,1-2,1-3,2-3")
+        real = Multigraph.forest_vertex_map
+        forests = Counter()
+
+        def counting(graph, edge_set):
+            forests[frozenset(edge_set)] += 1
+            return real(graph, edge_set)
+
+        monkeypatch.setattr(Multigraph, "forest_vertex_map", counting)
+        graph_posets._edge_masks.cache_clear()
+        for connected_only in (False, True):
+            assert verify_fiber(g, connected_only).status == "pass"
+        assert len(forests) == 37
+        assert sum(forests.values()) == 37
+
     def test_elements_equal_definition(self):
         # every forest F, and every proper nonempty H of E(g) - F that is a
         # core (a connected core) of g/F, in (sorted F, sorted H) order

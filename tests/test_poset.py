@@ -2,11 +2,15 @@
 beat-point cores."""
 
 import random
+import re
+from collections import Counter
 from itertools import combinations
 
 import numpy as np
 import pytest
 
+from posetlab.enumeration import enumerate_graphs, parse_key
+from posetlab.graph_posets import build_poset, core_map
 from posetlab.homology import InvariantError, check_beat_witnesses
 from posetlab.poset import (
     CertificateError,
@@ -146,35 +150,69 @@ class TestExactComposition:
             assert p.up == _rows(_warshall(base))
 
 
+def _random_order(rng, n, density=0.15):
+    """A random partial order on shuffled positions, as its <= matrix."""
+    perm = rng.sample(range(n), n)
+    base = np.eye(n, dtype=bool)
+    for a, b in combinations(range(n), 2):
+        if rng.random() < density:
+            base[perm[a], perm[b]] = True
+    return _warshall(base)
+
+
+def _flipped_order(rng, n):
+    """A random partial order with a few entries flipped: a flipped
+    diagonal breaks reflexivity, an added pair may close a cycle or open
+    a gap, a dropped pair may open a gap."""
+    leq = _random_order(rng, n)
+    for _ in range(rng.randrange(0, 4)):
+        i, j = rng.randrange(n), rng.randrange(n)
+        leq[i, j] = not leq[i, j]
+    return leq
+
+
+_FAULT_KINDS = ("valid", "not reflexive", "antisymmetry", "transitivity")
+
+
+def _fault_kind(leq):
+    """Build FinitePoset from a relation matrix, check its verdict
+    against the numpy reference, and name the verdict's kind."""
+    labels = [f"e{i}" for i in range(len(leq))]
+    expected = _first_fault(labels, leq)
+    if expected is None:
+        assert FinitePoset(labels, _rows(leq)).up == _rows(leq)
+        return "valid"
+    with pytest.raises(PosetError) as exc:
+        FinitePoset(labels, _rows(leq))
+    assert str(exc.value) == expected
+    return next(k for k in _FAULT_KINDS if expected.startswith(k))
+
+
 class TestValidation:
     def test_first_fault_matches_numpy_reference(self):
-        # random partial orders on shuffled positions, with a few entries
-        # flipped: a flipped diagonal breaks reflexivity, an added pair
-        # may close a cycle or open a gap, a dropped pair may open a gap
         rng = random.Random(13)
-        kinds = {"valid": 0, "not reflexive": 0, "antisymmetry": 0, "transitivity": 0}
-        for _ in range(600):
-            n = rng.randrange(1, 24)
-            perm = rng.sample(range(n), n)
-            base = np.eye(n, dtype=bool)
-            for a, b in combinations(range(n), 2):
-                if rng.random() < 0.15:
-                    base[perm[a], perm[b]] = True
-            leq = _warshall(base)
-            for _ in range(rng.randrange(0, 4)):
-                i, j = rng.randrange(n), rng.randrange(n)
-                leq[i, j] = not leq[i, j]
-            labels = [f"e{i}" for i in range(n)]
-            expected = _first_fault(labels, leq)
-            if expected is None:
-                kinds["valid"] += 1
-                assert FinitePoset(labels, _rows(leq)).up == _rows(leq)
-                continue
-            with pytest.raises(PosetError) as exc:
-                FinitePoset(labels, _rows(leq))
-            assert str(exc.value) == expected
-            kinds[next(k for k in kinds if expected.startswith(k))] += 1
-        assert min(kinds.values()) >= 40, kinds
+        kinds = Counter(_fault_kind(_flipped_order(rng, rng.randrange(1, 24))) for _ in range(600))
+        assert min(kinds[k] for k in _FAULT_KINDS) >= 40, kinds
+
+    def test_first_fault_past_one_limb(self):
+        # more than 64 elements: every row spans several 30-bit limbs (a
+        # flip rarely lands on the diagonal here; the test above covers it)
+        rng = random.Random(17)
+        kinds = Counter(_fault_kind(_flipped_order(rng, rng.randrange(65, 100))) for _ in range(60))
+        assert min(kinds[k] for k in ("valid", "antisymmetry", "transitivity")) >= 5, kinds
+
+    def test_equal_rows_break_antisymmetry(self):
+        # a transitive relation in which two elements lie below each other:
+        # every row is closed, and the fault is seen through the equal rows
+        rng = random.Random(19)
+        for n in (2, 5, 23, 70):
+            for _ in range(10):
+                leq = _random_order(rng, n)
+                a, b = rng.sample(range(n), 2)
+                leq[a, b] = leq[b, a] = True
+                leq = _warshall(leq)
+                assert len(set(_rows(leq))) < n
+                assert _fault_kind(leq) == "antisymmetry"
 
     def test_rows_must_be_masks_of_the_elements(self):
         with pytest.raises(PosetError, match="1 rows do not match 2 elements"):
@@ -404,6 +442,118 @@ class TestMaps:
         assert not is_order_isomorphic_via(p, q, {0: "x", 1: "x", 2: "z"})
         d = divisibility(6)
         assert is_order_isomorphic_via(d, d.opposite().opposite(), {x: x for x in d.elements})
+
+
+def _ascending_bits(row):
+    """The set bits of a row, read off its binary string."""
+    return [j for j, c in enumerate(bin(row)[:1:-1]) if c == "1"]
+
+
+def walked_order_fault(source, target, mapping):
+    """The first pair x <= y, in row-major order, whose images are not
+    ordered, found by walking every comparable pair; None when the map
+    preserves order."""
+    idx = [target.index(mapping[x]) for x in source.elements]
+    for i, row in enumerate(source.up):
+        image_row = target.up[idx[i]]
+        for j in _ascending_bits(row):
+            if not image_row >> idx[j] & 1:
+                return source.elements[i], source.elements[j]
+    return None
+
+
+def walked_induced(p, subset):
+    """The induced subposet on `subset`, in the given order, by walking
+    every strict up-set of p."""
+    pos = {p.index(x): k for k, x in enumerate(subset)}
+    rows = []
+    for k, x in enumerate(subset):
+        row = 1 << k
+        for j in _ascending_bits(p.up[p.index(x)]):
+            if j in pos:
+                row |= 1 << pos[j]
+        rows.append(row)
+    return FinitePoset(subset, rows)
+
+
+def _heights(p):
+    """The length of the longest chain below each element: strictly
+    order-preserving into a chain."""
+    height = {}
+    for x in p.elements:  # from_covers posets list each element after those below it
+        below = [height[y] for y in p.elements[: p.index(x)] if p.le(y, x)]
+        height[x] = 1 + max(below, default=-1)
+    return height
+
+
+def assert_map_matches_walk(source, target, mapping):
+    """PosetMap gives the pair walk's verdict, message and witness."""
+    expected = walked_order_fault(source, target, mapping)
+    if expected is None:
+        f = PosetMap(source, target, mapping)
+        values = set(mapping.values())
+        assert f.image() == [y for y in target.elements if y in values]
+        return True
+    with pytest.raises(PosetError) as exc:
+        PosetMap(source, target, mapping)
+    x, y = expected
+    assert exc.value.witness == expected
+    assert str(exc.value) == f"not order-preserving: {x!r} <= {y!r} but images are not"
+    return False
+
+
+class TestRowChecksAgainstPairWalks:
+    def test_poset_map_equals_pair_walk(self):
+        rng = random.Random(23)
+        verdicts = Counter()
+        for n in (1, 2, 9, 40, 64, 65, 130):
+            for _ in range(6):
+                p = random_poset(rng, n, rng.choice([0.02, 0.05, 0.2]))
+                q = random_poset(rng, rng.randrange(1, 80), 0.05)
+                height = _heights(p)
+                top = max(height.values())
+                ladder = chain(top + 1)
+                shuffled = rng.sample(p.elements, n)
+                cases = [
+                    (q, {x: rng.choice(q.elements) for x in p.elements}),  # random
+                    (q, dict.fromkeys(p.elements, rng.choice(q.elements))),  # constant
+                    (ladder, height),  # onto a chain by height
+                    (ladder, {**height, rng.choice(p.elements): rng.randrange(top + 1)}),
+                    (p, dict(zip(p.elements, shuffled))),  # a random bijection
+                    (p.induced(shuffled), {x: x for x in p.elements}),  # an isomorphism
+                ]
+                for target, mapping in cases:
+                    verdicts[assert_map_matches_walk(p, target, mapping)] += 1
+        assert verdicts[True] > 100 and verdicts[False] > 60, verdicts
+
+    def test_images_outside_the_target_are_refused_first(self):
+        rng = random.Random(29)
+        p = random_poset(rng, 90, 0.05)
+        for _ in range(20):
+            outside = rng.sample(p.elements, 3)
+            mapping = {x: ("not", x) if x in outside else x for x in p.elements}
+            first = min(outside, key=p.index)
+            message = re.escape(f"{('not', first)!r} is not an element")
+            with pytest.raises(PosetError, match=message):
+                PosetMap(p, p, mapping)
+
+    def test_core_maps_equal_pair_walk(self):
+        # the x and cx core maps of every census graph of rank 2 to 4
+        for g in (parse_key(k) for r in (2, 3, 4) for k in enumerate_graphs(r)):
+            for kind in ("x", "cx"):
+                p = build_poset(g, kind)
+                f = core_map(g, p, p)
+                assert walked_order_fault(p, p, f.mapping) is None, (kind, g.edges)
+
+    def test_induced_equals_strict_walk(self):
+        rng = random.Random(31)
+        for n in (1, 5, 40, 70, 140):
+            for _ in range(8):
+                p = random_poset(rng, n, rng.choice([0.03, 0.1, 0.3]))
+                subset = rng.sample(p.elements, rng.randrange(0, n + 1))
+                q = p.induced(subset)
+                assert q.elements == subset
+                assert q == walked_induced(p, subset)
 
 
 class TestClosureRetraction:

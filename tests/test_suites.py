@@ -7,8 +7,8 @@ from pathlib import Path
 
 import pytest
 
-from posetlab import homology, suites
-from posetlab.poset import beat_point_core
+from posetlab import cli, homology, suites
+from posetlab.poset import FinitePoset, beat_point_core
 from posetlab.suites import (
     DEFAULT_REPORT_SUITES,
     SUITE_NAMES,
@@ -162,6 +162,24 @@ class TestPerKeyMemo:
             suites._duality_check.cache_clear()
         calls, distinct = len(reduced), len(set(reduced))
         assert calls and distinct == calls
+
+    def test_rank4_deep_builds_each_poset_once(self, monkeypatch, tmp_path):
+        # per record: the cycle poset, the certificate's image (which is
+        # also the core poset) and the beat-point core, except for the 12
+        # core complexes the memo already holds
+        built = []
+        real = FinitePoset.__init__
+
+        def counting(self, elements, up):
+            built.append(1)
+            real(self, elements, up)
+
+        monkeypatch.setenv("POSETLAB_THREADS", "1")
+        monkeypatch.setattr(homology, "_core_complexes", OrderedDict())
+        monkeypatch.setattr(FinitePoset, "__init__", counting)
+        out = tmp_path / "rank4-deep.json"
+        assert cli.main(["report", "--suite", "rank4-deep", "--out", str(out)]) == 0
+        assert len(built) == 654
 
     def test_callers_get_their_own_records(self):
         key = suites.enumerate_graphs(2)[0]

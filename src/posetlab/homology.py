@@ -30,9 +30,9 @@ from __future__ import annotations
 import heapq
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from math import gcd
+from functools import lru_cache
 
-from .poset import _bits, beat_point_core, order_complex
+from .poset import _bits, _down_rows, beat_point_core, order_complex
 from .simplicial import SimplicialComplex
 
 PI1_TRIVIAL = "Trivial"
@@ -97,10 +97,13 @@ def snf_from_entries(entries, nrows, ncols):
         cols.setdefault(j, set()).add(i)
 
     pivots = _eliminate_unit_pivots(rows, cols)
-    residue = _gather_dense(rows)
-    # A unit divides every factor, so only the dense residue needs the
-    # pairwise divisibility pass; the invariant factors are unique.
-    factors = [1] * len(pivots) + _normalize_chain(_dense_snf(residue))
+    dense = _dense_snf(_gather_dense(rows))
+    # each dense pivot divides the whole block left after it, so the
+    # diagonal is already the chain d1 | d2 | ...; a unit divides all
+    for a, b in zip(dense, dense[1:]):
+        if b % a:
+            raise InvariantError(f"dense SNF diagonal {dense} is not a divisor chain")
+    factors = [1] * len(pivots) + dense
     return SNFResult(
         rank=len(factors), factors=tuple(factors), unit_pivot_cols=frozenset(pivots)
     )
@@ -180,7 +183,8 @@ def _gather_dense(rows):
 
 
 def _dense_snf(a):
-    """Diagonal of the Smith form of a small dense integer matrix."""
+    """Diagonal of the Smith form of a small dense integer matrix,
+    nonzero and ascending in the divisor order."""
     if not a:
         return []
     m, n = len(a), len(a[0])
@@ -244,21 +248,6 @@ def _dense_snf(a):
         if t == m or t == n:
             break
     return [d for d in diag if d]
-
-
-def _normalize_chain(factors):
-    factors = [abs(f) for f in factors if f]
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(factors)):
-            for j in range(i + 1, len(factors)):
-                if factors[j] % factors[i]:
-                    g = gcd(factors[i], factors[j])
-                    factors[i], factors[j] = g, factors[i] * factors[j] // g
-                    changed = True
-    factors.sort()
-    return factors
 
 
 # -- reduced homology -------------------------------------------------------
@@ -466,6 +455,7 @@ def check_beat_witnesses(p, core, witnesses):
     """
     index = {x: i for i, x in enumerate(p.elements)}
     alive = (1 << p.n) - 1
+    down = None
     for x, y, side in witnesses:
         i, j = index.get(x), index.get(y)
         if i is None or j is None:
@@ -477,7 +467,9 @@ def check_beat_witnesses(p, core, witnesses):
         if side == "up":
             rows = p.up
         elif side == "down":
-            rows = p._down_rows()
+            if down is None:
+                down = _down_rows(p.up)
+            rows = down
         else:
             raise InvariantError(f"beat witness for {x!r} has side {side!r}")
         # y is in x's strict side-set, and that set lies within y's side-set
@@ -494,8 +486,8 @@ def check_beat_witnesses(p, core, witnesses):
     if [p.elements[i] for i in survivors] != core.elements:
         raise InvariantError("beat-point survivors do not match the core")
     for k, i in enumerate(survivors):
-        row = 1 << i
-        for b in core._strict[k]:
+        row = 0
+        for b in _bits(core.up[k]):
             row |= 1 << survivors[b]
         if row != p.up[i] & alive:
             raise InvariantError("beat-point survivors do not match the core")
@@ -504,10 +496,10 @@ def check_beat_witnesses(p, core, witnesses):
 # The suites hand core_complex the same poset again and again (the x
 # poset of one graph is reduced by three verifiers), nearly always within
 # a few calls, so a short LRU catches the repeats at little memory.
-_core_complexes = OrderedDict()
 _CORE_COMPLEX_CACHE_MAX = 16
 
 
+@lru_cache(maxsize=_CORE_COMPLEX_CACHE_MAX)
 def core_complex(p):
     """The order complex of p's beat-point core, every removal checked.
 
@@ -518,21 +510,13 @@ def core_complex(p):
     The complex is remembered in a least-recently-used memo of at most
     ``_CORE_COMPLEX_CACHE_MAX`` entries, keyed on p's exact content: its
     element labels (the complex's vertices) and its up-rows, compared for
-    equality, not by hash alone.  An entry is stored
-    only after ``check_beat_witnesses`` has passed, so a failed check
-    raises again on every call.  Callers must not mutate the complex.
+    equality, not by hash alone.  A call that raises stores nothing, so
+    a failed ``check_beat_witnesses`` raises again on every call.
+    Callers must not mutate the complex.
     """
-    key = (tuple(p.elements), p.up)
-    k = _core_complexes.get(key)
-    if k is not None:
-        _core_complexes.move_to_end(key)
-        return k
     core, witnesses = beat_point_core(p)
     check_beat_witnesses(p, core, witnesses)
-    k = _core_complexes[key] = order_complex(core)
-    if len(_core_complexes) > _CORE_COMPLEX_CACHE_MAX:
-        _core_complexes.popitem(last=False)
-    return k
+    return order_complex(core)
 
 
 def poset_homology(p):

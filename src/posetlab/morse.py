@@ -24,8 +24,9 @@ pass but whose full order complex has nonzero reduced homology would
 indicate a bug and raises InvariantError.
 
 The search routine looks for a certificate with at most three levels,
-taking level 0 to be the comparables of some center element.  Within
-that family and the given budget the search is exhaustive, so a `None`
+taking level 0 to be the comparables of some center element, and
+examines at most ``DEFAULT_BUDGET`` middle levels per center.  Within
+that family and that budget the search is exhaustive, so a `None`
 result with `exhausted=True` is a proof that no such certificate
 exists.
 """
@@ -43,6 +44,7 @@ from .homology import (
 )
 from .poset import FinitePoset, order_complex
 
+#: The most candidate middle levels :func:`search_certificate` examines per center.
 DEFAULT_BUDGET = 4096
 
 
@@ -153,20 +155,16 @@ class SearchResult:
         return self.certificate is not None
 
 
-def search_certificate(
-    p: FinitePoset, max_levels: int = 3, budget: int = DEFAULT_BUDGET
-) -> SearchResult:
-    """Search for a valid certificate with at most `max_levels` levels
-    whose level 0 is the set of comparables of some element.
+def search_certificate(p: FinitePoset) -> SearchResult:
+    """Search for a valid certificate with at most three levels whose
+    level 0 is the set of comparables of some element.
 
-    Centers are tried from largest comparable-set to smallest; for three
-    levels, candidate middle levels are enumerated from largest to
-    smallest over the elements whose first-level descending complex is
-    already contractible.  At most `budget` middle-level subsets are
-    examined per center.  Deterministic throughout.
+    Centers are tried from largest comparable-set to smallest.  For each,
+    one level is tried, then two, then three: candidate middle levels are
+    enumerated from largest to smallest over the elements whose
+    first-level descending complex is already contractible, at most
+    ``DEFAULT_BUDGET`` of them per center.  Deterministic throughout.
     """
-    if max_levels < 1:
-        raise ValueError("max_levels must be at least 1")
     if p.n == 0:
         return SearchResult(None, True, 0)
 
@@ -185,8 +183,6 @@ def search_certificate(
         )
         if not rest:
             return SearchResult(LevelCertificate((level0,)), exhausted, tried)
-        if max_levels < 2:
-            continue
 
         values = {x: 0 for x in level0}
         for x in rest:
@@ -200,8 +196,6 @@ def search_certificate(
             cert = LevelCertificate((level0, rest))
             if verify_certificate(p, cert).ok:
                 return SearchResult(cert, exhausted, tried)
-        if max_levels < 3:
-            continue
 
         candidates = [x for x in rest if link_ok[x]]
         examined = 0
@@ -209,7 +203,7 @@ def search_certificate(
         for size in range(len(candidates), 0, -1):
             for middle in combinations(candidates, size):
                 examined += 1
-                if examined > budget:
+                if examined > DEFAULT_BUDGET:
                     exhausted = False
                     done = True
                     break

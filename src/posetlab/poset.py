@@ -47,20 +47,42 @@ def _bits(row):
     return out
 
 
-def _raise_first_fault(elements, up, strict):
+def _down_rows(up):
+    """The transposed rows: bit j of ``down[i]`` is set when j <= i."""
+    down = [0] * len(up)
+    for i, row in enumerate(up):
+        bit = 1 << i
+        while row:
+            j = row.bit_length() - 1
+            down[j] |= bit
+            row ^= 1 << j
+    return down
+
+
+def _upper_covers(up, i, mask):
+    """The upper covers of element i in the subposet on `mask`, ascending:
+    its strict up-set there, less everything strictly above a member."""
+    above = up[i] & mask ^ 1 << i
+    between = 0
+    for k in _bits(above):
+        between |= up[k] ^ 1 << k
+    return _bits(above & ~between)
+
+
+def _raise_first_fault(elements, up):
     """Raise the first fault of reflexive rows that are not a partial
     order: a pair that breaks antisymmetry, first in row-major order,
     else the first row that is not closed and its first missing bit."""
     unclosed = None
-    for i, above in enumerate(strict):
-        reach = up[i]
-        for j in above:
+    for i, row in enumerate(up):
+        reach = row
+        for j in _bits(row ^ 1 << i):
             r = up[j]
             if r >> i & 1:
                 raise PosetError(f"antisymmetry fails on {elements[i]!r}, {elements[j]!r}")
             reach |= r
-        if unclosed is None and reach != up[i]:
-            extra = reach & ~up[i]
+        if unclosed is None and reach != row:
+            extra = reach & ~row
             unclosed = i, (extra & -extra).bit_length() - 1
     i, j = unclosed
     raise PosetError(f"transitivity fails: {elements[i]!r} .. {elements[j]!r}")
@@ -70,12 +92,11 @@ class FinitePoset:
     """A finite poset on `elements`, given by their up-rows.
 
     Bit j of ``up[i]`` is set when ``elements[i] <= elements[j]``.  The
-    strict up-set of each element is listed once, on construction, and
-    reused by every query; the transposed (down) rows are built only
-    when asked for.
+    rows are the only order data kept: the code that walks strict
+    up-sets or down rows derives them from the rows where it needs them.
     """
 
-    __slots__ = ("elements", "up", "_index", "_strict", "_down")
+    __slots__ = ("elements", "up", "_index")
 
     def __init__(self, elements, up):
         self.elements = list(elements)
@@ -93,21 +114,21 @@ class FinitePoset:
         for i, row in enumerate(up):
             if not row >> i & 1:
                 raise PosetError(f"not reflexive at {self.elements[i]!r}")
-        strict = [_bits(row ^ (1 << i)) for i, row in enumerate(up)]
         # row i is closed when the rows above it add nothing; once every
         # row is closed, two elements lie below each other exactly when
         # their rows are equal, so antisymmetry is that the rows differ
-        for i, above in enumerate(strict):
-            row = reach = up[i]
-            for j in above:
+        for i, row in enumerate(up):
+            reach = row
+            above = row ^ 1 << i
+            while above:
+                j = above.bit_length() - 1
                 reach |= up[j]
+                above ^= 1 << j
             if reach != row:
-                _raise_first_fault(self.elements, up, strict)
+                _raise_first_fault(self.elements, up)
         if len(set(up)) != n:
-            _raise_first_fault(self.elements, up, strict)
+            _raise_first_fault(self.elements, up)
         self.up = up
-        self._strict = strict
-        self._down = None
 
     @classmethod
     def from_relation(cls, elements, relation):
@@ -157,35 +178,26 @@ class FinitePoset:
         return bool(self.up[i] >> j & 1 or self.up[j] >> i & 1)
 
     def comparables(self, x):
-        """All elements comparable to x, including x itself."""
+        """All elements comparable to x, including x itself.
+
+        Row i holds the elements above x; bit i of each row, those below.
+        """
         i = self.index(x)
-        return [self.elements[j] for j in _bits(self.up[i] | self._down_rows()[i])]
+        above = self.up[i]
+        return [
+            y
+            for j, (y, row) in enumerate(zip(self.elements, self.up))
+            if above >> j & 1 or row >> i & 1
+        ]
 
     def covers(self):
         """Cover pairs (i, j): i < j with nothing strictly between."""
-        up, out = self.up, []
-        for i, above in enumerate(self._strict):
-            between = 0
-            for k in above:
-                between |= up[k] ^ (1 << k)
-            out += [(i, j) for j in above if not between >> j & 1]
-        return out
-
-    def _down_rows(self):
-        """The transposed rows: bit j of ``down[i]`` is set when j <= i."""
-        if self._down is None:
-            down = [1 << i for i in range(self.n)]
-            for i, above in enumerate(self._strict):
-                bit = 1 << i
-                for j in above:
-                    down[j] |= bit
-            self._down = tuple(down)
-        return self._down
+        return [(i, j) for i in range(self.n) for j in _upper_covers(self.up, i, -1)]
 
     # -- constructions -----------------------------------------------------
 
     def opposite(self):
-        return FinitePoset(self.elements, self._down_rows())
+        return FinitePoset(self.elements, _down_rows(self.up))
 
     def induced(self, subset):
         """The induced subposet on the given elements, in the given order.
@@ -222,6 +234,9 @@ class FinitePoset:
             and self.elements == other.elements
             and self.up == other.up
         )
+
+    def __hash__(self):
+        return hash((tuple(self.elements), self.up))
 
     def __repr__(self):
         return f"FinitePoset({self.n} elements)"
@@ -288,39 +303,6 @@ class PosetMap:
         """The values of the map, in target order."""
         return [self.target.elements[t] for t in sorted(set(self._idx))]
 
-    def is_endomap(self):
-        return self.source == self.target
-
-
-@dataclass(frozen=True)
-class Monotonicity:
-    decreasing: bool
-    increasing: bool
-
-    @property
-    def classification(self):
-        if self.decreasing and self.increasing:
-            return "both"
-        if self.decreasing:
-            return "decreasing"
-        if self.increasing:
-            return "increasing"
-        return "neither"
-
-
-def is_monotone(f):
-    """Classify an endomap: f(x) <= x everywhere, x <= f(x) everywhere, or neither.
-
-    The identity is both decreasing and increasing, so both flags are
-    reported rather than a single verdict.
-    """
-    if not f.is_endomap():
-        raise PosetError("monotonicity is only defined for endomaps")
-    up = f.source.up
-    dec = all(up[t] >> i & 1 for i, t in enumerate(f._idx))
-    inc = all(up[i] >> t & 1 for i, t in enumerate(f._idx))
-    return Monotonicity(dec, inc)
-
 
 @dataclass(frozen=True)
 class RetractionCertificate:
@@ -348,8 +330,10 @@ def closure_retraction(p, c):
             raise CertificateError(
                 f"not idempotent at {x!r}", witness=(x, c(x), c(c(x)))
             )
-    mono = is_monotone(c)
-    if mono.classification == "neither":
+    # c(x) <= x everywhere, x <= c(x) everywhere; the identity is both
+    decreasing = all(p.up[t] >> i & 1 for i, t in enumerate(idx))
+    increasing = all(p.up[i] >> t & 1 for i, t in enumerate(idx))
+    if not (decreasing or increasing):
         bad = next(
             (x for x in p.elements if not (p.le(c(x), x) or p.le(x, c(x)))),
             None,
@@ -364,12 +348,9 @@ def closure_retraction(p, c):
             "map moves some elements down and others up; no closure direction",
             witness=(down, up),
         )
-    if mono.classification == "both":
-        direction = "both"
-    elif mono.decreasing:
-        direction = "decreasing"
-    else:
-        direction = "increasing"
+    direction = (
+        "both" if decreasing and increasing else "decreasing" if decreasing else "increasing"
+    )
     image = p.induced(c.image())
     return RetractionCertificate(poset=p, map=c, image=image, direction=direction)
 
@@ -383,8 +364,8 @@ def is_order_isomorphic_via(p, q, mapping):
         return False
     back = {q.index(y): i for i, y in enumerate(images)}
     for i, y in enumerate(images):
-        row = 1 << i
-        for j in q._strict[q.index(y)]:
+        row = 0
+        for j in _bits(q.up[q.index(y)]):
             row |= 1 << back[j]
         if row != p.up[i]:
             return False
@@ -492,18 +473,14 @@ def beat_point_core(p):
     leaves its witness the minimum (maximum), so every removal stays
     valid.
     """
-    up, strict = p.up, p._strict
-    alive = [True] * p.n
+    up = p.up
+    alive = (1 << p.n) - 1
     witnesses = []
     while True:
-        live = [i for i, a in enumerate(alive) if a]
+        live = _bits(alive)
         uppers, lowers = {}, {i: [] for i in live}
         for i in live:
-            above = [j for j in strict[i] if alive[j]]
-            between = 0
-            for k in above:
-                between |= up[k] ^ (1 << k)
-            uppers[i] = [j for j in above if not between >> j & 1]
+            uppers[i] = _upper_covers(up, i, alive)
             for j in uppers[i]:
                 lowers[j].append(i)
         removed = False
@@ -514,14 +491,14 @@ def beat_point_core(p):
                 j, side = lowers[i][0], "down"
             else:
                 continue
-            if not alive[j]:
+            if not alive >> j & 1:
                 continue
-            alive[i] = False
+            alive ^= 1 << i
             removed = True
             witnesses.append((p.elements[i], p.elements[j], side))
         if not removed:
             break
-    return p.induced([x for x, a in zip(p.elements, alive) if a]), witnesses
+    return p.induced([p.elements[i] for i in _bits(alive)]), witnesses
 
 
 def order_complex(p):
@@ -530,17 +507,16 @@ def order_complex(p):
     Vertices are the elements (in poset element order); a set of elements
     spans a simplex exactly when it is totally ordered.
     """
-    n = p.n
-    up = p._strict
+    strict = [_bits(row ^ 1 << i) for i, row in enumerate(p.up)]
     faces = []
 
     def grow(chain, last):
         faces.append(tuple(sorted(chain)))
-        for j in up[last]:
+        for j in strict[last]:
             chain.append(j)
             grow(chain, j)
             chain.pop()
 
-    for i in range(n):
+    for i in range(p.n):
         grow([i], i)
     return SimplicialComplex(p.elements, faces)

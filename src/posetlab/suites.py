@@ -164,12 +164,7 @@ def _morse_absence_records(key: str) -> list[dict]:
     """
     p, res, data = _morse_search(key)
     h = data["homology"]
-    antichain = all(
-        not p.le(a, b)
-        for i, a in enumerate(p.elements)
-        for j, b in enumerate(p.elements)
-        if i != j
-    )
+    antichain = all(row == 1 << i for i, row in enumerate(p.up))
     proof_total = antichain and not h.is_trivial()
     ok = (not res.found) and res.exhausted and proof_total
     data["is_antichain"] = antichain

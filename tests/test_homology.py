@@ -273,15 +273,21 @@ class TestSmithNormalForm:
                 assert b % a == 0
 
     def test_fuzz_against_minors_gcd_oracle(self):
+        # up to 5 x 5; entries without units go straight to the dense
+        # phase and give torsion
         rng = random.Random(20260815)
-        for _ in range(120):
-            rows = rng.randrange(1, 5)
+        values = [range(-5, 6), (0, 0, 2, -2, 3, 4, -4, 6, 9, 12)]
+        torsion = Counter()
+        for k in range(240):
+            rows = rng.randrange(1, 6)
             cols = rng.randrange(1, 6)
-            m = [[rng.randrange(-5, 6) for _ in range(cols)] for _ in range(rows)]
+            m = [[rng.choice(values[k % 2]) for _ in range(cols)] for _ in range(rows)]
             res = smith_normal_form(m)
             expected = snf_oracle(m)
             assert res.factors == expected, (m, res.factors, expected)
             assert res.rank == len(expected)
+            torsion[len(res.torsion())] += 1
+        assert torsion[0] > 60 and torsion[1] > 40 and torsion[2] + torsion[3] > 20, torsion
 
     def test_sparse_entries_agree_with_dense(self):
         rng = random.Random(99)
@@ -322,7 +328,16 @@ class TestSmithNormalForm:
         assert smith_normal_form(m) == SNFResult(rank=3, factors=(1, 1, 2))
 
     def test_unit_prefix_equals_full_chain_normalization(self):
-        # the pairwise pass over units and residue together, as it ran before
+        # a pairwise gcd/lcm pass over units and residue together, which
+        # turns any nonzero diagonal into the divisor chain
+        def normalized(factors):
+            factors = list(factors)
+            for i in range(len(factors)):
+                for j in range(i + 1, len(factors)):
+                    g = gcd(factors[i], factors[j])
+                    factors[i], factors[j] = g, factors[i] * factors[j] // g
+            return tuple(factors)
+
         def full_chain(entries, nrows, ncols):
             rows, cols = {}, {}
             for (i, j), v in entries.items():
@@ -330,7 +345,7 @@ class TestSmithNormalForm:
                 cols.setdefault(j, set()).add(i)
             units = len(homology._eliminate_unit_pivots(rows, cols))
             diag = homology._dense_snf(homology._gather_dense(rows))
-            return tuple(homology._normalize_chain([1] * units + diag))
+            return normalized([1] * units + diag)
 
         rng = random.Random(31)
         for _ in range(200):
@@ -725,7 +740,6 @@ class TestCoreComplexMemo:
     @pytest.fixture
     def reductions(self, monkeypatch):
         """A cleared memo, and the posets `beat_point_core` is run on."""
-        monkeypatch.setattr(homology, "_core_complexes", OrderedDict())
         seen = []
 
         def counting(p):
@@ -733,7 +747,9 @@ class TestCoreComplexMemo:
             return beat_point_core(p)
 
         monkeypatch.setattr(homology, "beat_point_core", counting)
-        return seen
+        core_complex.cache_clear()
+        yield seen
+        core_complex.cache_clear()
 
     def test_equal_poset_reuses_the_checked_core(self, reductions):
         g = parse_key("3;0-1,0-1,0-2,1-2,2-2")
@@ -747,35 +763,38 @@ class TestCoreComplexMemo:
 
     def test_same_labels_other_order_is_another_entry(self, reductions):
         point, four = core_complex(chain(range(4))), core_complex(antichain(range(4)))
-        assert len(reductions) == 2 and len(homology._core_complexes) == 2
+        assert len(reductions) == 2 and core_complex.cache_info().currsize == 2
         assert (point.num_faces(), four.num_faces()) == (1, 4)
 
     def test_same_order_other_labels_is_another_entry(self, reductions):
         digits, letters = core_complex(antichain(range(4))), core_complex(antichain("abcd"))
-        assert len(reductions) == 2 and len(homology._core_complexes) == 2
+        assert len(reductions) == 2 and core_complex.cache_info().currsize == 2
         assert (digits.vertices, letters.vertices) == ([0, 1, 2, 3], list("abcd"))
 
     def test_memo_is_bounded_and_least_recently_used(self, reductions):
         bound = homology._CORE_COMPLEX_CACHE_MAX
+        assert core_complex.cache_info().maxsize == bound == 16
         posets = [antichain(range(n)) for n in range(1, bound + 4)]
         kept = core_complex(posets[0])
         for p in posets[1:]:
             assert core_complex(posets[0]) is kept  # keep the first one fresh
             core_complex(p)
-        assert len(homology._core_complexes) == bound
+        assert core_complex.cache_info().currsize == bound
         assert len(reductions) == len(posets)
         assert core_complex(posets[0]) is kept and len(reductions) == len(posets)
         core_complex(posets[1])  # evicted, so reduced again
         assert len(reductions) == len(posets) + 1
 
     def test_failed_check_is_never_stored(self, monkeypatch):
-        monkeypatch.setattr(homology, "_core_complexes", OrderedDict())
-
         def no_witnesses(p):
             return beat_point_core(p)[0], []
 
         monkeypatch.setattr(homology, "beat_point_core", no_witnesses)
-        for _ in range(2):
-            with pytest.raises(InvariantError, match="do not match the core"):
-                core_complex(chain(range(4)))
-        assert not homology._core_complexes
+        core_complex.cache_clear()
+        try:
+            for _ in range(2):
+                with pytest.raises(InvariantError, match="do not match the core"):
+                    core_complex(chain(range(4)))
+            assert core_complex.cache_info().currsize == 0
+        finally:
+            core_complex.cache_clear()

@@ -19,7 +19,6 @@ from posetlab.poset import (
     PosetMap,
     beat_point_core,
     closure_retraction,
-    is_monotone,
     is_order_isomorphic_via,
     order_complex,
     poset_of_subsets,
@@ -64,6 +63,12 @@ class TestConstruction:
         p = divisibility(8)
         assert p.opposite().opposite() == p
         assert p.opposite().le(8, 1)
+
+    def test_equal_posets_hash_equal(self):
+        p = divisibility(12)
+        q = FinitePoset(list(p.elements), list(p.up))
+        assert p == q and p is not q and hash(p) == hash(q)
+        assert len({p, q, p.opposite()}) == 2
 
     def test_induced_preserves_order(self):
         p = divisibility(12)
@@ -425,10 +430,12 @@ class TestMaps:
     def test_monotonicity_classification(self):
         p = chain(3)
         ident = PosetMap.from_function(p, p, lambda x: x)
-        m = is_monotone(ident)
-        assert m.classification == "both"
+        assert closure_retraction(p, ident).direction == "both"
         down = PosetMap(p, p, {0: 0, 1: 0, 2: 2})
-        assert is_monotone(down).classification == "decreasing"
+        assert closure_retraction(p, down).direction == "decreasing"
+        op = p.opposite()
+        up = PosetMap(op, op, {0: 0, 1: 0, 2: 2})
+        assert closure_retraction(op, up).direction == "increasing"
 
     def test_order_isomorphism_via(self):
         p = chain(3)
@@ -474,6 +481,20 @@ def walked_induced(p, subset):
                 row |= 1 << pos[j]
         rows.append(row)
     return FinitePoset(subset, rows)
+
+
+def walked_chains(strict):
+    """Every chain of a poset whose index order extends its order, as a
+    sorted index tuple, grown one element at a time by a pair walk over
+    the chain's members."""
+    n = len(strict)
+    chains, frontier = set(), [(i,) for i in range(n)]
+    while frontier:
+        chains.update(frontier)
+        frontier = [
+            (*c, j) for c in frontier for j in range(c[-1] + 1, n) if all(strict[i, j] for i in c)
+        ]
+    return chains
 
 
 def _heights(p):
@@ -544,6 +565,55 @@ class TestRowChecksAgainstPairWalks:
                 p = build_poset(g, kind)
                 f = core_map(g, p, p)
                 assert walked_order_fault(p, p, f.mapping) is None, (kind, g.edges)
+
+    def test_row_queries_equal_pair_walks(self):
+        # comparables, opposite, covers and chains, each from a walk over
+        # every pair (or triple) of elements read one bit at a time
+        rng = random.Random(37)
+        for n in (1, 6, 30, 65, 130):
+            for _ in range(4):
+                p = random_poset(rng, n, 2.0 / n)
+                leq = _matrix(p)
+                strict = leq & ~np.eye(n, dtype=bool)
+                for x in rng.sample(p.elements, min(n, 12)):
+                    i = p.index(x)
+                    assert p.comparables(x) == [
+                        y for j, y in enumerate(p.elements) if leq[i, j] or leq[j, i]
+                    ]
+                assert p.opposite().up == _rows(leq.T)
+                between = (strict.astype(np.int64) @ strict.astype(np.int64)) > 0
+                assert p.covers() == [tuple(map(int, ij)) for ij in np.argwhere(strict & ~between)]
+                k = order_complex(p)
+                chains = walked_chains(strict)
+                assert k.num_faces() == len(chains)
+                assert {f for d in range(k.dim + 1) for f in k.faces(d)} == chains
+
+    def test_down_witnesses_equal_pair_walk(self):
+        # a forged (x, y, "down") removal passes exactly when y is the
+        # maximum of x's strict down-set, read off the pairs
+        rng = random.Random(41)
+        verdicts = Counter()
+        for n in (3, 20, 65, 130):
+            for _ in range(4):
+                p = random_poset(rng, n, 2.0 / n)
+                leq = _matrix(p)
+                for _ in range(15):
+                    i = rng.randrange(n)
+                    below = [k for k in range(n) if leq[k, i] and k != i]
+                    others = [k for k in range(n) if k != i]
+                    j = rng.choice(below if below and rng.random() < 0.5 else others)
+                    ok = j in below and all(leq[k, j] for k in below)
+                    core = p.induced([x for x in p.elements if x != i])
+                    if ok:
+                        check_beat_witnesses(p, core, [(i, j, "down")])
+                    else:
+                        with pytest.raises(InvariantError, match="not the maximum"):
+                            check_beat_witnesses(p, core, [(i, j, "down")])
+                    verdicts[ok] += 1
+                core, witnesses = beat_point_core(p)
+                check_beat_witnesses(p, core, witnesses)
+                verdicts["down"] += sum(side == "down" for _, _, side in witnesses)
+        assert verdicts[True] > 20 and verdicts[False] > 100 and verdicts["down"] > 20, verdicts
 
     def test_induced_equals_strict_walk(self):
         rng = random.Random(31)

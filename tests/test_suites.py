@@ -2,7 +2,6 @@
 
 import hashlib
 import json
-from collections import OrderedDict
 from pathlib import Path
 
 import pytest
@@ -150,14 +149,15 @@ class TestPerKeyMemo:
             reduced.append((tuple(p.elements), p.up))
             return beat_point_core(p)
 
-        monkeypatch.setattr(homology, "_core_complexes", OrderedDict())
         monkeypatch.setattr(homology, "beat_point_core", counting)
+        homology.core_complex.cache_clear()
         suites._fiber_checks.cache_clear()
         suites._duality_check.cache_clear()
         try:
             key = suites.enumerate_graphs(3)[-1]
             suites._battery_records(key)
         finally:
+            homology.core_complex.cache_clear()
             suites._fiber_checks.cache_clear()
             suites._duality_check.cache_clear()
         calls, distinct = len(reduced), len(set(reduced))
@@ -175,10 +175,13 @@ class TestPerKeyMemo:
             real(self, elements, up)
 
         monkeypatch.setenv("POSETLAB_THREADS", "1")
-        monkeypatch.setattr(homology, "_core_complexes", OrderedDict())
         monkeypatch.setattr(FinitePoset, "__init__", counting)
+        homology.core_complex.cache_clear()
         out = tmp_path / "rank4-deep.json"
-        assert cli.main(["report", "--suite", "rank4-deep", "--out", str(out)]) == 0
+        try:
+            assert cli.main(["report", "--suite", "rank4-deep", "--out", str(out)]) == 0
+        finally:
+            homology.core_complex.cache_clear()
         assert len(built) == 654
 
     def test_callers_get_their_own_records(self):

@@ -45,7 +45,7 @@ from .graph_posets import (
     verify_valence_two,
 )
 from .homology import core_complex, read_triplet_matrix, reduced_homology, snf_from_entries
-from .morse import search_certificate, verify_certificate
+from .morse import search_certificate
 from .multigraph import GraphError
 from .poset import _label_text
 from .suites import (
@@ -141,7 +141,7 @@ def _cmd_homology(args) -> int:
     if args.matrix:
         with open(args.matrix, encoding="utf-8") as fh:
             entries, nrows, ncols = read_triplet_matrix(fh.read())
-        res = snf_from_entries(entries, nrows, ncols)
+        res = snf_from_entries(entries)
         obj = {
             "rows": nrows,
             "cols": ncols,
@@ -171,10 +171,9 @@ def _cmd_homology(args) -> int:
 def _cmd_verify(args) -> int:
     g = _require_graph(args)
     key = args.graph
-    if args.target == "x":
-        rec = verify_sphericity_via_core(g, "x", key) if args.deep else verify_sphericity(g, "x", key)
-    elif args.target == "cx":
-        rec = verify_sphericity_via_core(g, "cx", key) if args.deep else verify_sphericity(g, "cx", key)
+    if args.target in ("x", "cx"):
+        verify = verify_sphericity_via_core if args.deep else verify_sphericity
+        rec = verify(g, args.target, key)
     elif args.target == "retraction":
         rec = verify_core_retraction(g, connected_only=args.connected, label=key)
     elif args.target == "valence2":
@@ -225,7 +224,7 @@ def _cmd_morse(args) -> int:
         obj["verified"] = False
         _emit(canonical_json(obj) if args.json else f"{args.graph}  no certificate found\n", args.out)
         return 1
-    chk = verify_certificate(p, res.certificate)
+    chk = res.check
     obj["verified"] = chk.ok
     obj["reason"] = chk.reason
     if args.json:

@@ -367,48 +367,49 @@ def verify_subset_sphere(g: Multigraph, label: str | None = None) -> CheckReport
 # ---------------------------------------------------------------------------
 
 
-def _wedge_status(k, h: HomologyResult, target: int) -> tuple[str, str]:
-    """Status for the claim 'this complex is a wedge of `target`-spheres'.
-
-    Assumes the homology side of the claim already checked out: `h` is
-    free and concentrated in degree `target` (possibly trivial).  At
-    target 0 every component is then acyclic, and above it the complex
-    is connected, so one pi1 verdict over all components settles the
-    homotopy side.  Returns (status, pi1 field value).
-    """
-    if target == 1 and not h.is_trivial():
-        # A wedge of circles has free nonabelian fundamental group; that
-        # is consistent but not certifiable by abelian invariants.
-        return "homology-only", PI1_NONTRIVIAL
-    v = pi1_field(k)
-    if v == PI1_TRIVIAL:
-        return "pass", v
-    if v == PI1_NONTRIVIAL:
-        return "fail", v
-    return "homology-only", v
-
-
-def _sphericity_status(kind, k, h, target, separating, data) -> str:
-    """Status of the sphericity claim for the `kind` poset, whose
-    (core) complex `k` has homology `h`; records the pi1 verdict in
-    `data`.
+def _sphericity_report(g, kind, label, check, p, core, data, certified) -> CheckReport:
+    """The `check` record of the sphericity claim for the `kind` poset p
+    of `g`, decided on the checked beat-point core of `core` (p itself,
+    or the core poset that p retracts onto); `data` holds the check's
+    own keys.
 
     For `x` with a separating edge the claim is trivial homology; for
-    `x` otherwise, free homology concentrated in degree `target` with
-    at least one sphere; for `cx`, concentrated in `target` (an empty
-    wedge allowed).  The homotopy side is settled by `_wedge_status`.
+    `x` otherwise, free homology concentrated in degree rank-2 with at
+    least one sphere; for `cx`, concentrated in rank-2 (an empty wedge
+    allowed).  The record fails, with pi1 not evaluated, when the claim
+    or the retraction (`certified` false) does not hold.
     """
+    target = g.rank() - 2
+    k = core_complex(core)
+    h = reduced_homology(k)
+    separating = sorted(e for e in g.edge_ids if g.is_separating_edge(e))
+    data.update(
+        kind=kind,
+        rank=g.rank(),
+        target_degree=target,
+        separating_edges=separating,
+        elements=p.n,
+        homology=h,
+    )
     if kind == "x" and separating:
         claim_ok = h.is_trivial()
     elif kind == "x":
         claim_ok = h.concentrated_in(target) and h.betti(target) >= 1
     else:
         claim_ok = h.concentrated_in(target)
-    if not claim_ok:
-        data["pi1"] = "not-evaluated"
-        return "fail"
-    status, data["pi1"] = _wedge_status(k, h, target)
-    return status
+    if not (certified and claim_ok):
+        status, data["pi1"] = "fail", "not-evaluated"
+    elif target == 1 and not h.is_trivial():
+        # A wedge of circles has free nonabelian fundamental group; that
+        # is consistent but not certifiable by abelian invariants.
+        status, data["pi1"] = "homology-only", PI1_NONTRIVIAL
+    else:
+        # h is free and concentrated in degree target: at target 0 every
+        # component is acyclic, and above it the complex is connected, so
+        # one pi1 verdict over all components settles the homotopy side
+        v = data["pi1"] = pi1_field(k)
+        status = {PI1_TRIVIAL: "pass", PI1_NONTRIVIAL: "fail"}.get(v, "homology-only")
+    return CheckReport(label, check, status, _betti_profile(h), data)
 
 
 def verify_sphericity(g: Multigraph, kind: str = "x", label: str | None = None) -> CheckReport:
@@ -425,21 +426,8 @@ def verify_sphericity(g: Multigraph, kind: str = "x", label: str | None = None) 
         raise VerificationError("verify_sphericity supports kinds 'x' and 'cx'")
     label = label or graph_label(g)
     _require_connected_rank(g, f"verify_sphericity[{kind}]")
-    target = g.rank() - 2
     p = build_poset(g, kind)
-    k = core_complex(p)
-    h = reduced_homology(k)
-    separating = sorted(e for e in g.edge_ids if g.is_separating_edge(e))
-    data = {
-        "kind": kind,
-        "rank": g.rank(),
-        "target_degree": target,
-        "separating_edges": list(separating),
-        "elements": p.n,
-        "homology": h,
-    }
-    status = _sphericity_status(kind, k, h, target, separating, data)
-    return CheckReport(label, f"sphericity-{kind}", status, _betti_profile(h), data)
+    return _sphericity_report(g, kind, label, f"sphericity-{kind}", p, p, {}, True)
 
 
 # ---------------------------------------------------------------------------
@@ -473,6 +461,20 @@ def core_map(g: Multigraph, p, q) -> PosetMap:
     return PosetMap.from_function(p, q, images.__getitem__)
 
 
+def _core_certificate(g: Multigraph, p, core_kind: str):
+    """Certify that taking cores retracts the `x` or `cx` poset p of `g`
+    onto its `core_kind` poset: the core map is a closure retraction,
+    decreasing, whose image is exactly the core poset.
+
+    Returns (certificate, decreasing, core elements, image is the core).
+    Raises PosetError when the map is not an idempotent poset endomap.
+    """
+    cert = closure_retraction(p, core_map(g, p, p))
+    core = poset_elements(g, core_kind)
+    image_ok = set(cert.image.elements) == set(core)
+    return cert, cert.direction in ("decreasing", "both"), core, image_ok
+
+
 def verify_core_retraction(
     g: Multigraph, connected_only: bool = False, label: str | None = None
 ) -> CheckReport:
@@ -490,20 +492,18 @@ def verify_core_retraction(
     check = f"core-retraction-{src_kind}"
 
     try:
-        cert = closure_retraction(p, core_map(g, p, p))
+        cert, decreasing, core, image_ok = _core_certificate(g, p, dst_kind)
     except PosetError as exc:
         return _certificate_failure(label, check, data, exc)
     data["direction"] = cert.direction
-    if cert.direction not in ("decreasing", "both"):
+    if not decreasing:
         return CheckReport(label, check, "fail", (), data)
-
-    expected_image = set(poset_elements(g, dst_kind))
-    actual_image = set(cert.image.elements)
-    data["image_size"] = len(actual_image)
-    if expected_image != actual_image:
+    data["image_size"] = cert.image.n
+    if not image_ok:
+        expected, actual = set(core), set(cert.image.elements)
         data["image_mismatch"] = {
-            "missing": sorted(map(sorted, expected_image - actual_image)),
-            "extra": sorted(map(sorted, actual_image - expected_image)),
+            "missing": sorted(map(sorted, expected - actual)),
+            "extra": sorted(map(sorted, actual - expected)),
         }
         return CheckReport(label, check, "fail", (), data)
 
@@ -652,7 +652,7 @@ def _subset_flag_cycle(universe):
     yield from grow([], frozenset(), [])
 
 
-def forest_generator_cycles(g: Multigraph, label: str | None = None):
+def forest_generator_cycles(g: Multigraph):
     """One integer cycle in the top nonvanishing degree of the
     cycle-containing complex of `g` for each maximal forest.
 
@@ -692,7 +692,7 @@ def forest_generator_cycles(g: Multigraph, label: str | None = None):
     return k, cycles
 
 
-def _chain_boundary(k, target: int, chain: dict) -> dict:
+def _chain_boundary(target: int, chain: dict) -> dict:
     """Boundary of an integer `target`-chain, including the augmentation
     when target is 0.  Keys are faces of degree target-1 (or the empty
     tuple for the augmentation)."""
@@ -741,7 +741,7 @@ def verify_forest_generators(g: Multigraph, label: str | None = None) -> CheckRe
         if not chain:
             closed = False
             break
-        if _chain_boundary(k, target, chain):
+        if _chain_boundary(target, chain):
             closed = False
             break
     data["cycles_closed_nonzero"] = closed
@@ -752,13 +752,14 @@ def verify_forest_generators(g: Multigraph, label: str | None = None) -> CheckRe
     # matrix span the boundaries; adjoining the cycles and comparing
     # ranks counts how many are independent in homology.
     face_idx = k.face_index(target)
-    bd_entries, n_target, base_cols = boundary_entries(k, target + 1)
+    bd_entries = boundary_entries(k, target + 1)
+    base_cols = k.num_faces(target + 1)
     joint = dict(bd_entries)
     for j, chain in enumerate(cycles):
         for simplex, coeff in chain.items():
             joint[(face_idx[simplex], base_cols + j)] = coeff
-    rank_bd = snf_from_entries(bd_entries, n_target, base_cols).rank
-    rank_joint = snf_from_entries(joint, n_target, base_cols + len(cycles)).rank
+    rank_bd = snf_from_entries(bd_entries).rank
+    rank_joint = snf_from_entries(joint).rank
     span = rank_joint - rank_bd
     data["span_rank"] = span
     data["expected_rank"] = h.betti(target)
@@ -816,38 +817,18 @@ def verify_sphericity_via_core(
         raise VerificationError("verify_sphericity_via_core supports kinds 'x' and 'cx'")
     label = label or graph_label(g)
     _require_connected_rank(g, f"verify_sphericity_via_core[{kind}]")
-    core_kind = "cc" if kind == "cx" else "c"
-    target = g.rank() - 2
+    check, core_kind = f"deep-sphericity-{kind}", "cc" if kind == "cx" else "c"
     p = build_poset(g, kind)
+    data: dict = {"via": "core-retraction"}
     try:
-        cert = closure_retraction(p, core_map(g, p, p))
+        cert, decreasing, core, image_ok = _core_certificate(g, p, core_kind)
     except PosetError as exc:
-        data = {"kind": kind, "rank": g.rank(), "elements": p.n, "via": "core-retraction"}
-        return _certificate_failure(label, f"deep-sphericity-{kind}", data, exc)
-    cert_ok = cert.direction in ("decreasing", "both")
-    core_elements = poset_elements(g, core_kind)
-    image_ok = set(cert.image.elements) == set(core_elements)
+        data.update(kind=kind, rank=g.rank(), elements=p.n)
+        return _certificate_failure(label, check, data, exc)
     # both lists are in p's (size, sorted ids) order, so a matching
     # image is the induced core poset itself
-    core_poset = cert.image if image_ok else p.induced(core_elements)
-    k = core_complex(core_poset)
-    h = reduced_homology(k)
-    separating = sorted(e for e in g.edge_ids if g.is_separating_edge(e))
-    data = {
-        "kind": kind,
-        "rank": g.rank(),
-        "target_degree": target,
-        "separating_edges": list(separating),
-        "elements": p.n,
-        "core_elements": core_poset.n,
-        "retraction_direction": cert.direction,
-        "retraction_image_is_core": image_ok,
-        "homology": h,
-        "via": "core-retraction",
-    }
-    if cert_ok and image_ok:
-        status = _sphericity_status(kind, k, h, target, separating, data)
-    else:
-        data["pi1"] = "not-evaluated"
-        status = "fail"
-    return CheckReport(label, f"deep-sphericity-{kind}", status, _betti_profile(h), data)
+    core_poset = cert.image if image_ok else p.induced(core)
+    data["core_elements"] = core_poset.n
+    data["retraction_direction"] = cert.direction
+    data["retraction_image_is_core"] = image_ok
+    return _sphericity_report(g, kind, label, check, p, core_poset, data, decreasing and image_ok)

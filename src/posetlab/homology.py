@@ -73,21 +73,16 @@ def smith_normal_form(matrix):
     SNFResult(rank=0, factors=())
     """
     entries = {}
-    nrows = 0
-    ncols = 0
     for i, row in enumerate(matrix):
-        nrows += 1
-        width = 0
         for j, v in enumerate(row):
-            width += 1
             v = int(v)
             if v:
                 entries[(i, j)] = v
-        ncols = max(ncols, width)
-    return snf_from_entries(entries, nrows, ncols)
+    return snf_from_entries(entries)
 
 
-def snf_from_entries(entries, nrows, ncols):
+def snf_from_entries(entries):
+    """Smith normal form data of the sparse matrix ``{(row, col): value}``."""
     rows = {}
     cols = {}
     for (i, j), v in entries.items():
@@ -301,10 +296,9 @@ class HomologyResult:
         """True when every nonzero group sits in the given degree, torsion-free."""
         return all(d == degree and not t for d, _, t in self.groups)
 
-    def to_json_obj(self, top_degree=None):
-        if top_degree is None:
-            top_degree = self.max_degree()
-            top_degree = -1 if top_degree is None else top_degree
+    def to_json_obj(self):
+        top_degree = self.max_degree()
+        top_degree = -1 if top_degree is None else top_degree
         return [
             {"degree": d, "betti": self.betti(d), "torsion": list(self.torsion(d))}
             for d in range(-1, top_degree + 1)
@@ -342,14 +336,14 @@ def boundary_entries(k, d, skip_rows=frozenset()):
     if d == 0:
         for j in range(len(faces)):
             entries[(0, j)] = 1
-        return entries, 1, len(faces)
+        return entries
     lower = k.face_index(d - 1)
     for j, face in enumerate(faces):
         for t in range(len(face)):
             i = lower[face[:t] + face[t + 1 :]]
             if i not in skip_rows:
                 entries[(i, j)] = (-1) ** t
-    return entries, len(lower), len(faces)
+    return entries
 
 
 def reduced_homology(k):
@@ -382,8 +376,7 @@ def reduced_homology(k):
     cleared = frozenset()
     for d in range(0, top + 1):
         counts[d] = k.num_faces(d)
-        entries, nr, nc = boundary_entries(k, d, cleared)
-        res = snf_from_entries(entries, nr, nc)
+        res = snf_from_entries(boundary_entries(k, d, cleared))
         ranks[d] = res.rank
         torsion_at[d] = res.torsion()
         cleared = res.unit_pivot_cols
@@ -517,10 +510,6 @@ def core_complex(p):
     core, witnesses = beat_point_core(p)
     check_beat_witnesses(p, core, witnesses)
     return order_complex(core)
-
-
-def poset_homology(p):
-    return reduced_homology(core_complex(p))
 
 
 # -- contractibility and fundamental group ----------------------------------
@@ -675,7 +664,6 @@ class DualityReport:
     sphere_dim: int
     hypothesis_ok: bool
     duality_ok: bool
-    ambient: HomologyResult
     sub_homology: HomologyResult
     complement_cohomology: HomologyResult
     mismatches: tuple
@@ -696,13 +684,12 @@ def alexander_duality_check(p, q_elements, sphere_dim):
     q_set = set(q_elements)
     for x in q_elements:
         p.index(x)
-    ambient = poset_homology(p)
-    hypothesis_ok = ambient == HomologyResult.sphere(sphere_dim)
+    hypothesis_ok = reduced_homology(core_complex(p)) == HomologyResult.sphere(sphere_dim)
 
     q_poset = p.induced(q_elements)
     rest = [x for x in p.elements if x not in q_set]
     c_poset = p.induced(rest)
-    sub_h = poset_homology(q_poset)
+    sub_h = reduced_homology(core_complex(q_poset))
     comp_hh = reduced_cohomology(core_complex(c_poset))
 
     mismatches = []
@@ -720,7 +707,6 @@ def alexander_duality_check(p, q_elements, sphere_dim):
         sphere_dim=sphere_dim,
         hypothesis_ok=hypothesis_ok,
         duality_ok=not mismatches,
-        ambient=ambient,
         sub_homology=sub_h,
         complement_cohomology=comp_hh,
         mismatches=tuple(mismatches),
@@ -734,7 +720,7 @@ def read_triplet_matrix(text):
     """Parse "rows cols" on the first line, then "i j value" entries.
 
     Blank lines and lines starting with '#' are ignored.  Returns
-    (entries, nrows, ncols) suitable for snf_from_entries.
+    (entries, nrows, ncols); the entries suit snf_from_entries.
     """
     lines = [
         ln.strip()

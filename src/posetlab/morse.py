@@ -33,7 +33,7 @@ exists.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations
 
 from .homology import (
@@ -73,7 +73,6 @@ class CertificateCheck:
 
     ok: bool
     reason: str
-    element_status: dict = field(default_factory=dict)
 
 
 def descending_poset(p: FinitePoset, values, x) -> FinitePoset:
@@ -102,7 +101,6 @@ def verify_certificate(p: FinitePoset, cert: LevelCertificate) -> CertificateChe
         return CertificateCheck(False, "level 0 is empty")
 
     values = cert.value_of()
-    status: dict = {}
 
     base = p.induced(list(cert.levels[0]))
     base_status = certify_contractible(base)
@@ -121,12 +119,9 @@ def verify_certificate(p: FinitePoset, cert: LevelCertificate) -> CertificateChe
     for level in cert.levels[1:]:
         for x in level:
             s = certify_contractible(descending_poset(p, values, x))
-            status[x] = s
             if not is_contractible_certificate(s):
                 return CertificateCheck(
-                    False,
-                    f"descending complex of {x!r} not certified ({s})",
-                    status,
+                    False, f"descending complex of {x!r} not certified ({s})"
                 )
 
     if not reduced_homology(order_complex(p)).is_trivial():
@@ -134,7 +129,7 @@ def verify_certificate(p: FinitePoset, cert: LevelCertificate) -> CertificateChe
             "level certificate validated but homology is nonzero; "
             "this indicates a defect in the certificate checker"
         )
-    return CertificateCheck(True, "all levels verified", status)
+    return CertificateCheck(True, "all levels verified")
 
 
 @dataclass(frozen=True)
@@ -143,12 +138,15 @@ class SearchResult:
 
     `certificate` is None when none was found; `exhausted` tells whether
     the search space was fully explored (making the failure a proof that
-    no certificate of the searched shape exists).
+    no certificate of the searched shape exists).  `check` is the
+    :func:`verify_certificate` outcome the certificate was accepted on
+    (None when none was found).
     """
 
     certificate: LevelCertificate | None
     exhausted: bool
     centers_tried: int
+    check: CertificateCheck | None
 
     @property
     def found(self) -> bool:
@@ -160,13 +158,15 @@ def search_certificate(p: FinitePoset) -> SearchResult:
     level 0 is the set of comparables of some element.
 
     Centers are tried from largest comparable-set to smallest.  For each,
-    one level is tried, then two, then three: candidate middle levels are
-    enumerated from largest to smallest over the elements whose
-    first-level descending complex is already contractible, at most
-    ``DEFAULT_BUDGET`` of them per center.  Deterministic throughout.
+    one level is tried, then middle levels, enumerated from largest to
+    smallest over the elements whose first-level descending complex is
+    already contractible, at most ``DEFAULT_BUDGET`` of them per center;
+    the rest is the top level, empty (two levels) only for the first.
+    Each certificate is returned with its :func:`verify_certificate`
+    check.  Deterministic throughout.
     """
     if p.n == 0:
-        return SearchResult(None, True, 0)
+        return SearchResult(None, True, 0, None)
 
     exhausted = True
     order = sorted(
@@ -182,22 +182,19 @@ def search_certificate(p: FinitePoset) -> SearchResult:
             (x for x in p.elements if x not in set(level0)), key=p.index
         )
         if not rest:
-            return SearchResult(LevelCertificate((level0,)), exhausted, tried)
+            cert = LevelCertificate((level0,))
+            return SearchResult(cert, exhausted, tried, verify_certificate(p, cert))
 
         values = {x: 0 for x in level0}
         for x in rest:
             values[x] = 1
-        link_ok = {
-            x: is_contractible_certificate(certify_contractible(descending_poset(p, values, x)))
+        candidates = [
+            x
             for x in rest
-        }
-
-        if antichain(rest) and all(link_ok.values()):
-            cert = LevelCertificate((level0, rest))
-            if verify_certificate(p, cert).ok:
-                return SearchResult(cert, exhausted, tried)
-
-        candidates = [x for x in rest if link_ok[x]]
+            if is_contractible_certificate(
+                certify_contractible(descending_poset(p, values, x))
+            )
+        ]
         examined = 0
         done = False
         for size in range(len(candidates), 0, -1):
@@ -209,13 +206,14 @@ def search_certificate(p: FinitePoset) -> SearchResult:
                     break
                 if not antichain(middle):
                     continue
-                top = [x for x in rest if x not in set(middle)]
-                if not top or not antichain(top):
+                top = tuple(x for x in rest if x not in set(middle))
+                if top and not antichain(top):
                     continue
-                cert = LevelCertificate((level0, middle, tuple(top)))
-                if verify_certificate(p, cert).ok:
-                    return SearchResult(cert, exhausted, tried)
+                cert = LevelCertificate((level0, middle, top) if top else (level0, middle))
+                chk = verify_certificate(p, cert)
+                if chk.ok:
+                    return SearchResult(cert, exhausted, tried, chk)
             if done:
                 break
 
-    return SearchResult(None, exhausted, len(order))
+    return SearchResult(None, exhausted, len(order), None)

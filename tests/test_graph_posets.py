@@ -338,6 +338,30 @@ class TestCoreRetraction:
         assert printed["status"] == "fail" and printed["data"]["witness"][0] == sorted(first)
 
 
+    def test_identity_map_is_an_image_mismatch(self, monkeypatch):
+        # the identity is a closure retraction, decreasing and increasing,
+        # but its image is all of x: every core is in it, the rest is extra
+        monkeypatch.setattr(
+            graph_posets, "core_map", lambda g, p, q: PosetMap.from_function(p, q, lambda x: x)
+        )
+        key = "2;0-0,0-1,1-1"
+        g = parse_key(key)
+        x, c = build_poset(g, "x"), set(build_poset(g, "c").elements)
+        rec = verify_core_retraction(g, label=key)
+        assert rec.status == "fail"
+        assert rec.data["direction"] == "both"
+        assert rec.data["image_size"] == x.n
+        assert rec.data["image_mismatch"] == {
+            "missing": [],
+            "extra": sorted(sorted(y) for y in x.elements if y not in c),
+        }
+        deep = verify_sphericity_via_core(g, "x", key)
+        assert deep.status == "fail"
+        assert deep.data["retraction_direction"] == "both"
+        assert deep.data["retraction_image_is_core"] is False
+        assert deep.data["pi1"] == "not-evaluated"
+        assert deep.data["core_elements"] == len(c)
+
     def test_map_that_breaks_the_order_is_a_fail_record(self, monkeypatch, capsys):
         # reversing the x poset of the dumbbell sends a subset below one
         # of its supersets: the map is refused, and the record names the pair

@@ -2,6 +2,7 @@
 
 import pytest
 
+from posetlab import morse
 from posetlab.enumeration import enumerate_graphs, graphs_with_separating_edge, parse_key
 from posetlab.graph_posets import build_poset
 from posetlab.homology import reduced_homology
@@ -13,6 +14,7 @@ from posetlab.morse import (
 )
 from posetlab.multigraph import theta_graph
 from posetlab.poset import FinitePoset, order_complex, subset_lattice
+from posetlab.suites import run_suite
 
 
 def chain(n):
@@ -145,6 +147,35 @@ class TestSearch:
             res = search_certificate(p)
             if res.found and verify_certificate(p, res.certificate).ok:
                 assert reduced_homology(order_complex(p)).is_trivial()
+
+    def test_search_returns_the_check_it_accepted(self):
+        found = 0
+        for key in (*enumerate_graphs(2), *enumerate_graphs(3)):
+            for kind in ("c", "cc"):
+                p = build_poset(parse_key(key), kind)
+                res = search_certificate(p)
+                if res.found:
+                    found += 1
+                    assert res.check == verify_certificate(p, res.certificate), (key, kind)
+                    assert res.check.ok
+                else:
+                    assert res.check is None, (key, kind)
+        assert found
+
+    def test_morse_suite_does_not_verify_a_certificate_again(self, monkeypatch):
+        # each record reads the check its search accepted the certificate
+        # on, so the only calls are the searches' candidate filters and checks
+        calls = []
+        real = morse.certify_contractible
+
+        def counting(p):
+            calls.append(p)
+            return real(p)
+
+        monkeypatch.setenv("POSETLAB_THREADS", "1")
+        monkeypatch.setattr(morse, "certify_contractible", counting)
+        assert run_suite("morse").ok
+        assert len(calls) == 66
 
     def test_nonseparating_rank3_cores_never_certify(self):
         # X(G) nontrivial for separating-edge-free graphs, and C(G) carries

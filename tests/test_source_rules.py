@@ -156,6 +156,59 @@ def test_homotopy_claims_use_the_reduced_complex():
     assert found == []
 
 
+# Every parameter of a function or lambda in the package, other than
+# `self` and `cls`, is read in its body (a nested function's read
+# counts): an input that nothing reads only looks as if it mattered.
+def unread_parameters(tree):
+    """(line, function, parameter) of each parameter that its function
+    or lambda never reads."""
+    found = []
+    for node in ast.walk(tree):
+        if not isinstance(node, _SCOPES):
+            continue
+        a = node.args
+        params = [*a.posonlyargs, *a.args, *a.kwonlyargs, *filter(None, (a.vararg, a.kwarg))]
+        body = node.body if isinstance(node.body, list) else [node.body]
+        read = {
+            n.id
+            for stmt in body
+            for n in ast.walk(stmt)
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
+        }
+        name = getattr(node, "name", "<lambda>")
+        found += [(p.lineno, name, p.arg) for p in params if p.arg not in {"self", "cls", *read}]
+    return sorted(found)
+
+
+def test_unread_parameter_rule_on_a_snippet():
+    tree = ast.parse(
+        "class A:\n"
+        "    def m(self, used, unused=used): return used\n"
+        "    @classmethod\n"
+        "    def c(cls, *args, **kwargs): return kwargs\n"
+        "def outer(a, b, *, c):\n"
+        "    def inner(): return a\n"
+        "    b = c\n"
+        "    return inner\n"
+        "key = lambda x, y: x\n"
+    )
+    # a default, a store and a nested function's own names are not reads
+    assert unread_parameters(tree) == [
+        (2, "m", "unused"),
+        (4, "c", "args"),
+        (5, "outer", "b"),
+        (9, "<lambda>", "y"),
+    ]
+
+
+def test_every_parameter_is_read():
+    found = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        found += [f"{path.name}:{line}:{fn}:{arg}" for line, fn, arg in unread_parameters(tree)]
+    assert found == []
+
+
 # Every function, method and class in the package is used by the
 # package, the demos or the benchmark.  A method is used only through an
 # attribute (`x.name`); a function or class also by a bare name that is

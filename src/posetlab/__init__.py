@@ -17,7 +17,6 @@ first Betti number.
 
 from .enumeration import (
     apartment,
-    canonical_form,
     canonical_key,
     enumerate_graphs,
     fiber_poset,
@@ -70,7 +69,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "apartment",
-    "canonical_form",
     "canonical_key",
     "enumerate_graphs",
     "fiber_poset",

@@ -177,6 +177,8 @@ def _cmd_verify(args) -> int:
     elif args.target == "retraction":
         rec = verify_core_retraction(g, connected_only=args.connected, label=key)
     elif args.target == "valence2":
+        if not g.edge_ids:
+            raise VerificationError("verify_valence_two: graph must have an edge")
         subdivided, w = g.subdivide_edge(min(g.edge_ids))
         rec = verify_valence_two(subdivided, w, label=key)
     elif args.target == "generators":

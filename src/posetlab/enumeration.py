@@ -17,7 +17,7 @@ invariant under relabeling.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import combinations, permutations
+from itertools import chain, combinations, groupby, permutations, product
 from operator import itemgetter
 
 from .graph_posets import (
@@ -57,32 +57,29 @@ def _invariant_classes(g: Multigraph):
     isomorphism, which cuts the permutation search space.
     """
     verts = list(g.vertices)
-    loops: dict = {v: 0 for v in verts}
-    mult: dict = {}
+    loops = dict.fromkeys(verts, 0)
+    mult: dict = {v: {} for v in verts}
     for _, u, v in g.edges:
         if u == v:
             loops[u] += 1
         else:
-            mult[(u, v)] = mult.get((u, v), 0) + 1
-            mult[(v, u)] = mult.get((v, u), 0) + 1
+            mult[u][v] = mult[u].get(v, 0) + 1
+            mult[v][u] = mult[v].get(u, 0) + 1
 
     color = {v: (g.valence(v), loops[v]) for v in verts}
+    # a vertex's new colour holds its old one, so each pass splits classes
+    # and the partition is stable once their number stops growing
+    count = len(set(color.values()))
     while True:
-        fresh = {}
-        for v in verts:
-            around = sorted(
-                (m, color[w]) for (x, w), m in mult.items() if x == v
-            )
-            fresh[v] = (color[v], tuple(around))
+        fresh = {
+            v: (color[v], tuple(sorted((m, color[w]) for w, m in mult[v].items())))
+            for v in verts
+        }
         palette = sorted(set(fresh.values()))
-        renamed = {v: palette.index(fresh[v]) for v in verts}
-        if all(
-            (renamed[a] == renamed[b]) == (color[a] == color[b])
-            for a in verts
-            for b in verts
-        ):
-            return renamed
-        color = renamed
+        color = {v: palette.index(fresh[v]) for v in verts}
+        if len(palette) == count:
+            return color
+        count = len(palette)
 
 
 def canonical_key(g: Multigraph) -> str:
@@ -99,15 +96,8 @@ def canonical_key(g: Multigraph) -> str:
         return "0;"
     color = _invariant_classes(g)
     order = sorted(verts, key=lambda v: (color[v], v))
-    # group contiguous same-class vertices; permutations act within groups
-    groups = []
-    i = 0
-    while i < len(order):
-        j = i
-        while j < len(order) and color[order[j]] == color[order[i]]:
-            j += 1
-        groups.append(order[i:j])
-        i = j
+    # permutations act within groups of contiguous same-class vertices
+    groups = [list(group) for _, group in groupby(order, key=color.get)]
     pos = {v: i for i, v in enumerate(verts)}
     raw_pairs = [(pos[u], pos[v]) for _, u, v in g.edges]
     # An encoding is "<nv>;" then the "a-b" tokens (a <= b) joined by ","
@@ -120,29 +110,13 @@ def canonical_key(g: Multigraph) -> str:
 
     best = None
     label = [0] * nv
-    for perm in _group_permutations(groups):
-        for new, old in enumerate(perm):
+    for perm in product(*map(permutations, groups)):
+        for new, old in enumerate(chain.from_iterable(perm)):
             label[pos[old]] = new
         tokens = [token[c] for c in sorted([code[label[u]][label[v]] for u, v in raw_pairs])]
         if best is None or tokens < best:
             best = tokens
     return f"{nv};" + ",".join(best)
-
-
-def _group_permutations(groups):
-    """All vertex orderings obtained by permuting within each class."""
-    if not groups:
-        yield []
-        return
-    head, rest = groups[0], groups[1:]
-    for p in permutations(head):
-        for tail in _group_permutations(rest):
-            yield list(p) + tail
-
-
-def canonical_form(g: Multigraph) -> Multigraph:
-    """The relabeling of `g` on vertices 0..nv-1 realizing its key."""
-    return parse_key(canonical_key(g))
 
 
 def parse_key(key: str) -> Multigraph:
@@ -276,7 +250,8 @@ def fiber_poset(g: Multigraph, connected_only: bool = False) -> FinitePoset:
     table.  The order is the reverse inclusion of one concatenated mask
     per element, F | (F | H) << m for m edges: F and F | H each take m
     bits of their own, so one mask lies within another exactly when
-    both halves do, which is the definition above.
+    both halves do, which is the definition above.  Reverse inclusion
+    of masks is inclusion of their complements in those 2m bits.
     """
     kind = "cc" if connected_only else "c"
     masks = _edge_masks(g)
@@ -291,9 +266,8 @@ def fiber_poset(g: Multigraph, connected_only: bool = False) -> FinitePoset:
             for ids, h in table.admitted(kind)
         ]
     rows.sort(key=itemgetter(0))
-    return FinitePoset(
-        [x for _, x, _ in rows], _inclusion_rows([fh for _, _, fh in rows], below=True)
-    )
+    full = (1 << 2 * shift) - 1
+    return FinitePoset([x for _, x, _ in rows], _inclusion_rows([full ^ fh for _, _, fh in rows]))
 
 
 def fiber_retraction(g: Multigraph, connected_only: bool = False):

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, permutations
 
 from .homology import (
     PI1_NONTRIVIAL,
@@ -630,26 +630,17 @@ def _subset_flag_cycle(universe):
     on `universe`: complete flags of proper nonempty subsets, each
     signed by the permutation of `universe` that the flag induces.
 
-    Yields (sign, (S1, ..., S_{n-1})) with S_i of size i, as frozensets.
+    Yields (sign, (S1, ..., S_{n-1})) with S_i of size i, as frozensets,
+    one flag per ordering of the sorted members in lexicographic order;
+    nothing below two members.
     """
     universe = sorted(universe)
-    n = len(universe)
-
-    def grow(flag, used, order):
-        size = len(flag)
-        if size == n - 1:
-            rest = [x for x in universe if x not in used]
-            yield _permutation_sign(order + rest), tuple(flag)
-            return
-        for x in universe:
-            if x in used:
-                continue
-            new = frozenset(used | {x})
-            yield from grow(flag + [new], new, order + [x])
-
-    if n == 1:
+    if len(universe) < 2:
         return
-    yield from grow([], frozenset(), [])
+    for order in permutations(universe):
+        yield _permutation_sign(order), tuple(
+            frozenset(order[:size]) for size in range(1, len(order))
+        )
 
 
 def forest_generator_cycles(g: Multigraph):

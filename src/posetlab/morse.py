@@ -34,7 +34,7 @@ exists.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import chain, combinations
 
 from .homology import (
     InvariantError,
@@ -159,9 +159,10 @@ def search_certificate(p: FinitePoset) -> SearchResult:
 
     Centers are tried from largest comparable-set to smallest.  For each,
     one level is tried, then middle levels, enumerated from largest to
-    smallest over the elements whose first-level descending complex is
-    already contractible, at most ``DEFAULT_BUDGET`` of them per center;
-    the rest is the top level, empty (two levels) only for the first.
+    smallest in ``combinations`` order over the elements whose
+    first-level descending complex is already contractible, at most
+    ``DEFAULT_BUDGET`` of them per center; the rest is the top level,
+    empty (two levels) only for the first.
     Each certificate is returned with its :func:`verify_certificate`
     check.  Deterministic throughout.
     """
@@ -195,25 +196,21 @@ def search_certificate(p: FinitePoset) -> SearchResult:
                 certify_contractible(descending_poset(p, values, x))
             )
         ]
-        examined = 0
-        done = False
-        for size in range(len(candidates), 0, -1):
-            for middle in combinations(candidates, size):
-                examined += 1
-                if examined > DEFAULT_BUDGET:
-                    exhausted = False
-                    done = True
-                    break
-                if not antichain(middle):
-                    continue
-                top = tuple(x for x in rest if x not in set(middle))
-                if top and not antichain(top):
-                    continue
-                cert = LevelCertificate((level0, middle, top) if top else (level0, middle))
-                chk = verify_certificate(p, cert)
-                if chk.ok:
-                    return SearchResult(cert, exhausted, tried, chk)
-            if done:
+        middles = chain.from_iterable(
+            combinations(candidates, size) for size in range(len(candidates), 0, -1)
+        )
+        for examined, middle in enumerate(middles, start=1):
+            if examined > DEFAULT_BUDGET:
+                exhausted = False
                 break
+            if not antichain(middle):
+                continue
+            top = tuple(x for x in rest if x not in set(middle))
+            if top and not antichain(top):
+                continue
+            cert = LevelCertificate((level0, middle, top) if top else (level0, middle))
+            chk = verify_certificate(p, cert)
+            if chk.ok:
+                return SearchResult(cert, exhausted, tried, chk)
 
     return SearchResult(None, exhausted, len(order), None)

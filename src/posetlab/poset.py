@@ -315,7 +315,6 @@ class RetractionCertificate:
     """
 
     poset: FinitePoset
-    map: PosetMap
     image: FinitePoset
     direction: str
 
@@ -352,7 +351,7 @@ def closure_retraction(p, c):
         "both" if decreasing and increasing else "decreasing" if decreasing else "increasing"
     )
     image = p.induced(c.image())
-    return RetractionCertificate(poset=p, map=c, image=image, direction=direction)
+    return RetractionCertificate(poset=p, image=image, direction=direction)
 
 
 def is_order_isomorphic_via(p, q, mapping):
@@ -385,14 +384,12 @@ def poset_of_subsets(subsets):
     return FinitePoset(elements, _inclusion_rows(masks))
 
 
-def _inclusion_rows(masks, below=False):
+def _inclusion_rows(masks):
     """Up-rows of the inclusion order on int masks.
 
-    Bit j of row i is set when masks[i] is within masks[j] or, with
-    `below`, when masks[j] is within masks[i].  Row i is the AND, over
-    each member in masks[i] (with `below`: each member outside it), of
-    the positions whose mask holds (lacks) that member, so n masks over
-    m members cost O(n*m) ANDs.
+    Bit j of row i is set when masks[i] is within masks[j].  Row i is
+    the AND, over each member in masks[i], of the positions whose mask
+    holds that member, so n masks over m members cost O(n*m) ANDs.
     """
     everyone = (1 << len(masks)) - 1
     members = [_bits(mask) for mask in masks]
@@ -400,10 +397,6 @@ def _inclusion_rows(masks, below=False):
     for k, bits in enumerate(members):
         for b in bits:
             holders[b] = holders.get(b, 0) | 1 << k
-    if below:
-        # masks[j] is within masks[i] when j lacks every member i lacks
-        holders = {b: everyone ^ h for b, h in holders.items()}
-        members = [[b for b in holders if not mask >> b & 1] for mask in masks]
     rows = []
     for bits in members:
         row = everyone

@@ -90,6 +90,14 @@ class TestVerify:
         code, _, _ = run_main(["verify", "valence2", "--graph", THETA], capsys)
         assert code == 0
 
+    @pytest.mark.parametrize("key", ["1;", "2;"])
+    def test_valence2_on_edgeless_graph_is_usage_error(self, key, capsys):
+        # no edge to subdivide: a refusal, not Python's message from min()
+        code, _, err = run_main(["verify", "valence2", "--graph", key], capsys)
+        assert code == 2
+        assert "verify_valence_two: graph must have an edge" in err
+        assert "min()" not in err
+
     def test_generators(self, capsys):
         code, out, _ = run_main(["verify", "generators", "--graph", THETA], capsys)
         assert code == 0

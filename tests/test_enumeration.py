@@ -9,22 +9,28 @@ no two census keys are isomorphic, and every edge contraction of a
 census graph lands in the census one vertex down.
 """
 
+import hashlib
 import random
 import resource
 import subprocess
 import sys
 from collections import Counter
-from itertools import combinations, combinations_with_replacement, permutations
+from itertools import (
+    chain,
+    combinations,
+    combinations_with_replacement,
+    groupby,
+    permutations,
+    product,
+)
 from pathlib import Path
 
 import pytest
 
 from posetlab import cli, enumeration, graph_posets
 from posetlab.enumeration import (
-    _group_permutations,
     _invariant_classes,
     apartment,
-    canonical_form,
     canonical_key,
     enumerate_graphs,
     fiber_poset,
@@ -37,7 +43,13 @@ from posetlab.enumeration import (
 from posetlab.graph_posets import KINDS, _EdgeMasks, _forests, build_poset
 from posetlab.homology import HomologyResult, reduced_homology
 from posetlab.multigraph import GraphError, Multigraph, dumbbell, rose, theta_graph
-from posetlab.poset import CertificateError, FinitePoset, order_complex, subset_lattice
+from posetlab.poset import (
+    CertificateError,
+    FinitePoset,
+    closure_retraction,
+    order_complex,
+    subset_lattice,
+)
 
 # ---------------------------------------------------------------------------
 # independent census oracle
@@ -239,6 +251,13 @@ class TestCensus:
         profile = Counter(parse_key(k).num_vertices() for k in enumerate_graphs(5))
         assert sum(profile.values()) == 1076
         assert profile == Counter({1: 1, 2: 10, 3: 48, 4: 153, 5: 277, 6: 323, 7: 193, 8: 71})
+        # the keys themselves, which label every report
+        digests = {
+            4: "5d406b76c7e41978cbbf890ed064ebb0d2bf3d0d3cba8fac69b95b7679b184fd",
+            5: "06e94408c5d6853f1c6aa52c07ffd4b0c8e07a5add3e6772abe3c00e4ebac91d",
+        }
+        for rank, digest in digests.items():
+            assert hashlib.sha256("\n".join(enumerate_graphs(rank)).encode()).hexdigest() == digest
 
     def test_trivalent_slice_matches_cubic_multigraph_counts(self):
         # connected trivalent multigraphs on 2, 4, 6, 8 vertices: 2, 5, 17,
@@ -294,7 +313,7 @@ class TestCanonicalKeys:
 
     def test_canonical_form_round_trip(self):
         for key in enumerate_graphs(3):
-            g = canonical_form(parse_key(key))
+            g = parse_key(canonical_key(parse_key(key)))
             assert canonical_key(g) == key
 
     def test_parse_rejects_malformed(self):
@@ -322,17 +341,10 @@ def _string_min_key(g):
     nv = len(verts)
     color = _invariant_classes(g)
     order = sorted(verts, key=lambda v: (color[v], v))
-    groups = []
-    i = 0
-    while i < len(order):
-        j = i
-        while j < len(order) and color[order[j]] == color[order[i]]:
-            j += 1
-        groups.append(order[i:j])
-        i = j
+    groups = [list(group) for _, group in groupby(order, key=color.get)]
     best = None
-    for perm in _group_permutations(groups):
-        relabel = {old: new for new, old in enumerate(perm)}
+    for perm in product(*map(permutations, groups)):
+        relabel = {old: new for new, old in enumerate(chain.from_iterable(perm))}
         pairs = sorted(tuple(sorted((relabel[u], relabel[v]))) for _, u, v in g.edges)
         key = f"{nv};" + ",".join(f"{u}-{v}" for u, v in pairs)
         if best is None or key < best:
@@ -368,6 +380,41 @@ class TestCanonicalKeyOracle:
     def test_edgeless_and_empty_graphs(self):
         for g in (Multigraph([], []), Multigraph([4], []), Multigraph([0, 3, 5], [])):
             assert canonical_key(g) == _string_min_key(g) == f"{g.num_vertices()};"
+
+    def test_invariant_classes_equal_the_pairwise_stability_loop(self):
+        # the refinement the library once used: stop when every pair of
+        # vertices is split by the new colours exactly as by the old
+        def pairwise_classes(g):
+            verts = list(g.vertices)
+            loops = {v: 0 for v in verts}
+            mult = {}
+            for _, u, v in g.edges:
+                if u == v:
+                    loops[u] += 1
+                else:
+                    mult[(u, v)] = mult.get((u, v), 0) + 1
+                    mult[(v, u)] = mult.get((v, u), 0) + 1
+            color = {v: (g.valence(v), loops[v]) for v in verts}
+            while True:
+                fresh = {}
+                for v in verts:
+                    around = sorted((m, color[w]) for (x, w), m in mult.items() if x == v)
+                    fresh[v] = (color[v], tuple(around))
+                palette = sorted(set(fresh.values()))
+                renamed = {v: palette.index(fresh[v]) for v in verts}
+                if all(
+                    (renamed[a] == renamed[b]) == (color[a] == color[b])
+                    for a in verts
+                    for b in verts
+                ):
+                    return renamed
+                color = renamed
+
+        graphs = [parse_key(key) for rank in (2, 3, 4) for key in enumerate_graphs(rank)]
+        graphs += [*_labelled_realisations(2), *_labelled_realisations(3)]
+        assert len(graphs) == 179
+        for g in graphs:
+            assert _invariant_classes(g) == pairwise_classes(g), g.edges
 
 
 def _fiber_oracle_graphs():
@@ -497,7 +544,7 @@ class TestFiberPosets:
                 expected = by_definition(g, connected_only)
                 assert fiber_poset(g, connected_only).elements == expected, g.edges
 
-    def test_retraction_equals_per_element_definition(self):
+    def test_retraction_equals_per_element_definition(self, monkeypatch):
         # (F, H) goes to (empty, core of H and of the F-components that
         # H meets once lifted back into g), one element at a time
         def retract_by_definition(g):
@@ -515,12 +562,21 @@ class TestFiberPosets:
 
             return retract
 
+        # the certificate keeps no map, so catch the one it was built from
+        maps = []
+
+        def capture(p, c):
+            maps.append(c)
+            return closure_retraction(p, c)
+
+        monkeypatch.setattr(enumeration, "closure_retraction", capture)
         for g in _fiber_oracle_graphs():
             retract = retract_by_definition(g)
             for connected_only in (False, True):
                 cert = fiber_retraction(g, connected_only)
                 for x in cert.poset.elements:
-                    assert cert.map(x) == retract(x), (g.edges, connected_only, x)
+                    assert maps[-1](x) == retract(x), (g.edges, connected_only, x)
+        assert len(maps) == 2 * len(_fiber_oracle_graphs())
 
     def test_fiber_homology_matches_core_opposite_directly(self):
         g = theta_graph()

@@ -527,3 +527,29 @@ class TestForestGenerators:
         monkeypatch.setattr(graph_posets, "_subset_flag_cycle", broken_flags)
         with pytest.raises(InvariantError, match="missed the complex"):
             forest_generator_cycles(rose(3))
+
+    def test_flags_equal_the_recursive_generator(self):
+        # the recursive flag generator the library once used: the flag
+        # order fixes each cycle's chain, so order, signs and flags agree
+        def recursive_flags(universe):
+            universe = sorted(universe)
+            n = len(universe)
+
+            def grow(flag, used, order):
+                if len(flag) == n - 1:
+                    rest = [x for x in universe if x not in used]
+                    yield graph_posets._permutation_sign(order + rest), tuple(flag)
+                    return
+                for x in universe:
+                    if x in used:
+                        continue
+                    new = frozenset(used | {x})
+                    yield from grow(flag + [new], new, order + [x])
+
+            if n == 1:
+                return
+            yield from grow([], frozenset(), [])
+
+        for universe in (*(range(n) for n in range(7)), [5, 2, 9, 1]):
+            expected = list(recursive_flags(universe))
+            assert list(graph_posets._subset_flag_cycle(universe)) == expected, universe

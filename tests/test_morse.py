@@ -1,5 +1,7 @@
 """Level-function certificates: search, verification, and provable absence."""
 
+import hashlib
+
 import pytest
 
 from posetlab import morse
@@ -176,6 +178,33 @@ class TestSearch:
         monkeypatch.setattr(morse, "certify_contractible", counting)
         assert run_suite("morse").ok
         assert len(calls) == 66
+
+    def test_budget_break_moves_to_the_next_center(self, monkeypatch):
+        # (found, unexhausted, sha256 of the outcome lines) per budget on
+        # the 36 rank-2/3 c and cc posets, as the search gave them when it
+        # left its nested size and combination loops through a `done` flag
+        pinned = {
+            0: (1, 30, "a370c540cd4e832f0eac8fe3caf5ae688535da8224d02454cad1dced8e0d246c"),
+            1: (8, 26, "1fa63da754a140f6e57448ccc181cf3b2545e0ec46155a3cf16c084d47683702"),
+            2: (8, 24, "76b177a382510c05edff580badcb089efa5ad0a7087d4f2776c5294e2eae2eec"),
+            3: (8, 19, "9198eb3006253b3a20c01e2765cf5128f00a145b92528a905f308865b7ff15a2"),
+        }
+        posets = [
+            build_poset(parse_key(key), kind)
+            for key in (*enumerate_graphs(2), *enumerate_graphs(3))
+            for kind in ("c", "cc")
+        ]
+        for budget, (found, unexhausted, digest) in pinned.items():
+            monkeypatch.setattr(morse, "DEFAULT_BUDGET", budget)
+            results = [search_certificate(p) for p in posets]
+            lines = [
+                f"{r.found} {r.exhausted} {r.centers_tried} "
+                + (repr([[sorted(x) for x in lv] for lv in r.certificate.levels]) if r.found else "-")
+                for r in results
+            ]
+            assert sum(r.found for r in results) == found, budget
+            assert sum(not r.exhausted for r in results) == unexhausted, budget
+            assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == digest, budget
 
     def test_nonseparating_rank3_cores_never_certify(self):
         # X(G) nontrivial for separating-edge-free graphs, and C(G) carries

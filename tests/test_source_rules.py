@@ -80,11 +80,11 @@ def test_cli_import_leaves_numpy_and_multiprocessing_out():
 # Homology and pi1 verdicts of a poset are computed on its checked
 # beat-point core (`homology.core_complex`), one way everywhere.  Only
 # code that needs the full order complex may hand one over: the poset
-# module itself, the forest generator cycles, whose faces they name, and
-# the final cross-check of a validated level certificate.
+# module itself and the final cross-check of a validated level
+# certificate.
 HOMOTOPY_ROUTINES = {"reduced_homology", "reduced_cohomology", "pi1_field"}
 FULL_COMPLEX_FILES = {"poset.py"}
-FULL_COMPLEX_FUNCTIONS = {"forest_generator_cycles", "verify_certificate"}
+FULL_COMPLEX_FUNCTIONS = {"verify_certificate"}
 _SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
 
 
@@ -138,7 +138,7 @@ def test_rule_sees_direct_and_named_complexes():
         "def f(p):\n"
         "    k = order_complex(p)\n"
         "    return pi1_field(k), homology.reduced_homology(order_complex(p))\n"
-        "def forest_generator_cycles(p):\n"
+        "def verify_certificate(p):\n"
         "    return reduced_homology(order_complex(p))\n"
         "def g(p):\n"
         "    return reduced_homology(core_complex(p))\n"
@@ -210,14 +210,16 @@ def test_every_parameter_is_read():
 
 
 # Every function, method and class in the package is used by the
-# package, the demos or the benchmark.  A method is used only through an
-# attribute (`x.name`); a function or class also by a bare name that is
-# read, or in an import.  So a local variable, or a name that is only
-# assigned, never keeps a definition alive.  A definition alone is not a
-# use, and neither is a test.  The rule matches names, not classes: a dead
-# method still passes when another class defines a live method of the same
-# name, as `Subgraph.core` once passed on the uses of `_EdgeMasks.core`.
-# The names below are the exceptions, each with the reason the tests need it.
+# package, the demos or the benchmark.  The re-exports in the package's
+# `__init__.py` are not uses, or every name listed there would pass.  A
+# method is used only through an attribute (`x.name`); a function or
+# class also by a bare name that is read, or in an import.  So a local
+# variable, or a name that is only assigned, never keeps a definition
+# alive.  A definition alone is not a use, and neither is a test.  The
+# rule matches names, not classes: a dead method still passes when
+# another class defines a live method of the same name, as
+# `Subgraph.core` once passed on the uses of `_EdgeMasks.core`.  The
+# names below are the exceptions, each with the reason the tests need it.
 USER_DIRS = ("src", "demos", "perfbench")
 TEST_REFERENCES = {
     "from_relation": "tests build small posets from an order predicate",
@@ -226,7 +228,9 @@ TEST_REFERENCES = {
     "smith_normal_form": "the dense-matrix SNF that tests and doctests check",
     "collapse_edge": "the census contraction check and the collapse tests",
     "full_subcomplex": "the morse tests check descending posets against it",
+    "dumbbell": "the tests' graph with a separating edge",
 }
+REEXPORTS = REPO / "src" / "posetlab" / "__init__.py"
 
 
 def _trees(dirs):
@@ -234,6 +238,7 @@ def _trees(dirs):
         ast.parse(path.read_text(), filename=str(path))
         for d in dirs
         for path in sorted((REPO / d).rglob("*.py"))
+        if path != REEXPORTS
     ]
 
 

@@ -17,7 +17,7 @@ invariant under relabeling.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import chain, combinations, groupby, permutations, product
+from itertools import accumulate, combinations
 from operator import itemgetter
 
 from .graph_posets import (
@@ -48,24 +48,33 @@ from .poset import (
 # ---------------------------------------------------------------------------
 
 
-def _invariant_classes(g: Multigraph):
-    """Partition vertices by an iterated neighborhood invariant.
-
-    Starts from (valence, loop count) and refines each vertex by the
-    multiset of (edge multiplicity, neighbor class) pairs until stable.
-    Vertices in different classes can never be exchanged by an
-    isomorphism, which cuts the permutation search space.
-    """
-    verts = list(g.vertices)
-    loops = dict.fromkeys(verts, 0)
-    mult: dict = {v: {} for v in verts}
+def _neighbour_counts(g: Multigraph):
+    """(loops, mult): each vertex's loop count, and for each vertex the
+    number of edges to each of its other neighbours."""
+    loops = dict.fromkeys(g.vertices, 0)
+    mult: dict = {v: {} for v in g.vertices}
     for _, u, v in g.edges:
         if u == v:
             loops[u] += 1
         else:
             mult[u][v] = mult[u].get(v, 0) + 1
             mult[v][u] = mult[v].get(u, 0) + 1
+    return loops, mult
 
+
+def _invariant_classes(g: Multigraph):
+    """Partition vertices by an iterated neighborhood invariant.
+
+    Starts from (valence, loop count) and refines each vertex by the
+    multiset of (edge multiplicity, neighbor class) pairs until stable.
+    Vertices in different classes can never be exchanged by an
+    isomorphism, so :func:`canonical_key` gives each class its own range
+    of labels, lower classes first, and its search only chooses among
+    the vertices of one class for each label.  Colours are numbered
+    0, 1, ... in the sorted order of the refined invariants.
+    """
+    verts = g.vertices
+    loops, mult = _neighbour_counts(g)
     color = {v: (g.valence(v), loops[v]) for v in verts}
     # a vertex's new colour holds its old one, so each pass splits classes
     # and the partition is stable once their number stops growing
@@ -75,11 +84,31 @@ def _invariant_classes(g: Multigraph):
             v: (color[v], tuple(sorted((m, color[w]) for w, m in mult[v].items())))
             for v in verts
         }
-        palette = sorted(set(fresh.values()))
-        color = {v: palette.index(fresh[v]) for v in verts}
+        palette = {c: k for k, c in enumerate(sorted(set(fresh.values())))}
+        color = {v: palette[fresh[v]] for v in verts}
         if len(palette) == count:
             return color
         count = len(palette)
+
+
+@lru_cache(maxsize=None)
+def _token_order(nv: int):
+    """The tokens of keys on `nv` vertices in text order, with the floors
+    that :func:`canonical_key` bounds its search by.
+
+    `text` lists the tokens "a-b" (a <= b < nv) in text order, and
+    place[a][b] is the place in `text` of the token of the edge {a, b}.
+    For a <= i < nv, row_floor[a][i] is the least place of a token
+    "a-b" with b >= i, and rest_floor[i] that of a token "a-b" with
+    i <= a <= b.
+    """
+    text = sorted(f"{a}-{b}" for a in range(nv) for b in range(a, nv))
+    index = {t: k for k, t in enumerate(text)}
+    place = [[index[f"{min(a, b)}-{max(a, b)}"] for b in range(nv)] for a in range(nv)]
+    # suffix minima, from the last label down
+    row_floor = [list(accumulate(reversed(row), min))[::-1] for row in place]
+    rest_floor = list(accumulate((row_floor[a][a] for a in reversed(range(nv))), min))[::-1]
+    return text, place, row_floor, rest_floor
 
 
 def canonical_key(g: Multigraph) -> str:
@@ -89,34 +118,95 @@ def canonical_key(g: Multigraph) -> str:
     minimum edge-list encoding over all relabelings that send lower
     classes to lower numbers.  Exact, not a hash: two graphs get the
     same key if and only if they are isomorphic.
+
+    An encoding is "<nv>;" then the tokens "a-b" (a <= b) of the edges,
+    in numeric pair order, joined by ","; encodings compare as text, so
+    on 11 or more vertices "10-..." sorts below "9-...".  Lists of tokens
+    compare as their joined strings do, because "," sorts below every
+    digit, and the search compares each token by its place in text order.
+
+    The minimum is found depth first, as in the search tree of McKay and
+    Piperno's "Practical graph isomorphism, II": labels 0, 1, 2, ... go
+    in turn to each unlabelled vertex of the label's class.  Row a of an
+    encoding is its tokens "a-b".  Once labels 0 .. i are given, the
+    encoding starts with a fixed part: the rows of labelled vertices
+    whose neighbours all have labels, up to the first row r that still
+    has an unlabelled neighbour, then the tokens "r-b" with b <= i.  Its
+    next token is "r-b" with b > i, or, with no such row, has both ends
+    unlabelled.  A branch is cut when its fixed part, or that part and
+    the least such next token, is already above the best encoding found,
+    because every leaf below it is above it too.  Ties are explored, so
+    the search returns the minimum that trying every relabeling finds.
     """
-    verts = sorted(g.vertices)
+    verts = g.vertices
     nv = len(verts)
     if nv == 0:
         return "0;"
     color = _invariant_classes(g)
-    order = sorted(verts, key=lambda v: (color[v], v))
-    # permutations act within groups of contiguous same-class vertices
-    groups = [list(group) for _, group in groupby(order, key=color.get)]
-    pos = {v: i for i, v in enumerate(verts)}
-    raw_pairs = [(pos[u], pos[v]) for _, u, v in g.edges]
-    # An encoding is "<nv>;" then the "a-b" tokens (a <= b) joined by ","
-    # in numeric pair order.  code[a][b] sorts as the pair (min, max) does
-    # and token[code] is its text.  Lists of tokens compare as their joined
-    # strings do, because "," sorts below every digit, so the search
-    # compares lists and joins only the winner.
-    code = [[min(a, b) * nv + max(a, b) for b in range(nv)] for a in range(nv)]
-    token = {code[a][b]: f"{a}-{b}" for a in range(nv) for b in range(a, nv)}
+    loops, mult = _neighbour_counts(g)
+    members = {}
+    for v in verts:
+        members.setdefault(color[v], []).append(v)
+    # the vertices that may take each label: lower classes take lower labels
+    choices = [members[c] for c in sorted(color.values())]
+    text, place, row_floor, rest_floor = _token_order(nv)
+    m = len(g.edges)
 
+    label = dict.fromkeys(verts, -1)
+    rows = [[] for _ in verts]  # rows[a]: places of the tokens known in row a
+    unlabelled = [0] * nv  # unlabelled[a]: edges from label a to unlabelled vertices
+    fixed = []
     best = None
-    label = [0] * nv
-    for perm in product(*map(permutations, groups)):
-        for new, old in enumerate(chain.from_iterable(perm)):
-            label[pos[old]] = new
-        tokens = [token[c] for c in sorted([code[label[u]][label[v]] for u, v in raw_pairs])]
-        if best is None or tokens < best:
-            best = tokens
-    return f"{nv};" + ",".join(best)
+
+    def descend(i, r, used):
+        # labels 0 .. i-1 are given; `fixed` holds rows 0 .. r-1 and, if
+        # r < i, the first `used` tokens of the open row r
+        nonlocal best
+        if i == nv:
+            if best is None or fixed < best:
+                best = fixed.copy()
+            return
+        for v in choices[i]:
+            if label[v] >= 0:
+                continue
+            label[v] = i
+            rows[i] = [place[i][i]] * loops[v]
+            grown = []
+            for w, k in mult[v].items():
+                a = label[w]
+                if a < 0:
+                    unlabelled[i] += k
+                else:
+                    rows[a] += [place[a][i]] * k
+                    unlabelled[a] -= k
+                    grown.append((a, k))
+            mark = len(fixed)
+            fixed.extend(rows[r][used if r < i else 0 :])
+            s = r
+            while s <= i and not unlabelled[s]:
+                s += 1
+                if s <= i:
+                    fixed.extend(rows[s])
+            # go on unless every leaf below is above `best`: its fixed part
+            # is, or that part ties and the least token that can follow it
+            # is above the next token of `best`
+            n = len(fixed)
+            head = best[:n] if best is not None else fixed
+            if fixed < head or fixed == head and (
+                best is None
+                or n == m
+                or (row_floor[s][i + 1] if s <= i else rest_floor[i + 1]) <= best[n]
+            ):
+                descend(i + 1, s, len(rows[s]) if s <= i else 0)
+            del fixed[mark:]
+            for a, k in grown:
+                del rows[a][-k:]
+                unlabelled[a] += k
+            unlabelled[i] = 0
+            label[v] = -1
+
+    descend(0, 0, 0)
+    return f"{nv};" + ",".join(text[k] for k in best)
 
 
 def parse_key(key: str) -> Multigraph:
@@ -131,6 +221,8 @@ def parse_key(key: str) -> Multigraph:
                 edges.append((i, int(u), int(v)))
     except ValueError as exc:
         raise GraphError(f"malformed graph key {key!r}") from exc
+    if nv < 0:
+        raise GraphError(f"malformed graph key {key!r}: negative vertex count")
     return Multigraph(range(nv), edges)
 
 
@@ -140,27 +232,29 @@ def parse_key(key: str) -> Multigraph:
 
 
 def _splits(g: Multigraph):
-    """Every graph made from `g` by splitting one vertex in two.
+    """Every graph made from `g` by splitting one vertex in two, as its
+    endpoint list: the sorted (u, v) pairs (u <= v) of its edges.
 
     A split takes a vertex v of valence d >= 4, moves a set of 2 .. d-2 of
     its half-edges to a new vertex w and joins v and w by a new edge, so
     both keep valence >= 3 and the rank is unchanged.  A loop at v has two
     half-edges there.  v's first half-edge never moves, so a set and its
-    complement, which give isomorphic graphs, are not both tried.
+    complement, which give isomorphic graphs, are not both tried.  The
+    new vertex is one past `g`'s largest, and the list forgets edge ids,
+    which no key depends on, so splits that differ only in which of
+    several parallel edges or loops moved give equal lists.
     """
     w = max(g.vertices) + 1
-    link = max(g.edge_ids) + 1
     for v in g.vertices:
         halves = [(e, end) for e, a, b in g.edges for end, x in ((0, a), (1, b)) if x == v]
         for size in range(2, len(halves) - 1):
             for moved in combinations(halves[1:], size):
                 moved = set(moved)
-                edges = [
-                    (e, w if (e, 0) in moved else a, w if (e, 1) in moved else b)
-                    for e, a, b in g.edges
-                ]
-                edges.append((link, v, w))
-                yield Multigraph((*g.vertices, w), edges)
+                pairs = [(v, w)]
+                for e, a, b in g.edges:
+                    a, b = w if (e, 0) in moved else a, w if (e, 1) in moved else b
+                    pairs.append((a, b) if a <= b else (b, a))
+                yield tuple(sorted(pairs))
 
 
 @lru_cache(maxsize=None)
@@ -171,7 +265,8 @@ def enumerate_graphs(rank: int):
     A graph with these properties satisfies 2|E| >= 3|V| and
     |E| = |V| + rank - 1, hence |V| <= 2(rank - 1).  The census grows
     in layers by vertex count from the rose, the only such graph on one
-    vertex, by :func:`_splits`, and each layer is deduplicated by
+    vertex, by :func:`_splits`.  Each layer keeps one graph per distinct
+    endpoint list, which only drops labelled copies, and then one per
     canonical key.  No graph is missed: a graph on nv >= 2 vertices is
     connected, so it has a non-loop edge, and contracting that edge
     keeps the rank and merges its two ends, of valences a, b >= 3, into
@@ -186,8 +281,12 @@ def enumerate_graphs(rank: int):
         raise ValueError("enumeration is defined for rank >= 2")
     layer = {canonical_key(rose(rank))}
     found = set(layer)
-    for _ in range(2 * (rank - 1) - 1):
-        layer = {canonical_key(h) for key in layer for h in _splits(parse_key(key))}
+    for nv in range(2, 2 * rank - 1):
+        splits = {pairs for key in layer for pairs in _splits(parse_key(key))}
+        layer = {
+            canonical_key(Multigraph(range(nv), [(e, *uv) for e, uv in enumerate(pairs)]))
+            for pairs in splits
+        }
         found |= layer
     return tuple(sorted(found))
 

@@ -14,6 +14,7 @@ import random
 import resource
 import subprocess
 import sys
+import time
 from collections import Counter
 from itertools import (
     chain,
@@ -30,6 +31,7 @@ import pytest
 from posetlab import cli, enumeration, graph_posets
 from posetlab.enumeration import (
     _invariant_classes,
+    _splits,
     apartment,
     canonical_key,
     enumerate_graphs,
@@ -246,8 +248,8 @@ class TestCensus:
         assert contracted > 0
 
     def test_rank5_census_pin(self):
-        # beyond the brute force's reach: its 8-vertex slice alone runs
-        # for minutes on canonical keys of labelled realisations
+        # beyond the brute force's reach: listing and keying its labelled
+        # realisations runs for minutes
         profile = Counter(parse_key(k).num_vertices() for k in enumerate_graphs(5))
         assert sum(profile.values()) == 1076
         assert profile == Counter({1: 1, 2: 10, 3: 48, 4: 153, 5: 277, 6: 323, 7: 193, 8: 71})
@@ -284,13 +286,29 @@ class TestCensus:
                 assert all(g.valence(v) >= 3 for v in g.vertices)
 
     def test_runtime_rank2_rank3(self):
-        import time
-
         enumerate_graphs.cache_clear()
         t0 = time.monotonic()
         enumerate_graphs(2)
         enumerate_graphs(3)
         assert time.monotonic() - t0 < 1.0
+
+    def test_cold_rank4_census_keys_each_distinct_split_once(self, monkeypatch):
+        # the rose, then the 419 distinct endpoint lists among the 1,025
+        # splits of the rank-4 layers (one call per split would be 1,026)
+        calls = []
+        real = enumeration.canonical_key
+
+        def counting(g):
+            calls.append(1)
+            return real(g)
+
+        monkeypatch.setattr(enumeration, "canonical_key", counting)
+        enumerate_graphs.cache_clear()
+        try:
+            assert len(enumerate_graphs(4)) == 111
+        finally:
+            enumerate_graphs.cache_clear()
+        assert len(calls) == 420
 
 
 class TestCanonicalKeys:
@@ -317,7 +335,7 @@ class TestCanonicalKeys:
             assert canonical_key(g) == key
 
     def test_parse_rejects_malformed(self):
-        for bad in ("", "x", "2;0-0,zz", "1;0-5", "2;0"):
+        for bad in ("", "x", "2;0-0,zz", "1;0-5", "2;0", "-1;"):
             with pytest.raises(GraphError):
                 parse_key(bad)
 
@@ -352,6 +370,15 @@ def _string_min_key(g):
     return best if best is not None else "0;"
 
 
+def _relabelled(g, rng):
+    """`g` with its vertices sent to shuffled new ids and its edge ids
+    shuffled."""
+    verts = list(g.vertices)
+    ids = dict(zip(verts, rng.sample(range(100, 100 + 2 * len(verts)), len(verts))))
+    eids = rng.sample(range(len(g.edges)), len(g.edges))
+    return Multigraph(ids.values(), [(f, ids[u], ids[v]) for f, (_, u, v) in zip(eids, g.edges)])
+
+
 class TestCanonicalKeyOracle:
     def test_equals_string_minimum_on_every_realisation_rank_le3(self):
         seen = 0
@@ -376,6 +403,44 @@ class TestCanonicalKeyOracle:
         ids = rng.sample(range(100, 200), 11)
         g2 = Multigraph(ids, [(e, ids[u], ids[v]) for e, u, v in g.edges])
         assert canonical_key(g2) == _string_min_key(g2) == key
+
+    def test_equals_string_minimum_on_relabelled_census_rank_le5(self):
+        rng = random.Random(20261019)
+        seen = 0
+        for rank in (2, 3, 4, 5):
+            for key in enumerate_graphs(rank):
+                g = _relabelled(parse_key(key), rng)
+                assert canonical_key(g) == _string_min_key(g) == key
+                seen += 1
+        assert seen == 3 + 15 + 111 + 1076
+
+    def test_equals_string_minimum_on_every_distinct_split_rank_le4(self):
+        splits = {
+            (parse_key(key).num_vertices() + 1, pairs)
+            for rank in (2, 3, 4)
+            for key in enumerate_graphs(rank)
+            for pairs in _splits(parse_key(key))
+        }
+        assert len(splits) == 2 + 28 + 419
+        for nv, pairs in splits:
+            g = Multigraph(range(nv), [(e, u, v) for e, (u, v) in enumerate(pairs)])
+            assert canonical_key(g) == _string_min_key(g), pairs
+
+    def test_petersen_key_under_relabelings(self):
+        # one invariant class of 10 vertices: 10! relabelings for the
+        # exhaustive search, which takes tens of seconds
+        outer = [(i, (i + 1) % 5) for i in range(5)]
+        spokes = [(i, i + 5) for i in range(5)]
+        inner = [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
+        petersen = Multigraph(
+            range(10), [(e, u, v) for e, (u, v) in enumerate(outer + spokes + inner)]
+        )
+        rng = random.Random(10)
+        t0 = time.monotonic()
+        for _ in range(3):
+            key = canonical_key(_relabelled(petersen, rng))
+            assert key == "10;0-1,0-2,0-3,1-4,1-5,2-6,2-7,3-8,3-9,4-6,4-8,5-7,5-9,6-9,7-8"
+        assert time.monotonic() - t0 < 3.0
 
     def test_edgeless_and_empty_graphs(self):
         for g in (Multigraph([], []), Multigraph([4], []), Multigraph([0, 3, 5], [])):
@@ -693,8 +758,6 @@ class TestApartments:
             assert expected == HomologyResult.sphere(rank - 2)
 
     def test_runtime_under_5s(self):
-        import time
-
         t0 = time.monotonic()
         for rank in range(2, 7):
             verify_apartment(rank)

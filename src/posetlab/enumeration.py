@@ -293,12 +293,7 @@ def enumerate_graphs(rank: int):
 
 def graphs_with_separating_edge(rank: int):
     """Canonical keys of census graphs containing a separating edge."""
-    keys = []
-    for key in enumerate_graphs(rank):
-        g = parse_key(key)
-        if any(g.is_separating_edge(e) for e in g.edge_ids):
-            keys.append(key)
-    return tuple(keys)
+    return tuple(key for key in enumerate_graphs(rank) if parse_key(key).separating_edges())
 
 
 # ---------------------------------------------------------------------------

@@ -94,7 +94,9 @@ class _EdgeMasks:
 
     Holds each edge's endpoint positions and each vertex's incident and
     loop edges, which is all that core peeling and the forest, connected
-    and core tests need.
+    and core tests need.  Classifying the subsets also records each
+    proper subset's core, so :meth:`core` peels only masks outside the
+    table.
 
     A quotient G/F keeps the edge ids of G - F, so its table can take the
     bits of G's (`bit`): its masks are then masks of G, and the fiber
@@ -103,7 +105,7 @@ class _EdgeMasks:
     :func:`posetlab.enumeration.fiber_poset`), so they are dropped with it.
     """
 
-    __slots__ = ("ids", "bit", "ends", "incident", "loops", "quotients", "_table")
+    __slots__ = ("ids", "bit", "ends", "incident", "loops", "quotients", "_table", "_cores")
 
     def __init__(self, g: Multigraph, bit: dict | None = None):
         pos = {v: i for i, v in enumerate(g.vertices)}
@@ -120,6 +122,7 @@ class _EdgeMasks:
                 self.loops[u] |= b
         self.quotients = {}
         self._table = None
+        self._cores = {}
 
     def mask(self, edges) -> int:
         return sum(map(self.bit.__getitem__, edges))
@@ -145,11 +148,18 @@ class _EdgeMasks:
 
         Tree components vanish, so the core has minimum valence two and a
         cycle in every component; a core is its own core, and a mask has
-        the core of itself minus its hanging edges.
+        the core of itself minus its hanging edges.  Classifying the
+        subsets records every proper subset's core, so a mask is peeled
+        only while it is not in that record: the whole edge set, or any
+        mask before the subsets are classified.
         """
-        while hanging := self.hanging(mask):
+        cores = self._cores
+        while (core := cores.get(mask)) is None:
+            hanging = self.hanging(mask)
+            if not hanging:
+                return mask
             mask ^= hanging
-        return mask
+        return core
 
     def core_edges(self, edges) -> frozenset:
         return self.edges(self.core(self.mask(edges)))
@@ -168,17 +178,23 @@ class _EdgeMasks:
         # one union-find on vertex positions per subset: a failed union is
         # a cycle (a loop always fails).  A loop adds two to its vertex's
         # valence, and a subgraph is core when no vertex has valence one,
-        # which also forces a cycle in every component.
-        ends = self.ends
-        m, nv = len(ends), len(self.incident)
+        # which also forces a cycle in every component.  Otherwise its
+        # hanging edges are the edges at its valence-one vertices, and its
+        # core is that of the smaller subset left without them, which is
+        # already recorded: subsets come in order of size.
+        ends, incident = self.ends, self.incident
+        m, nv = len(ends), len(incident)
+        bits = [self.bit[e] for e in self.ids]
+        cores = self._cores = {0: 0}
         for k in range(1, m):
             for ids, combo in zip(
                 combinations(self.ids, k), combinations(range(m), k)
             ):
                 parent = list(range(nv))
                 valence = [0] * nv
-                merges = cycles = 0
+                merges = cycles = mask = 0
                 for i in combo:
+                    mask |= bits[i]
                     u, v = ends[i]
                     valence[u] += 1
                     valence[v] += 1
@@ -194,9 +210,16 @@ class _EdgeMasks:
                 flags = 0 if cycles else _FOREST
                 if nv - valence.count(0) - merges == 1:
                     flags |= _CONNECTED
-                if 1 not in valence:
+                if 1 in valence:
+                    rest = mask
+                    for inc, d in zip(incident, valence):
+                        if d == 1:
+                            rest &= ~inc
+                    cores[mask] = cores[rest]
+                else:
                     flags |= _CORE
-                yield ids, self.mask(ids), flags
+                    cores[mask] = mask
+                yield ids, mask, flags
 
 
 @lru_cache(maxsize=1)
@@ -382,7 +405,7 @@ def _sphericity_report(g, kind, label, check, p, core, data, certified) -> Check
     target = g.rank() - 2
     k = core_complex(core)
     h = reduced_homology(k)
-    separating = sorted(e for e in g.edge_ids if g.is_separating_edge(e))
+    separating = list(g.separating_edges())
     data.update(
         kind=kind,
         rank=g.rank(),
@@ -438,25 +461,22 @@ def verify_sphericity(g: Multigraph, kind: str = "x", label: str | None = None) 
 def core_map(g: Multigraph, p, q) -> PosetMap:
     """The map sending a subgraph to its core, as a poset map p -> q.
 
-    Each element is peeled once: its core is the core of the element
-    minus its hanging edges (:meth:`_EdgeMasks.hanging`), a smaller set
-    that comes earlier in p's (size, sorted ids) order.  In `x` and `cx`
-    that set is again an element, whose core is already known; only a
-    set outside p is peeled in full.  Each element goes to the map as
-    its core's edge set, built once per distinct core, so a core that is
-    not an element of q is refused as any non-element.
+    No element is peeled here: `g`'s mask table recorded every proper
+    subset's core when it classified the subsets (:meth:`_EdgeMasks.core`),
+    so the `x` and `cx` maps both read the same record.  Each element
+    goes to the map as its core's edge set, built once per distinct
+    core, so a core that is not an element of q is refused as any
+    non-element.  The map validates order on construction, and the
+    callers certify it as a closure retraction, so the record is checked,
+    not trusted.
     """
     masks = _edge_masks(g)
-    cores, core_edges, images = {}, {}, {}
+    built, images = {}, {}
     for x in p.elements:
-        m = masks.mask(x)
-        c = m ^ masks.hanging(m)
-        if c != m:
-            c = cores.get(c) or masks.core(c)
-        cores[m] = c
-        y = core_edges.get(c)
+        c = masks.core(masks.mask(x))
+        y = built.get(c)
         if y is None:
-            y = core_edges[c] = masks.edges(c)
+            y = built[c] = masks.edges(c)
         images[x] = y
     return PosetMap.from_function(p, q, images.__getitem__)
 
@@ -712,7 +732,7 @@ def verify_forest_generators(g: Multigraph, label: str | None = None) -> CheckRe
     """
     label = label or graph_label(g)
     _require_connected_rank(g, "verify_forest_generators")
-    if any(g.is_separating_edge(e) for e in g.edge_ids):
+    if g.separating_edges():
         raise VerificationError(
             "verify_forest_generators: graph must have no separating edge"
         )

@@ -123,21 +123,44 @@ class Multigraph:
 
     # -- edge operations -------------------------------------------------
 
-    def is_separating_edge(self, eid):
-        """True if deleting the edge increases the number of components.
+    def separating_edges(self):
+        """The edges whose deletion increases the number of components,
+        ascending: the bridges, found by one depth-first search.
 
-        Loops are never separating.  A lone edge whose deletion empties the
-        graph counts as separating, matching the convention that a bridge in
-        a tree separates it.
+        A tree edge separates exactly when no edge from the subtree below
+        it reaches its upper end or above.  The search never steps back
+        along the edge id it came in on, so of two parallel edges each
+        closes a cycle with the other, and a loop closes one at its own
+        vertex: neither separates.  A lone or pendant edge separates,
+        matching the convention that a bridge in a tree separates it.
         """
-        u, v = self.endpoints(eid)
-        if u == v:
-            return False
-        before = len(self.components())
-        # compare on the same vertex set: a pendant edge is still a bridge
-        pairs = [(a, b) for e, a, b in self.edges if e != eid]
-        after = len(_components_of(self.vertices, pairs))
-        return after > before
+        order, low, bridges = {}, {}, []
+        for root in self.vertices:
+            if root in order:
+                continue
+            order[root] = low[root] = len(order)
+            stack = [(root, None, iter(self._incident[root]))]
+            while stack:
+                v, via, edges = stack[-1]
+                for e in edges:
+                    if e == via:
+                        continue
+                    a, b = self._by_id[e]
+                    w = b if a == v else a
+                    if w in order:
+                        low[v] = min(low[v], order[w])
+                    else:
+                        order[w] = low[w] = len(order)
+                        stack.append((w, e, iter(self._incident[w])))
+                        break
+                else:
+                    stack.pop()
+                    if stack:
+                        u = stack[-1][0]
+                        low[u] = min(low[u], low[v])
+                        if low[v] > order[u]:
+                            bridges.append(via)
+        return tuple(sorted(bridges))
 
     def collapse_edge(self, eid):
         """Identify the endpoints of a non-loop edge and remove it.

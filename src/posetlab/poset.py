@@ -60,13 +60,30 @@ def _down_rows(up):
 
 
 def _upper_covers(up, i, mask):
-    """The upper covers of element i in the subposet on `mask`, ascending:
-    its strict up-set there, less everything strictly above a member."""
-    above = up[i] & mask ^ 1 << i
-    between = 0
-    for k in _bits(above):
-        between |= up[k] ^ 1 << k
-    return _bits(above & ~between)
+    """The upper covers of element i in the subposet on `mask`, ascending.
+
+    The covers walk takes the lowest member left of i's strict up-set
+    there and drops every member of that member's row, until none is
+    left.  No minimal member is ever dropped, so each is taken; a member
+    taken later can lie below one taken earlier only when the element
+    order is not a linear extension, so a last pass drops every taken
+    member that lies above another taken member.
+    """
+    rest = (up[i] ^ 1 << i) & mask
+    taken = []
+    while rest:
+        j = (rest & -rest).bit_length() - 1
+        taken.append(j)
+        rest &= ~up[j]
+    if len(taken) < 2:
+        return taken
+    covers, above = [], 0
+    for j in reversed(taken):
+        if not above >> j & 1:
+            covers.append(j)
+        above |= up[j]
+    covers.reverse()
+    return covers
 
 
 def _raise_first_fault(elements, up):
@@ -114,20 +131,32 @@ class FinitePoset:
         for i, row in enumerate(up):
             if not row >> i & 1:
                 raise PosetError(f"not reflexive at {self.elements[i]!r}")
-        # row i is closed when the rows above it add nothing; once every
-        # row is closed, two elements lie below each other exactly when
-        # their rows are equal, so antisymmetry is that the rows differ
-        for i, row in enumerate(up):
+        # the covers walk: rows are closed smallest up-set first, so in a
+        # partial order each strict member's row, a proper subset, is
+        # closed before it is read.  A row ORs the row of its lowest
+        # member left and drops every member that row holds; a member
+        # whose row is not closed yet is a fault, as are rows that add to
+        # the row.  By induction a row that passes holds only closed
+        # members (a dropped one lies in a closed row) and their rows lie
+        # within it: the rows are transitive, and of two elements below
+        # each other, the row closed first would hold the other still
+        # open.  So the walk accepts exactly the partial orders.
+        closed = bytearray(n)
+        count = [row.bit_count() for row in up]
+        for i in sorted(range(n), key=count.__getitem__):
+            row = up[i]
             reach = row
-            above = row ^ 1 << i
-            while above:
-                j = above.bit_length() - 1
-                reach |= up[j]
-                above ^= 1 << j
+            rest = row ^ 1 << i
+            while rest:
+                j = (rest & -rest).bit_length() - 1
+                if not closed[j]:
+                    _raise_first_fault(self.elements, up)
+                r = up[j]
+                reach |= r
+                rest &= ~r
             if reach != row:
                 _raise_first_fault(self.elements, up)
-        if len(set(up)) != n:
-            _raise_first_fault(self.elements, up)
+            closed[i] = 1
         self.up = up
 
     @classmethod

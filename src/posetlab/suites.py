@@ -88,7 +88,7 @@ def _battery_records(key: str) -> list[dict]:
         verify_core_retraction(g, connected_only=False, label=key),
         verify_core_retraction(g, connected_only=True, label=key),
     ]
-    if not any(g.is_separating_edge(e) for e in g.edge_ids):
+    if not g.separating_edges():
         recs.append(verify_forest_generators(g, key))
     subdivided, w = g.subdivide_edge(min(g.edge_ids))
     recs.append(verify_valence_two(subdivided, w, label=key))

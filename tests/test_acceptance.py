@@ -80,7 +80,7 @@ def test_criterion_02_x_sphericity():
     failures = []
     for g in _all_rank_le3():
         rec = verify_sphericity(g, "x")
-        sep = any(g.is_separating_edge(e) for e in g.edge_ids)
+        sep = bool(g.separating_edges())
         h = rec.data["homology"]
         good = (
             rec.status != "fail"
@@ -156,7 +156,7 @@ def test_criterion_07_forest_generators():
     failures = []
     checked = 0
     for g in _all_rank_le3():
-        if any(g.is_separating_edge(e) for e in g.edge_ids):
+        if g.separating_edges():
             continue
         rec = verify_forest_generators(g)
         checked += 1

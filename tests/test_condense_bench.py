@@ -5,6 +5,8 @@ import importlib.util
 import json
 from pathlib import Path
 
+import pytest
+
 REPO = Path(__file__).resolve().parent.parent
 _spec = importlib.util.spec_from_file_location(
     "condense_bench", REPO / "tools" / "condense_bench.py"
@@ -15,15 +17,17 @@ _spec.loader.exec_module(condense_bench)
 METRICS = [m["name"] for m in json.loads((REPO / "BENCHMARK.json").read_text())["end_to_end"]]
 
 
-def result(seed, wall_s, checks_per_s=100.0):
-    """An untraced `report` run: every metric 1.0 but the two given."""
+def result(seed, wall_s, checks_per_s=100.0, trace=0):
+    """A `report` run, untraced unless `trace`: every metric 1.0 but the
+    two given."""
     values = dict.fromkeys(METRICS, 1.0)
     values.update(wall_s=wall_s, checks_per_s=checks_per_s)
     return {
         "machine": {"cpu": "synthetic"},
         "workload": "report",
         "seconds": 55,
-        "trace": 0,
+        "trace": trace,
+        "all_metrics": {},
         "seed": seed,
         "summary": {
             "correct": True,
@@ -74,3 +78,23 @@ def test_a_regression_leaves_the_bound():
     assert metrics["cpu_s"]["within_bound"]
     # 20 % worse stays inside the same bound
     assert condensed(PARENT, [w * 1.2 for w in PARENT])["wall_s"]["within_bound"]
+
+
+@pytest.mark.parametrize("pairs", [0, 1])
+def test_too_few_pairs_name_the_workload(pairs, tmp_path, capsys):
+    # traced runs only (0 complete pairs), or one pair plus an unpaired run
+    runs = [("parent", result(99, 0.26, trace=1)), ("change", result(99, 0.25, trace=1))]
+    runs += [("parent", result(0, 0.26)), ("change", result(0, 0.25))][: 2 * pairs]
+    runs.append(("parent", result(1, 0.26)))
+    message = f"workload 'report' has {pairs} complete parent/change pairs"
+    with pytest.raises(ValueError, match=message):
+        condense_bench.condense(runs)
+    paths = []
+    for i, (side, res) in enumerate(runs):
+        path = tmp_path / f"{i}.json"
+        path.write_text(json.dumps(res))
+        paths.append(f"{side}={path}")
+    out = tmp_path / "BENCH.json"
+    assert condense_bench.main([str(out), *paths]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()

@@ -12,11 +12,12 @@ from itertools import combinations
 import pytest
 
 from posetlab import cli, graph_posets
-from posetlab.enumeration import enumerate_graphs, fiber_poset, parse_key, verify_fiber
+from posetlab.enumeration import _quotient, enumerate_graphs, fiber_poset, parse_key, verify_fiber
 from posetlab.graph_posets import (
     KINDS,
     _edge_masks,
     _EdgeMasks,
+    _forests,
     VerificationError,
     build_poset,
     core_map,
@@ -51,6 +52,14 @@ def _components(vertices, pairs):
     for u, v in pairs:
         parent[find(u)] = find(v)
     return len({find(v) for v in vertices})
+
+
+def peeled(table, mask):
+    """The core of `mask` by dropping the table's hanging edges until
+    none are left, with no recorded core read."""
+    while hanging := table.hanging(mask):
+        mask ^= hanging
+    return mask
 
 
 def oracle_membership(g, edges, kind):
@@ -205,6 +214,25 @@ class TestEdgeMasks:
                 p = build_poset(g, kind)
                 assert p == poset_of_subsets(poset_elements(g, kind)), (kind, g.edges)
 
+    def test_recorded_cores_equal_iterated_peel(self):
+        # every proper subset of every census graph of rank 2 to 4, and of
+        # every quotient table of the rank-2 and rank-3 fiber posets: the
+        # core the classification records is the hanging-edge peel's
+        tables = [_EdgeMasks(parse_key(k)) for r in (2, 3, 4) for k in enumerate_graphs(r)]
+        for g in (parse_key(k) for r in (2, 3) for k in enumerate_graphs(r)):
+            masks = _EdgeMasks(g)
+            tables += [_quotient(g, masks, forest)[0] for forest in _forests(g) if forest]
+        checked = 0
+        for table in tables:
+            subsets = [mask for _, mask in table.admitted("sub")]
+            assert len(table._cores) == len(subsets) + 1  # and the empty set
+            for mask in subsets:
+                assert table._cores[mask] == peeled(table, mask), (mask, table.ids)
+            full = table.mask(table.ids)
+            assert table.core(full) == peeled(table, full)
+            checked += len(subsets)
+        assert (len(tables), checked) == (285, 24_826)
+
     def test_memo_holds_one_graph(self):
         # a wider cache of classification tables costs resident memory
         assert _edge_masks.cache_info().maxsize == 1
@@ -234,7 +262,7 @@ class TestSphericity:
     def test_x_trivial_iff_separating_edge_rank_le3(self):
         for g in all_graphs_rank_le3():
             rec = verify_sphericity(g, "x")
-            sep = any(g.is_separating_edge(e) for e in g.edge_ids)
+            sep = bool(g.separating_edges())
             h = rec.data["homology"]
             assert rec.status != "fail"
             if sep:
@@ -492,7 +520,7 @@ class TestForestGenerators:
 
     def test_every_nonseparating_rank_le3_graph(self):
         for g in all_graphs_rank_le3():
-            if any(g.is_separating_edge(e) for e in g.edge_ids):
+            if g.separating_edges():
                 continue
             rec = verify_forest_generators(g)
             assert rec.status == "pass", g.edges
@@ -503,7 +531,7 @@ class TestForestGenerators:
 
     def test_span_never_exceeds_forest_count(self):
         for g in all_graphs_rank_le3():
-            if any(g.is_separating_edge(e) for e in g.edge_ids):
+            if g.separating_edges():
                 continue
             rec = verify_forest_generators(g)
             assert rec.data["span_rank"] <= rec.data["forests"]
@@ -512,7 +540,7 @@ class TestForestGenerators:
         # the record reads homology off the beat-point core; the full
         # complex whose faces the cycles name must agree
         for g in all_graphs_rank_le3():
-            if any(g.is_separating_edge(e) for e in g.edge_ids):
+            if g.separating_edges():
                 continue
             k, _ = forest_generator_cycles(g)
             assert verify_forest_generators(g).data["homology"] == reduced_homology(k)

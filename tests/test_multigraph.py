@@ -12,6 +12,7 @@ from itertools import combinations
 
 import pytest
 
+from posetlab.enumeration import enumerate_graphs, parse_key
 from posetlab.graph_posets import _EdgeMasks, _spanning_trees, poset_elements
 from posetlab.multigraph import (
     GraphError,
@@ -98,24 +99,62 @@ class TestBasics:
             Multigraph([0], [(0, 0, 5)])
 
 
+def separating_by_components(g):
+    """The separating edges straight from the definition: each non-loop
+    edge is deleted in turn and the components are counted on the same
+    vertex set, so a pendant edge separates too."""
+    before = len(g.components())
+    out = []
+    for eid in g.edge_ids:
+        u, v = g.endpoints(eid)
+        rest = Multigraph(g.vertices, [e for e in g.edges if e[0] != eid])
+        if u != v and len(rest.components()) > before:
+            out.append(eid)
+    return tuple(out)
+
+
 class TestSeparatingEdges:
     def test_loops_never_separate(self):
         g = dumbbell()
         loops = [e for e in g.edge_ids if _is_loop(g, e)]
-        assert loops and all(not g.is_separating_edge(e) for e in loops)
+        assert loops and not set(loops) & set(g.separating_edges())
+        assert rose(3).separating_edges() == ()
 
     def test_dumbbell_bar_separates(self):
         g = dumbbell()
         bars = [e for e in g.edge_ids if not _is_loop(g, e)]
-        assert len(bars) == 1 and g.is_separating_edge(bars[0])
+        assert len(bars) == 1 and g.separating_edges() == tuple(bars)
 
     def test_theta_has_none(self):
-        g = theta_graph()
-        assert all(not g.is_separating_edge(e) for e in g.edge_ids)
+        assert theta_graph().separating_edges() == ()
 
     def test_parallel_pair_does_not_separate(self):
         g = Multigraph([0, 1], [(0, 0, 1), (1, 0, 1)])
-        assert not g.is_separating_edge(0)
+        assert g.separating_edges() == ()
+
+    def test_equals_components_oracle(self):
+        # every census graph of rank 2 to 5, then a tree, a loop, a lone
+        # edge, a parallel pair with a pendant edge, and a disconnected
+        # graph (a triangle with a tail beside a path and an isolated vertex)
+        graphs = [parse_key(k) for r in (2, 3, 4, 5) for k in enumerate_graphs(r)]
+        graphs += [
+            Multigraph(range(5), [(0, 0, 1), (1, 1, 2), (2, 1, 3), (3, 3, 4)]),
+            rose(1),
+            Multigraph([0, 1], [(0, 0, 1)]),
+            Multigraph([0, 1, 2], [(0, 0, 1), (1, 0, 1), (2, 1, 2)]),
+            Multigraph(
+                range(9),
+                [(0, 0, 1), (1, 1, 2), (2, 2, 0), (3, 2, 3), (4, 5, 6), (5, 6, 7), (6, 7, 7)],
+            ),
+        ]
+        separating = Counter()
+        for g in graphs:
+            found = g.separating_edges()
+            assert found == separating_by_components(g), g.edges
+            separating[bool(found)] += 1
+        assert separating[True] > 300 and separating[False] > 300, separating
+        assert graphs[-5].separating_edges() == (0, 1, 2, 3)
+        assert graphs[-1].separating_edges() == (3, 4, 5)
 
 
 class TestForestsAndCollapse:

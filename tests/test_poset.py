@@ -17,6 +17,8 @@ from posetlab.poset import (
     FinitePoset,
     PosetError,
     PosetMap,
+    _raise_first_fault,
+    _upper_covers,
     beat_point_core,
     closure_retraction,
     is_order_isomorphic_via,
@@ -227,6 +229,79 @@ class TestValidation:
                 FinitePoset("ab", [row, 0b10])
         with pytest.raises(PosetError, match="duplicate"):
             FinitePoset("aa", [1, 2])
+
+
+def pair_loop_message(labels, up):
+    """The verdict of the pair loop that validated rows before the covers
+    walk: None for a partial order, else the fault's message.  Each
+    reflexive row ORs the rows of all its strict members and must not
+    grow, and then the rows must all differ."""
+    try:
+        for i, row in enumerate(up):
+            reach = row
+            above = row ^ 1 << i
+            while above:
+                j = above.bit_length() - 1
+                reach |= up[j]
+                above ^= 1 << j
+            if reach != row:
+                _raise_first_fault(labels, up)
+        if len(set(up)) != len(up):
+            _raise_first_fault(labels, up)
+    except PosetError as exc:
+        return str(exc)
+    return None
+
+
+def covers_walk_message(labels, up):
+    try:
+        FinitePoset(labels, up)
+    except PosetError as exc:
+        return str(exc)
+    return None
+
+
+class TestCoversWalk:
+    def test_validation_equals_pair_loop(self):
+        # random posets on shuffled positions either side of 64 elements,
+        # their opposites, and each of those with one off-diagonal bit flipped
+        rng = random.Random(43)
+        verdicts = Counter()
+        for n in (2, 5, 17, 40, 62, 63, 64, 65, 66, 90, 130):
+            for _ in range(12):
+                leq = _random_order(rng, n, rng.choice([0.02, 0.08, 0.3]))
+                for rel in (leq, leq.T):
+                    flipped = rel.copy()
+                    i, j = rng.sample(range(n), 2)
+                    flipped[i, j] = not flipped[i, j]
+                    for case in (rel, flipped):
+                        labels = [f"e{k}" for k in range(n)]
+                        up = _rows(case)
+                        expected = pair_loop_message(labels, up)
+                        assert covers_walk_message(labels, up) == expected, (n, i, j)
+                        verdicts[expected and expected.split()[0]] += 1
+        assert verdicts[None] > 300, verdicts
+        assert verdicts["antisymmetry"] > 40 and verdicts["transitivity"] > 100, verdicts
+
+    def test_upper_covers_equal_pair_definition(self):
+        # j covers i inside the mask: i < j, and no k of the mask between,
+        # under random masks and element orders that are not extensions
+        rng = random.Random(47)
+        for n in (1, 7, 30, 63, 64, 65, 100):
+            for _ in range(6):
+                leq = _random_order(rng, n, rng.choice([0.05, 0.2, 0.5]))
+                up = _rows(leq)
+                strict = leq & ~np.eye(n, dtype=bool)
+                for _ in range(8):
+                    inside = [k for k in range(n) if rng.random() < rng.random()]
+                    mask = sum(1 << k for k in inside)
+                    for i in rng.sample(range(n), min(n, 10)):
+                        expected = [
+                            j
+                            for j in inside
+                            if strict[i, j] and not any(strict[i, k] and strict[k, j] for k in inside)
+                        ]
+                        assert _upper_covers(up, i, mask) == expected, (n, i)
 
 
 class TestSubsetLattices:

@@ -19,7 +19,8 @@ Each metric also gets two verdicts:
   most the metric's ``bound``, a fraction of the parent's median.
 
 Traced runs (``--trace 1``) contribute their per-layer metrics as they
-are.
+are.  Quartiles need at least two complete parent/change pairs per
+workload; with fewer, the script names the workload and exits 2.
 """
 
 from __future__ import annotations
@@ -55,8 +56,13 @@ def condense(runs):
         pair = w["pairs"].setdefault(res["seed"], {"order": [], "runs": {}})
         pair["order"].append(side)
         pair["runs"][side] = res
-    for w in out["workloads"].values():
+    for name, w in out["workloads"].items():
         pairs = [p for p in w.pop("pairs").items() if len(p[1]["runs"]) == 2]
+        if len(pairs) < 2:
+            raise ValueError(
+                f"workload {name!r} has {len(pairs)} complete parent/change pairs; "
+                "quartiles need at least 2"
+            )
         w["seeds"] = [seed for seed, _ in pairs]
         w["run_order"] = [p["order"] for _, p in pairs]
         w["correct"] = all(r["summary"]["correct"] for _, p in pairs for r in p["runs"].values())
@@ -95,7 +101,12 @@ def main(argv):
     for arg in argv[1:]:
         side, _, path = arg.partition("=")
         runs.append((side, json.loads(Path(path).read_text(encoding="utf-8"))))
-    text = json.dumps(condense(runs), indent=1, sort_keys=True) + "\n"
+    try:
+        bench = condense(runs)
+    except ValueError as exc:
+        sys.stderr.write(f"condense_bench: {exc}\n")
+        return 2
+    text = json.dumps(bench, indent=1, sort_keys=True) + "\n"
     Path(argv[0]).write_text(text, encoding="utf-8")
     return 0
 

@@ -34,14 +34,12 @@ from functools import lru_cache
 from itertools import combinations, permutations
 
 from .homology import (
-    PI1_NONTRIVIAL,
-    PI1_TRIVIAL,
     HomologyResult,
     InvariantError,
     alexander_duality_check,
     boundary_entries,
     core_complex,
-    pi1_field,
+    homotopy_verdict,
     reduced_homology,
     snf_from_entries,
 )
@@ -400,7 +398,8 @@ def _sphericity_report(g, kind, label, check, p, core, data, certified) -> Check
     `x` otherwise, free homology concentrated in degree rank-2 with at
     least one sphere; for `cx`, concentrated in rank-2 (an empty wedge
     allowed).  The record fails, with pi1 not evaluated, when the claim
-    or the retraction (`certified` false) does not hold.
+    or the retraction (`certified` false) does not hold; otherwise
+    `homotopy_verdict` decides it by pi1.
     """
     target = g.rank() - 2
     k = core_complex(core)
@@ -420,18 +419,10 @@ def _sphericity_report(g, kind, label, check, p, core, data, certified) -> Check
         claim_ok = h.concentrated_in(target) and h.betti(target) >= 1
     else:
         claim_ok = h.concentrated_in(target)
-    if not (certified and claim_ok):
-        status, data["pi1"] = "fail", "not-evaluated"
-    elif target == 1 and not h.is_trivial():
-        # A wedge of circles has free nonabelian fundamental group; that
-        # is consistent but not certifiable by abelian invariants.
-        status, data["pi1"] = "homology-only", PI1_NONTRIVIAL
-    else:
-        # h is free and concentrated in degree target: at target 0 every
-        # component is acyclic, and above it the complex is connected, so
-        # one pi1 verdict over all components settles the homotopy side
-        v = data["pi1"] = pi1_field(k)
-        status = {PI1_TRIVIAL: "pass", PI1_NONTRIVIAL: "fail"}.get(v, "homology-only")
+    # a holding claim is free homology in degree target: at target 0
+    # every component is acyclic, and above it the complex is connected,
+    # so one pi1 verdict over all components settles the homotopy side
+    status, data["pi1"] = homotopy_verdict(k, certified and claim_ok)
     return CheckReport(label, check, status, _betti_profile(h), data)
 
 

@@ -515,14 +515,6 @@ def core_complex(p):
 # -- contractibility and fundamental group ----------------------------------
 
 
-def cone_point(p):
-    """An element of p comparable to every other element, if one exists."""
-    for x in p.elements:
-        if len(p.comparables(x)) == p.n:
-            return x
-    return None
-
-
 def pi1_field(k):
     """Three-valued triviality test for the fundamental group of every
     component of k at once.
@@ -627,33 +619,33 @@ def _live_classes(k):
     return live
 
 
-CONTRACTIBLE_CONE = "cone"
-CONTRACTIBLE_CERTIFIED = "homology-and-pi1"
-HOMOLOGY_TRIVIAL_ONLY = "homology-only"
-NOT_CONTRACTIBLE = "obstructed"
+def homotopy_verdict(k, claim_holds):
+    """The record status of a homology claim about k, with k's pi1 verdict.
+
+    A claim that does not hold fails, pi1 not evaluated.  Otherwise
+    :func:`pi1_field` decides: "Trivial" certifies the homotopy type
+    ("pass"), and any other verdict leaves it "homology-only".  Every
+    claim is free homology in one degree, so a holding claim allows a
+    nonzero reduced H_1 only for a wedge of circles, whose free
+    fundamental group is nontrivial and consistent with the claim:
+    "Nontrivial" never contradicts it.
+    """
+    if not claim_holds:
+        return "fail", "not-evaluated"
+    pi1 = pi1_field(k)
+    return ("pass" if pi1 == PI1_TRIVIAL else "homology-only"), pi1
 
 
 def certify_contractible(p):
-    """Best-effort contractibility certificate for a poset's order complex.
+    """The record status of the claim that p's order complex is contractible.
 
-    Returns one of the four module constants.  A cone point settles it
-    outright; otherwise trivial reduced homology plus a trivial pi1 verdict
-    on the beat-point core upgrades "homology-only" to a genuine
-    certificate.  The empty poset is not contractible (its order complex
-    is the empty complex).
+    The claim, trivial reduced homology, is decided on p's checked
+    beat-point core by :func:`homotopy_verdict`: "pass", "homology-only"
+    or "fail".  A cone needs no shortcut, since its core is one point.
+    The empty poset fails: its order complex is the empty complex.
     """
-    if p.n and cone_point(p) is not None:
-        return CONTRACTIBLE_CONE
     k = core_complex(p)
-    if not reduced_homology(k).is_trivial():
-        return NOT_CONTRACTIBLE
-    if pi1_field(k) == PI1_TRIVIAL:
-        return CONTRACTIBLE_CERTIFIED
-    return HOMOLOGY_TRIVIAL_ONLY
-
-
-def is_contractible_certificate(status):
-    return status in (CONTRACTIBLE_CONE, CONTRACTIBLE_CERTIFIED)
+    return homotopy_verdict(k, reduced_homology(k).is_trivial())[0]
 
 
 # -- Alexander duality -------------------------------------------------------

@@ -17,7 +17,7 @@ _spec.loader.exec_module(condense_bench)
 METRICS = [m["name"] for m in json.loads((REPO / "BENCHMARK.json").read_text())["end_to_end"]]
 
 
-def result(seed, wall_s, checks_per_s=100.0, trace=0):
+def result(seed, wall_s, checks_per_s=100.0, trace=0, seconds=55, failed=0, correct=True):
     """A `report` run, untraced unless `trace`: every metric 1.0 but the
     two given."""
     values = dict.fromkeys(METRICS, 1.0)
@@ -25,23 +25,42 @@ def result(seed, wall_s, checks_per_s=100.0, trace=0):
     return {
         "machine": {"cpu": "synthetic"},
         "workload": "report",
-        "seconds": 55,
+        "seconds": seconds,
         "trace": trace,
         "all_metrics": {},
         "seed": seed,
         "summary": {
-            "correct": True,
-            "failed": 0,
+            "correct": correct,
+            "failed": failed,
             "metrics": {name: {"value": v} for name, v in values.items()},
         },
     }
 
 
-def condensed(parent_walls, change_walls, change_checks=100.0):
+def condensed(parent_walls, change_walls, change_checks=100.0, **change_run):
     runs = []
     for seed, (p, c) in enumerate(zip(parent_walls, change_walls)):
-        runs += [("parent", result(seed, p)), ("change", result(seed, c, change_checks))]
+        runs += [
+            ("parent", result(seed, p)),
+            ("change", result(seed, c, change_checks, **change_run)),
+        ]
     return condense_bench.condense(runs)["workloads"]["report"]["metrics"]
+
+
+def refused(runs, message, tmp_path, capsys):
+    """Both `condense` and `main` refuse `runs` with `message`; nothing
+    is written."""
+    with pytest.raises(ValueError, match=message):
+        condense_bench.condense(runs)
+    paths = []
+    for i, (side, res) in enumerate(runs):
+        path = tmp_path / f"{i}.json"
+        path.write_text(json.dumps(res))
+        paths.append(f"{side}={path}")
+    out = tmp_path / "BENCH.json"
+    assert condense_bench.main([str(out), *paths]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
 
 
 PARENT = [0.26, 0.25, 0.27, 0.26, 0.26, 0.25, 0.27, 0.26, 0.28, 0.26]
@@ -87,14 +106,43 @@ def test_too_few_pairs_name_the_workload(pairs, tmp_path, capsys):
     runs += [("parent", result(0, 0.26)), ("change", result(0, 0.25))][: 2 * pairs]
     runs.append(("parent", result(1, 0.26)))
     message = f"workload 'report' has {pairs} complete parent/change pairs"
-    with pytest.raises(ValueError, match=message):
-        condense_bench.condense(runs)
-    paths = []
-    for i, (side, res) in enumerate(runs):
-        path = tmp_path / f"{i}.json"
-        path.write_text(json.dumps(res))
-        paths.append(f"{side}={path}")
-    out = tmp_path / "BENCH.json"
-    assert condense_bench.main([str(out), *paths]) == 2
-    assert message in capsys.readouterr().err
-    assert not out.exists()
+    refused(runs, message, tmp_path, capsys)
+
+
+def paired_runs(pairs=3):
+    return [
+        (side, result(seed, 0.26)) for seed in range(pairs) for side in ("parent", "change")
+    ]
+
+
+@pytest.mark.parametrize("trace", [0, 1])
+def test_a_second_run_of_one_side_and_seed_is_refused(trace, tmp_path, capsys):
+    # it would replace the first, and every run made must be reported
+    runs = paired_runs() + [("parent", result(1, 0.25, trace=trace))]
+    if trace:
+        runs.insert(0, ("parent", result(7, 0.26, trace=1)))
+        message = "workload 'report' has two traced parent runs"
+    else:
+        message = "workload 'report' has two parent runs of seed 1"
+    refused(runs, message, tmp_path, capsys)
+
+
+def test_runs_of_different_lengths_are_refused(tmp_path, capsys):
+    # they would be merged under the first run's `seconds`
+    runs = paired_runs() + [("parent", result(3, 0.26, seconds=30))]
+    runs.append(("change", result(3, 0.25, seconds=30)))
+    refused(runs, "workload 'report' has runs of 55 and 30 seconds", tmp_path, capsys)
+
+
+@pytest.mark.parametrize(
+    "change_run", [{"failed": 50, "correct": False}, {"failed": 50}, {"correct": False}]
+)
+def test_failures_or_wrong_runs_meet_no_gain_rule(change_run):
+    # the clear win of the first test, but the change failed operations
+    # or gave a wrong answer
+    change = [w - 0.03 for w in PARENT]
+    assert condensed(PARENT, change)["wall_s"]["gain_rule_met"]
+    metrics = condensed(PARENT, change, **change_run)
+    assert metrics["wall_s"]["change_wins"] == 10
+    for name in METRICS:
+        assert not metrics[name]["gain_rule_met"], name

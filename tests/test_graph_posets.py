@@ -298,6 +298,26 @@ class TestSphericity:
                 assert via.data["pi1"] == direct.data["pi1"], where
 
 
+    def test_nontrivial_pi1_only_at_circle_wedges(self):
+        # a holding claim leaves H1 nonzero only for a wedge of circles, so
+        # "Nontrivial" is always homology-only, never a failure
+        records = [
+            verify_sphericity(g, kind) for g in all_graphs_rank_le3() for kind in ("x", "cx")
+        ]
+        records += [
+            verify_sphericity_via_core(parse_key(key), kind)
+            for key in enumerate_graphs(4)
+            for kind in ("x", "cx")
+        ]
+        nontrivial = 0
+        for rec in records:
+            h = rec.data["homology"]
+            wedge = rec.status == "homology-only" and bool(h.betti(1) or h.torsion(1))
+            assert (rec.data["pi1"] == "Nontrivial") == wedge, (rec.graph, rec.check)
+            nontrivial += wedge
+        assert len(records) == 36 + 222 and nontrivial == 23
+
+
 class TestCoreRetraction:
     def test_retracts_onto_core_poset(self):
         for g in all_graphs_rank_le3():

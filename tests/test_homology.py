@@ -16,7 +16,6 @@ from posetlab import homology
 from posetlab.enumeration import enumerate_graphs, fiber_poset, parse_key
 from posetlab.graph_posets import KINDS, build_poset
 from posetlab.homology import (
-    CONTRACTIBLE_CONE,
     PI1_NONTRIVIAL,
     PI1_TRIVIAL,
     HomologyResult,
@@ -26,7 +25,7 @@ from posetlab.homology import (
     boundary_entries,
     certify_contractible,
     core_complex,
-    is_contractible_certificate,
+    homotopy_verdict,
     pi1_field,
     read_triplet_matrix,
     reduced_cohomology,
@@ -513,16 +512,36 @@ class TestDuality:
 
 
 class TestContractibilityAndPi1:
-    def test_cone_certificate(self):
-        p = subset_lattice(range(3))
-        down = p.induced([x for x in p.elements if x <= frozenset({0, 1})])
-        status = certify_contractible(down)
-        assert status == CONTRACTIBLE_CONE
-        assert is_contractible_certificate(status)
+    def test_cones_reduce_to_a_point_and_certify(self):
+        # a cone needs no shortcut: its beat-point core is one element
+        cones = []
+        for key in [*enumerate_graphs(2), *enumerate_graphs(3)]:
+            for kind in ("c", "cc"):
+                p = build_poset(parse_key(key), kind)
+                cones += [p.induced(p.comparables(x)) for x in p.elements]
+        for m in range(3, 6):
+            p = subset_lattice(range(m))
+            for x in p.elements:
+                cones.append(p.induced([y for y in p.elements if y <= x]))
+                cones.append(p.induced([y for y in p.elements if y >= x]))
+        for cone in cones:
+            assert beat_point_core(cone)[0].n == 1, cone.elements
+            assert certify_contractible(cone) == "pass", cone.elements
 
-    def test_sphere_not_contractible(self):
-        status = certify_contractible(subset_lattice(range(3)))
-        assert not is_contractible_certificate(status)
+    def test_sphere_and_empty_poset_fail(self):
+        assert certify_contractible(subset_lattice(range(3))) == "fail"
+        assert certify_contractible(FinitePoset([], [])) == "fail"
+
+    def test_homotopy_verdict(self):
+        # a claim that fails is never handed to pi1
+        assert homotopy_verdict(sphere_complex(2), False) == ("fail", "not-evaluated")
+        # a wedge of circles: H1 free, pi1 nontrivial, yet no contradiction
+        wedge = SimplicialComplex.from_facets(
+            range(5), [(0, 1), (1, 2), (0, 2), (0, 3), (3, 4), (0, 4)]
+        )
+        assert str(reduced_homology(wedge)) == "H~1=Z^2"
+        assert homotopy_verdict(wedge, True) == ("homology-only", PI1_NONTRIVIAL)
+        assert homotopy_verdict(sphere_complex(2), True) == ("pass", PI1_TRIVIAL)
 
     def test_pi1_of_simplex_boundary(self):
         assert pi1_field(sphere_complex(2)) == PI1_TRIVIAL

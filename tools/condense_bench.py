@@ -12,15 +12,20 @@ of ``BENCHMARK.json`` the output gives each side's runs, median and
 quartiles, and how many pairs the change won (ties count for neither).
 Each metric also gets two verdicts:
 
-- ``gain_rule_met``: the change won at least 9 of every 10 pairs, and
+- ``gain_rule_met``: every run was correct, the change failed no more
+  operations than the parent, it won at least 9 of every 10 pairs, and
   its median is better than the parent's by more than the parent's
   interquartile range;
 - ``within_bound``: the change's median is worse than the parent's by at
   most the metric's ``bound``, a fraction of the parent's median.
 
 Traced runs (``--trace 1``) contribute their per-layer metrics as they
-are.  Quartiles need at least two complete parent/change pairs per
-workload; with fewer, the script names the workload and exits 2.
+are, one per side and workload.  Quartiles need at least two complete
+parent/change pairs per workload.  With fewer, or with a run the output
+could not report (a second run of one side and seed, a second traced
+run of one side, or runs of one workload made with different
+``seconds``), the script names the workload and exits 2 without
+writing.
 """
 
 from __future__ import annotations
@@ -47,13 +52,22 @@ def condense(runs):
         if side not in SIDES:
             raise ValueError(f"side must be one of {SIDES}, not {side!r}")
         out["machine"] = out["machine"] or res["machine"]
+        name = res["workload"]
         w = out["workloads"].setdefault(
-            res["workload"], {"seconds": res["seconds"], "pairs": {}, "traced": {}}
+            name, {"seconds": res["seconds"], "pairs": {}, "traced": {}}
         )
+        if res["seconds"] != w["seconds"]:
+            raise ValueError(
+                f"workload {name!r} has runs of {w['seconds']} and {res['seconds']} seconds"
+            )
         if res["trace"]:
+            if side in w["traced"]:
+                raise ValueError(f"workload {name!r} has two traced {side} runs")
             w["traced"][side] = {"seed": res["seed"], "metrics": res["all_metrics"]}
             continue
         pair = w["pairs"].setdefault(res["seed"], {"order": [], "runs": {}})
+        if side in pair["runs"]:
+            raise ValueError(f"workload {name!r} has two {side} runs of seed {res['seed']}")
         pair["order"].append(side)
         pair["runs"][side] = res
     for name, w in out["workloads"].items():
@@ -67,6 +81,7 @@ def condense(runs):
         w["run_order"] = [p["order"] for _, p in pairs]
         w["correct"] = all(r["summary"]["correct"] for _, p in pairs for r in p["runs"].values())
         w["failed"] = {s: sum(p["runs"][s]["summary"]["failed"] for _, p in pairs) for s in SIDES}
+        sound = w["correct"] and w["failed"]["change"] <= w["failed"]["parent"]
         w["metrics"] = {}
         for m in bench["end_to_end"]:
             values = {
@@ -86,7 +101,8 @@ def condense(runs):
                 **spread,
                 "change_wins": wins,
                 "pairs": len(pairs),
-                "gain_rule_met": 10 * wins >= 9 * len(pairs)
+                "gain_rule_met": sound
+                and 10 * wins >= 9 * len(pairs)
                 and gap > parent["q3"] - parent["q1"],
                 "within_bound": -gap <= m["bound"] * parent["median"],
             }

@@ -37,6 +37,7 @@ from .poset import (
     FinitePoset,
     PosetError,
     PosetMap,
+    _bits,
     _inclusion_rows,
     closure_retraction,
     is_order_isomorphic_via,
@@ -356,12 +357,14 @@ def fiber_poset(g: Multigraph, connected_only: bool = False) -> FinitePoset:
         f = masks.mask(forest)
         key = tuple(sorted(forest))
         rows += [
-            ((key, ids), (forest, frozenset(ids)), f | (f | h) << shift)
-            for ids, h in table.admitted(kind)
+            ((key, ids), (forest, edges), f | (f | h) << shift)
+            for ids, h, *_, edges in table.admitted(kind)
         ]
     rows.sort(key=itemgetter(0))
     full = (1 << 2 * shift) - 1
-    return FinitePoset([x for _, x, _ in rows], _inclusion_rows([full ^ fh for _, _, fh in rows]))
+    return FinitePoset(
+        [x for _, x, _ in rows], _inclusion_rows([_bits(full ^ fh) for _, _, fh in rows])
+    )
 
 
 def fiber_retraction(g: Multigraph, connected_only: bool = False):

@@ -92,9 +92,12 @@ class _EdgeMasks:
 
     Holds each edge's endpoint positions and each vertex's incident and
     loop edges, which is all that core peeling and the forest, connected
-    and core tests need.  Classifying the subsets also records each
-    proper subset's core, so :meth:`core` peels only masks outside the
-    table.
+    and core tests need.  Classifying the subsets lists one row per
+    proper nonempty subset, ``(ids, mask, flags, members, edges)``: its
+    edge ids, mask, flags, member positions and its one frozenset, which
+    every poset and core image of the graph shares.  It also records
+    each proper subset's core, so :meth:`core` peels only masks outside
+    the table.
 
     A quotient G/F keeps the edge ids of G - F, so its table can take the
     bits of G's (`bit`): its masks are then masks of G, and the fiber
@@ -103,7 +106,18 @@ class _EdgeMasks:
     :func:`posetlab.enumeration.fiber_poset`), so they are dropped with it.
     """
 
-    __slots__ = ("ids", "bit", "ends", "incident", "loops", "quotients", "_table", "_cores")
+    __slots__ = (
+        "ids",
+        "bit",
+        "ends",
+        "incident",
+        "loops",
+        "quotients",
+        "_table",
+        "_cores",
+        "_sets",
+        "_masks",
+    )
 
     def __init__(self, g: Multigraph, bit: dict | None = None):
         pos = {v: i for i, v in enumerate(g.vertices)}
@@ -162,62 +176,123 @@ class _EdgeMasks:
     def core_edges(self, edges) -> frozenset:
         return self.edges(self.core(self.mask(edges)))
 
+    def rows(self) -> list:
+        """Every row of the table, classified on first use."""
+        if self._table is None:
+            self._table = self._classify()
+        return self._table
+
+    def core_images(self, elements) -> dict:
+        """Each element, a proper edge subset, to its core's frozenset,
+        both read from the table: no mask is summed and no set built."""
+        self.rows()
+        sets, masks, cores = self._sets, self._masks, self._cores
+        return {x: sets[cores[masks[x]]] for x in elements}
+
     def admitted(self, kind: str) -> list:
-        """(edge ids, mask) of the subsets in the `kind` poset, in
-        (size, sorted ids) order; the table is classified once."""
+        """The rows of the subsets in the `kind` poset, in (size, sorted
+        ids) order; the table is classified once."""
         if kind not in KINDS:
             raise ValueError(f"unknown poset kind {kind!r}; expected one of {KINDS}")
-        if self._table is None:
-            self._table = list(self._classify())
         want, value = _KIND_FLAGS[kind]
-        return [(ids, mask) for ids, mask, flags in self._table if flags & want == value]
+        return [row for row in self.rows() if row[2] & want == value]
 
-    def _classify(self):
-        # one union-find on vertex positions per subset: a failed union is
-        # a cycle (a loop always fails).  A loop adds two to its vertex's
-        # valence, and a subgraph is core when no vertex has valence one,
-        # which also forces a cycle in every component.  Otherwise its
-        # hanging edges are the edges at its valence-one vertices, and its
-        # core is that of the smaller subset left without them, which is
-        # already recorded: subsets come in order of size.
+    def _classify(self) -> list:
+        # Each predicate is first computed for all 2^m subsets at once, as
+        # a truth table: an int whose bit S is the predicate on the subset
+        # with position mask S (bit i for self.ids[i]; quotient tables
+        # carry G's bits, so positions, not `bit`, index the tables).
+        # join[u][v] is "u and v are joined", closed by Floyd-Warshall.  A
+        # subset has a cycle when it holds a loop, or an edge whose ends
+        # are joined without it: bit S - 2^i of join, shifted to bit S.  It
+        # is connected when every two touched vertices are joined, and it
+        # is core when no vertex has valence one, that is one non-loop
+        # edge and no loop (loops count twice); minimum valence two forces
+        # a cycle in every component.  The loop over subsets then reads
+        # one byte of flags per subset, and records its core: its own, or
+        # that of the smaller subset left without the one edge at its
+        # lowest valence-one vertex, which is already recorded (subsets
+        # come in order of size).
         ends, incident = self.ends, self.incident
         m, nv = len(ends), len(incident)
+        size = 1 << m
+        full = (1 << size) - 1
+        edge = [full // ((1 << (2 << i)) - 1) * ((1 << (1 << i)) - 1 << (1 << i)) for i in range(m)]
+        join = [[full if u == v else 0 for v in range(nv)] for u in range(nv)]
+        once, twice, looped = [0] * nv, [0] * nv, [0] * nv
+        for present, (u, v) in zip(edge, ends):
+            if u == v:
+                looped[u] |= present
+                continue
+            join[u][v] |= present
+            join[v][u] |= present
+            for w in (u, v):
+                twice[w] |= once[w] & present
+                once[w] |= present
+        for k in range(nv):
+            via = join[k]
+            for row in join:
+                if reach := row[k]:
+                    for v in range(nv):
+                        row[v] |= reach & via[v]
+        cycle = 0
+        for i, (present, (u, v)) in enumerate(zip(edge, ends)):
+            cycle |= join[u][v] << (1 << i) & present
+        touched = [o | lp for o, lp in zip(once, looped)]
+        split = 0
+        for u in range(nv):
+            for v in range(u + 1, nv):
+                split |= touched[u] & touched[v] & ~join[u][v]
+        hanging, leaf = 0, []
+        for w in range(nv):
+            single = once[w] & ~twice[w] & ~looped[w] & ~hanging
+            leaf.append((single, w + 1))
+            hanging |= single
+        flags_of = _byte_table(
+            size,
+            [(full ^ cycle, _FOREST), (full ^ split, _CONNECTED), (full ^ hanging, _CORE)],
+        )
+        # byte S: 1 + the lowest valence-one vertex of S, or 0 for a core
+        leaf_of = _byte_table(size, leaf)
+
         bits = [self.bit[e] for e in self.ids]
+        positions = [1 << i for i in range(m)]
         cores = self._cores = {0: 0}
+        sets = self._sets = {0: frozenset()}
+        masks = self._masks = {}
+        rows = []
         for k in range(1, m):
-            for ids, combo in zip(
-                combinations(self.ids, k), combinations(range(m), k)
+            for ids, members, own, held in zip(
+                combinations(self.ids, k),
+                combinations(range(m), k),
+                combinations(positions, k),
+                combinations(bits, k),
             ):
-                parent = list(range(nv))
-                valence = [0] * nv
-                merges = cycles = mask = 0
-                for i in combo:
-                    mask |= bits[i]
-                    u, v = ends[i]
-                    valence[u] += 1
-                    valence[v] += 1
-                    while parent[u] != u:
-                        u = parent[u]
-                    while parent[v] != v:
-                        v = parent[v]
-                    if u == v:
-                        cycles += 1
-                    else:
-                        parent[v] = u
-                        merges += 1
-                flags = 0 if cycles else _FOREST
-                if nv - valence.count(0) - merges == 1:
-                    flags |= _CONNECTED
-                if 1 in valence:
-                    rest = mask
-                    for inc, d in zip(incident, valence):
-                        if d == 1:
-                            rest &= ~inc
-                    cores[mask] = cores[rest]
-                else:
-                    flags |= _CORE
-                    cores[mask] = mask
-                yield ids, mask, flags
+                s, mask = sum(own), sum(held)
+                w = leaf_of[s]
+                cores[mask] = cores[mask & ~incident[w - 1]] if w else mask
+                edges = sets[mask] = frozenset(ids)
+                masks[edges] = mask
+                rows.append((ids, mask, flags_of[s], members, edges))
+        return rows
+
+
+#: the binary digits of a numeral, as bytes 0 and 1
+_DIGIT_BYTES = bytes.maketrans(b"01", b"\0\1")
+
+
+def _byte_table(size: int, weighted) -> bytes:
+    """`size` bytes whose byte S sums the weights of those (truth table,
+    weight) pairs whose table has bit S set; every sum is below 256.
+
+    The binary numeral of a table, as bytes 0 and 1 read big-endian,
+    puts bit S in byte S, so one multiply per table adds its weight to
+    every byte at once."""
+    total = 0
+    for table, weight in weighted:
+        digits = format(table, f"0{size}b").encode().translate(_DIGIT_BYTES)
+        total += weight * int.from_bytes(digits, "big")
+    return total.to_bytes(size, "little")
 
 
 @lru_cache(maxsize=1)
@@ -228,21 +303,22 @@ def _edge_masks(g: Multigraph) -> _EdgeMasks:
 
 def poset_elements(g: Multigraph, kind: str):
     """Sorted list of the edge subsets admitted into the `kind` poset of `g`."""
-    return [frozenset(ids) for ids, _ in _edge_masks(g).admitted(kind)]
+    return [edges for *_, edges in _edge_masks(g).admitted(kind)]
 
 
 def build_poset(g: Multigraph, kind: str):
     """The inclusion poset of `kind`-subgraphs of `g`.
 
-    Elements are frozensets of edge ids in (size, sorted ids) order, as
-    :func:`posetlab.poset.poset_of_subsets` would sort them; the order is
-    read off the table's int masks.  The poset may be empty (for example,
-    the forest poset of a one-vertex graph has no elements, since every
-    nonempty edge subset contains a loop).
+    Elements are the table's frozensets of edge ids in (size, sorted ids)
+    order, as :func:`posetlab.poset.poset_of_subsets` would sort them;
+    the order is read off the member positions the table lists.  The
+    poset may be empty (for example, the forest poset of a one-vertex
+    graph has no elements, since every nonempty edge subset contains a
+    loop).
     """
     rows = _edge_masks(g).admitted(kind)
     return FinitePoset(
-        [frozenset(ids) for ids, _ in rows], _inclusion_rows([mask for _, mask in rows])
+        [edges for *_, edges in rows], _inclusion_rows([members for *_, members, _ in rows])
     )
 
 
@@ -454,21 +530,15 @@ def core_map(g: Multigraph, p, q) -> PosetMap:
 
     No element is peeled here: `g`'s mask table recorded every proper
     subset's core when it classified the subsets (:meth:`_EdgeMasks.core`),
-    so the `x` and `cx` maps both read the same record.  Each element
-    goes to the map as its core's edge set, built once per distinct
-    core, so a core that is not an element of q is refused as any
-    non-element.  The map validates order on construction, and the
-    callers certify it as a closure retraction, so the record is checked,
-    not trusted.
+    so the `x` and `cx` maps both read the same record, and each element's
+    mask and its core's frozenset are looked up in the table
+    (:meth:`_EdgeMasks.core_images`), so p's elements are proper edge
+    subsets of `g`, as in every poset built here.  A core that is not an
+    element of q is refused as any non-element.  The map validates order on
+    construction, and the callers certify it as a closure retraction, so
+    the record is checked, not trusted.
     """
-    masks = _edge_masks(g)
-    built, images = {}, {}
-    for x in p.elements:
-        c = masks.core(masks.mask(x))
-        y = built.get(c)
-        if y is None:
-            y = built[c] = masks.edges(c)
-        images[x] = y
+    images = _edge_masks(g).core_images(p.elements)
     return PosetMap.from_function(p, q, images.__getitem__)
 
 

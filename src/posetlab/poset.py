@@ -234,7 +234,12 @@ class FinitePoset:
         Each row is cut to the subset's mask first, so only the pairs
         inside the subset are walked.
         """
-        idx = [self.index(x) for x in subset]
+        subset = list(subset)
+        try:
+            idx = [self._index[x] for x in subset]
+        except KeyError:
+            # raises the PosetError of the first non-element
+            idx = [self.index(x) for x in subset]
         pos = {i: k for k, i in enumerate(idx)}
         inside = sum(1 << i for i in pos)
         rows = []
@@ -296,10 +301,16 @@ class PosetMap:
         self.source = source
         self.target = target
         self.mapping = dict(mapping)
-        missing = [x for x in source.elements if x not in self.mapping]
-        if missing:
-            raise PosetError(f"map not defined on {missing[0]!r}")
-        idx = [target.index(self.mapping[x]) for x in source.elements]
+        index = target._index
+        try:
+            idx = [index[self.mapping[x]] for x in source.elements]
+        except KeyError:
+            # an element with no image, else the first image that is not
+            # an element, raises its PosetError
+            missing = [x for x in source.elements if x not in self.mapping]
+            if missing:
+                raise PosetError(f"map not defined on {missing[0]!r}") from None
+            idx = [target.index(self.mapping[x]) for x in source.elements]
         fiber = {}
         for i, t in enumerate(idx):
             fiber[t] = fiber.get(t, 0) | 1 << i
@@ -410,26 +421,29 @@ def poset_of_subsets(subsets):
     elements = sorted(set(subsets), key=lambda s: (len(s), tuple(sorted(s))))
     bit = _mask_bits(sorted({x for s in elements for x in s}))
     masks = [sum(bit[x] for x in s) for s in elements]
-    return FinitePoset(elements, _inclusion_rows(masks))
+    return FinitePoset(elements, _inclusion_rows([_bits(mask) for mask in masks]))
 
 
-def _inclusion_rows(masks):
-    """Up-rows of the inclusion order on int masks.
+def _inclusion_rows(members):
+    """Up-rows of the inclusion order on sets given as member lists.
 
-    Bit j of row i is set when masks[i] is within masks[j].  Row i is
-    the AND, over each member in masks[i], of the positions whose mask
-    holds that member, so n masks over m members cost O(n*m) ANDs.
+    Bit j of row i is set when every member of members[i] is in
+    members[j].  Row i is the AND, over each of its members, of the
+    positions whose list holds that member, so n lists over m members
+    cost O(n*m) ANDs.  A caller with int masks passes each mask's
+    `_bits`; a graph's mask table passes the member positions it listed
+    its subsets from, so no mask is split into bits again.
     """
-    everyone = (1 << len(masks)) - 1
-    members = [_bits(mask) for mask in masks]
+    everyone = (1 << len(members)) - 1
     holders = {}
-    for k, bits in enumerate(members):
-        for b in bits:
-            holders[b] = holders.get(b, 0) | 1 << k
+    for k, held in enumerate(members):
+        bit = 1 << k
+        for b in held:
+            holders[b] = holders.get(b, 0) | bit
     rows = []
-    for bits in members:
+    for held in members:
         row = everyone
-        for b in bits:
+        for b in held:
             row &= holders[b]
         rows.append(row)
     return rows
@@ -533,7 +547,7 @@ def order_complex(p):
     faces = []
 
     def grow(chain, last):
-        faces.append(tuple(sorted(chain)))
+        faces.append(tuple(chain))
         for j in strict[last]:
             chain.append(j)
             grow(chain, j)

@@ -127,6 +127,12 @@ def test_a_second_run_of_one_side_and_seed_is_refused(trace, tmp_path, capsys):
     refused(runs, message, tmp_path, capsys)
 
 
+def test_an_unpaired_run_is_refused(tmp_path, capsys):
+    # left out, its wrong answer and failed operations would go unreported
+    runs = paired_runs() + [("parent", result(3, 0.26, failed=3, correct=False))]
+    refused(runs, "workload 'report' has an unpaired parent run of seed 3", tmp_path, capsys)
+
+
 def test_runs_of_different_lengths_are_refused(tmp_path, capsys):
     # they would be merged under the first run's `seconds`
     runs = paired_runs() + [("parent", result(3, 0.26, seconds=30))]

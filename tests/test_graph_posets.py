@@ -62,6 +62,56 @@ def peeled(table, mask):
     return mask
 
 
+def union_find_rows(table):
+    """Classify the proper nonempty subsets of a mask table one at a time.
+
+    The reference for the table's bulk classification: one union-find
+    on vertex positions per subset, in (size, sorted ids) order, where a
+    failed union is a cycle (a loop always fails).  A loop adds two to
+    its vertex's valence, and a subset is core when no vertex has
+    valence one.  Returns the rows ``(ids, mask, flags)`` and the core
+    record, each core being the recorded core of the subset without its
+    non-loop edges at valence-one vertices.
+    """
+    ends, incident = table.ends, table.incident
+    m, nv = len(ends), len(incident)
+    bits = [table.bit[e] for e in table.ids]
+    rows, cores = [], {0: 0}
+    for k in range(1, m):
+        for ids, combo in zip(combinations(table.ids, k), combinations(range(m), k)):
+            parent = list(range(nv))
+            valence = [0] * nv
+            merges = cycles = mask = 0
+            for i in combo:
+                mask |= bits[i]
+                u, v = ends[i]
+                valence[u] += 1
+                valence[v] += 1
+                while parent[u] != u:
+                    u = parent[u]
+                while parent[v] != v:
+                    v = parent[v]
+                if u == v:
+                    cycles += 1
+                else:
+                    parent[v] = u
+                    merges += 1
+            flags = 0 if cycles else graph_posets._FOREST
+            if nv - valence.count(0) - merges == 1:
+                flags |= graph_posets._CONNECTED
+            if 1 in valence:
+                rest = mask
+                for inc, d in zip(incident, valence):
+                    if d == 1:
+                        rest &= ~inc
+                cores[mask] = cores[rest]
+            else:
+                flags |= graph_posets._CORE
+                cores[mask] = mask
+            rows.append((ids, mask, flags))
+    return rows, cores
+
+
 def oracle_membership(g, edges, kind):
     """Re-derive the defining predicate of each subgraph poset."""
     edges = frozenset(edges)
@@ -224,7 +274,7 @@ class TestEdgeMasks:
             tables += [_quotient(g, masks, forest)[0] for forest in _forests(g) if forest]
         checked = 0
         for table in tables:
-            subsets = [mask for _, mask in table.admitted("sub")]
+            subsets = [mask for _, mask, *_ in table.admitted("sub")]
             assert len(table._cores) == len(subsets) + 1  # and the empty set
             for mask in subsets:
                 assert table._cores[mask] == peeled(table, mask), (mask, table.ids)
@@ -232,6 +282,44 @@ class TestEdgeMasks:
             assert table.core(full) == peeled(table, full)
             checked += len(subsets)
         assert (len(tables), checked) == (285, 24_826)
+
+    def test_bulk_classification_equals_union_find(self):
+        # the truth tables against one union-find per subset: every census
+        # graph of rank 2 to 5, every quotient table of the rank-2 and
+        # rank-3 fiber posets (on G's bits, not their own), and an edgeless
+        # graph, one loop, one edge, a parallel pair with a pendant edge
+        # and a disconnected graph; one table is alive at a time
+        def tables():
+            for r in (2, 3, 4, 5):
+                for k in enumerate_graphs(r):
+                    yield _EdgeMasks(parse_key(k))
+            for g in (parse_key(k) for r in (2, 3) for k in enumerate_graphs(r)):
+                masks = _EdgeMasks(g)
+                for forest in _forests(g):
+                    if forest:
+                        yield _quotient(g, masks, forest)[0]
+            for g in (
+                Multigraph(range(3), []),
+                Multigraph(range(1), [(0, 0, 0)]),
+                Multigraph(range(2), [(0, 0, 1)]),
+                Multigraph(range(3), [(0, 0, 1), (1, 0, 1), (2, 1, 2)]),
+                Multigraph(range(6), [(0, 0, 1), (1, 1, 2), (2, 2, 0), (3, 3, 4), (4, 4, 4)]),
+            ):
+                yield _EdgeMasks(g)
+
+        checked = subsets = 0
+        for table in tables():
+            rows, cores = union_find_rows(table)
+            got = table.rows()
+            assert [row[:3] for row in got] == rows, table.ids
+            assert table._cores == cores, table.ids
+            for ids, mask, _, members, edges in got:
+                assert [table.ids[i] for i in members] == list(ids)
+                assert edges == frozenset(ids) and table._sets[mask] is edges
+                assert table._masks[edges] == mask
+            checked += 1
+            subsets += len(rows)
+        assert (checked, subsets) == (1205 + 156 + 5, 1_227_350)
 
     def test_memo_holds_one_graph(self):
         # a wider cache of classification tables costs resident memory

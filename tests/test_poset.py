@@ -17,6 +17,8 @@ from posetlab.poset import (
     FinitePoset,
     PosetError,
     PosetMap,
+    _bits,
+    _inclusion_rows,
     _raise_first_fault,
     _upper_covers,
     beat_point_core,
@@ -326,6 +328,32 @@ class TestSubsetLattices:
             poset_of_subsets([frozenset(range(64))])
 
 
+class TestInclusionRows:
+    def test_member_lists_equal_pair_definition(self):
+        # bit j of row i is set when list i's members all lie in list j:
+        # random families of masks given by their bits, with repeats and
+        # the empty set, and the complements within 2w bits of masks
+        # F | (F | H) << w, as the fiber poset passes them
+        rng = random.Random(43)
+        for n in (0, 1, 9, 40, 90):
+            for width in (1, 5, 12, 70):
+                masks = [rng.getrandbits(width) & rng.getrandbits(width) for _ in range(n)]
+                if n > 1:
+                    masks[-1] = masks[0]
+                pairs = []
+                for _ in range(n):
+                    f = rng.getrandbits(width) & rng.getrandbits(width) & rng.getrandbits(width)
+                    pairs.append(f | (f | rng.getrandbits(width)) << width)
+                full = (1 << 2 * width) - 1
+                for family in (masks, [full ^ fh for fh in pairs]):
+                    rows = _inclusion_rows([_bits(mask) for mask in family])
+                    assert rows == [
+                        sum(1 << j for j, b in enumerate(family) if not a & ~b) for a in family
+                    ], (n, width)
+        # members need not be ints: the rows depend only on the lists
+        assert _inclusion_rows([("b",), (), ("a", "b"), ("a",)]) == [0b0101, 0b1111, 0b0100, 0b1100]
+
+
 def naive_beat_points(p):
     """Elements whose strict up-set has a minimum or whose strict down-set
     has a maximum, straight from the definition."""
@@ -496,6 +524,23 @@ class TestMaps:
             PosetMap(p, p, {0: 0, 1: 7, 2: 2})
         with pytest.raises(PosetError, match="map not defined"):
             PosetMap(p, p, {0: 0, 1: 1})
+
+    def test_non_elements_keep_their_messages(self):
+        # positions are looked up directly; a miss still raises the
+        # message of the first non-element, with no witness
+        p = divisibility(6)
+        for subset, first in (([7], 7), ([1, 9, 2, 8], 9), ([6, "a", 0], "a")):
+            with pytest.raises(PosetError) as exc:
+                p.induced(subset)
+            assert str(exc.value) == f"{first!r} is not an element"
+            assert exc.value.witness is None
+        mapping = {x: x for x in p.elements} | {3: 7, 4: 8}
+        with pytest.raises(PosetError) as exc:
+            PosetMap(p, p, mapping)
+        assert str(exc.value) == "7 is not an element" and exc.value.witness is None
+        with pytest.raises(PosetError) as exc:
+            PosetMap(p, chain(3), {x: x % 4 for x in p.elements})
+        assert str(exc.value) == "3 is not an element"
 
     def test_compose_and_image(self):
         p = chain(3)

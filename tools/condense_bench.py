@@ -22,10 +22,10 @@ Each metric also gets two verdicts:
 Traced runs (``--trace 1``) contribute their per-layer metrics as they
 are, one per side and workload.  Quartiles need at least two complete
 parent/change pairs per workload.  With fewer, or with a run the output
-could not report (a second run of one side and seed, a second traced
-run of one side, or runs of one workload made with different
-``seconds``), the script names the workload and exits 2 without
-writing.
+could not report (an untraced run whose seed has no run of the other
+side, a second run of one side and seed, a second traced run of one
+side, or runs of one workload made with different ``seconds``), the
+script names the workload and exits 2 without writing.
 """
 
 from __future__ import annotations
@@ -71,12 +71,17 @@ def condense(runs):
         pair["order"].append(side)
         pair["runs"][side] = res
     for name, w in out["workloads"].items():
-        pairs = [p for p in w.pop("pairs").items() if len(p[1]["runs"]) == 2]
+        seeded = w.pop("pairs").items()
+        pairs = [p for p in seeded if len(p[1]["runs"]) == 2]
         if len(pairs) < 2:
             raise ValueError(
                 f"workload {name!r} has {len(pairs)} complete parent/change pairs; "
                 "quartiles need at least 2"
             )
+        for seed, p in seeded:
+            if len(p["runs"]) != 2:
+                side = p["order"][0]
+                raise ValueError(f"workload {name!r} has an unpaired {side} run of seed {seed}")
         w["seeds"] = [seed for seed, _ in pairs]
         w["run_order"] = [p["order"] for _, p in pairs]
         w["correct"] = all(r["summary"]["correct"] for _, p in pairs for r in p["runs"].values())

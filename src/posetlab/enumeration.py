@@ -63,7 +63,7 @@ def _neighbour_counts(g: Multigraph):
     return loops, mult
 
 
-def _invariant_classes(g: Multigraph):
+def _invariant_classes(g: Multigraph, counts=None):
     """Partition vertices by an iterated neighborhood invariant.
 
     Starts from (valence, loop count) and refines each vertex by the
@@ -72,10 +72,11 @@ def _invariant_classes(g: Multigraph):
     isomorphism, so :func:`canonical_key` gives each class its own range
     of labels, lower classes first, and its search only chooses among
     the vertices of one class for each label.  Colours are numbered
-    0, 1, ... in the sorted order of the refined invariants.
+    0, 1, ... in the sorted order of the refined invariants.  `counts`
+    is ``_neighbour_counts(g)`` when the caller already has it.
     """
     verts = g.vertices
-    loops, mult = _neighbour_counts(g)
+    loops, mult = counts or _neighbour_counts(g)
     color = {v: (g.valence(v), loops[v]) for v in verts}
     # a vertex's new colour holds its old one, so each pass splits classes
     # and the partition is stable once their number stops growing
@@ -143,8 +144,9 @@ def canonical_key(g: Multigraph) -> str:
     nv = len(verts)
     if nv == 0:
         return "0;"
-    color = _invariant_classes(g)
-    loops, mult = _neighbour_counts(g)
+    counts = _neighbour_counts(g)
+    color = _invariant_classes(g, counts)
+    loops, mult = counts
     members = {}
     for v in verts:
         members.setdefault(color[v], []).append(v)

@@ -31,6 +31,8 @@ import heapq
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import chain, combinations, compress, cycle, repeat
+from operator import not_
 
 from .poset import _bits, _down_rows, beat_point_core, order_complex
 from .simplicial import SimplicialComplex
@@ -109,12 +111,14 @@ def _eliminate_unit_pivots(rows, cols):
     columns in pivot order.
 
     Rows are visited shortest first through a lazy heap; within a row the
-    unit entry in the thinnest column is chosen.  Short pivot rows keep
-    fill-in small, which is what makes the big order complexes tractable.
-    A row popped without a unit entry re-enters the heap whenever a later
-    elimination touches it, so no unit pivot is ever missed.
+    unit entry in the thinnest column is chosen, the lower column on a
+    tie.  Short pivot rows keep fill-in small, which is what makes the
+    big order complexes tractable.  A row popped without a unit entry
+    re-enters the heap whenever a later elimination touches it, so no
+    unit pivot is ever missed.  The heap keys (length, row) are distinct,
+    so they alone fix the order of the pops.
     """
-    heap = [(len(r), i) for i, r in sorted(rows.items())]
+    heap = [(len(r), i) for i, r in rows.items()]
     heapq.heapify(heap)
     pivots = []
     while heap:
@@ -122,44 +126,41 @@ def _eliminate_unit_pivots(rows, cols):
         row = rows.get(r)
         if row is None or len(row) != length:
             continue
-        pivot = None
+        c = None
         for j, v in row.items():
             if v == 1 or v == -1:
-                key = (len(cols[j]), j)
-                if pivot is None or key < pivot[0]:
-                    pivot = (key, j, v)
-        if pivot is None:
+                size = len(cols[j])
+                if c is None or size < least or (size == least and j < c):
+                    c, least, pv = j, size, v
+        if c is None:
             continue
-        _, c, pv = pivot
         pivot_row = rows.pop(r)
         for j in pivot_row:
-            cols[j].discard(r)
-            if not cols[j]:
+            col = cols[j]
+            col.discard(r)
+            if not col:
                 del cols[j]
-        for i in sorted(cols.get(c, ())):
+        del pivot_row[c]
+        hit = cols.pop(c, ())
+        for i in sorted(hit) if len(hit) > 1 else hit:
             other = rows[i]
-            mult = other[c] * pv  # other[c] / pv since pv is a unit
+            mult = other.pop(c) * pv  # other[c] / pv since pv is a unit
             for j, v in pivot_row.items():
-                if j == c:
-                    continue
                 new = other.get(j, 0) - mult * v
                 if new:
                     if j not in other:
                         cols.setdefault(j, set()).add(i)
                     other[j] = new
-                else:
-                    if j in other:
-                        del other[j]
-                        cols[j].discard(i)
-                        if not cols[j]:
-                            del cols[j]
-            del other[c]
-            if not other:
-                del rows[i]
-            else:
+                elif j in other:
+                    del other[j]
+                    col = cols[j]
+                    col.discard(i)
+                    if not col:
+                        del cols[j]
+            if other:
                 heapq.heappush(heap, (len(other), i))
-        if c in cols:
-            del cols[c]
+            else:
+                del rows[i]
         pivots.append(c)
     return pivots
 
@@ -327,23 +328,26 @@ _HOMOLOGY_CACHE_MAX = 128
 def boundary_entries(k, d, skip_rows=frozenset()):
     """Sparse entries of the boundary map C_d -> C_(d-1), augmented at d=0.
 
-    Rows are numbered by the (d-1)-faces of k.  Entries in `skip_rows`
-    are left out, so those rows read as zero; `reduced_homology` clears
-    rows with it.
+    Rows are numbered by the (d-1)-faces of k.  Rows in `skip_rows`, the
+    augmentation's row 0 included, are left out, so they read as zero;
+    `reduced_homology` clears rows with it.  `combinations(face, d)`
+    lists a face's facets with its last vertex dropped first, so their
+    signs run (-1)^d .. (-1)^0.
     """
     faces = k.faces(d)
-    entries = {}
     if d == 0:
-        for j in range(len(faces)):
-            entries[(0, j)] = 1
-        return entries
-    lower = k.face_index(d - 1)
-    for j, face in enumerate(faces):
-        for t in range(len(face)):
-            i = lower[face[:t] + face[t + 1 :]]
-            if i not in skip_rows:
-                entries[(i, j)] = (-1) ** t
-    return entries
+        return {} if 0 in skip_rows else dict.fromkeys(zip(repeat(0), range(len(faces))), 1)
+    rows = list(
+        map(
+            k.face_index(d - 1).__getitem__,
+            chain.from_iterable(map(combinations, faces, repeat(d))),
+        )
+    )
+    cols = chain.from_iterable(map(repeat, range(len(faces)), repeat(d + 1)))
+    entries = zip(zip(rows, cols), cycle([(-1) ** t for t in range(d, -1, -1)]))
+    if skip_rows:
+        entries = compress(entries, map(not_, map(skip_rows.__contains__, rows)))
+    return dict(entries)
 
 
 def reduced_homology(k):
@@ -474,10 +478,15 @@ def check_beat_witnesses(p, core, witnesses):
             )
         alive &= ~(1 << i)
     # spread each core row back over p's positions and compare it with
-    # p's own row among the survivors
+    # p's own row among the survivors; when every element survives, the
+    # rows compare as they are
     survivors = _bits(alive)
     if [p.elements[i] for i in survivors] != core.elements:
         raise InvariantError("beat-point survivors do not match the core")
+    if len(survivors) == p.n:
+        if core.up != p.up:
+            raise InvariantError("beat-point survivors do not match the core")
+        return
     for k, i in enumerate(survivors):
         row = 0
         for b in _bits(core.up[k]):
@@ -558,33 +567,38 @@ def _live_classes(k):
             v = tree[v]
         return v
 
-    gens = {}  # non-forest edge -> generator, numbered from 1 for signed letters
+    gens = {}  # edge -> generator numbered from 1 for signed letters; forest edges 0
+    live = 0
     for u, v in k.faces(1):
         ru, rv = vertex_root(u), vertex_root(v)
         if ru == rv:
-            gens[(u, v)] = len(gens) + 1
+            live += 1
+            gens[(u, v)] = live
         else:
             tree[ru] = rv
+            gens[(u, v)] = 0
 
-    root = list(range(len(gens) + 1))
+    root = list(range(live + 1))
     sign = [1] * len(root)
     dead = [False] * len(root)
     members = [[g] for g in root]
     watchers = [[] for _ in root]
     relators = []
-    # a < b < c: the loop a -> b -> c -> a crosses the edge (a, c) backwards
-    for a, b, c in k.faces(2):
-        word = (gens.get((a, b), 0), gens.get((b, c), 0), -gens.get((a, c), 0))
-        word = tuple(x for x in word if x)
+    # a < b < c: the edges come as (a, b), (a, c), (b, c), and the loop
+    # a -> b -> c -> a crosses the edge (a, c) backwards
+    letters = map(gens.__getitem__, chain.from_iterable(map(combinations, k.faces(2), repeat(2))))
+    for ab, ac, bc in zip(letters, letters, letters):
+        word = tuple(filter(None, (ab, bc, -ac)))
         if word:
             for x in word:
                 watchers[abs(x)].append(len(relators))
             relators.append(word)
 
-    live = len(gens)
     queue = list(range(len(relators)))
     while queue:
         i = queue.pop()
+        if not relators[i]:
+            continue  # spent: it reads empty
         word = []
         for x in relators[i]:
             g = abs(x)
@@ -603,8 +617,10 @@ def _live_classes(k):
             dead[r] = True
         elif len(word) == 2 and abs(word[0]) != abs(word[1]):
             # x y = 1 with x = r ** e and y = b ** f gives r = b ** (-e f);
-            # the class with fewer watchers joins the other
-            r, b = sorted(map(abs, word), key=lambda g: len(watchers[g]))
+            # the class with fewer watchers joins the other, the first on a tie
+            r, b = abs(word[0]), abs(word[1])
+            if len(watchers[b]) < len(watchers[r]):
+                r, b = b, r
             s = -1 if (word[0] > 0) == (word[1] > 0) else 1
             for g in members[r]:
                 root[g], sign[g] = b, sign[g] * s

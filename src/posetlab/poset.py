@@ -500,7 +500,8 @@ def beat_point_core(p):
     removing it is a strong deformation retraction of the order complex
     (Stong), so the core has the homotopy type of p.  Returns
     ``(core, witnesses)``: the induced subposet on the survivors, and the
-    removals in order as ``(x, y, side)`` label triples.
+    removals in order as ``(x, y, side)`` label triples.  A poset with no
+    beat point is its own core: it comes back as itself, not a copy.
 
     Each pass lists the covers among the survivors; an element with
     exactly one upper (else lower) cover is a beat point whose witness is
@@ -534,6 +535,8 @@ def beat_point_core(p):
             witnesses.append((p.elements[i], p.elements[j], side))
         if not removed:
             break
+    if not witnesses:
+        return p, witnesses
     return p.induced([p.elements[i] for i in _bits(alive)]), witnesses
 
 

@@ -9,7 +9,7 @@ the empty complex is the (-1)-sphere rather than nothing at all.
 
 from __future__ import annotations
 
-from itertools import combinations
+from itertools import chain, combinations, repeat
 
 
 class ComplexError(ValueError):
@@ -43,15 +43,17 @@ class SimplicialComplex:
             by_dim.setdefault(len(face) - 1, []).append(face)
         for d, fl in by_dim.items():
             fl.sort()
-        # closure: every facet of every face must be present
+        # closure: every facet of every face must be present; a dimension
+        # that fails is walked again to name its first face and facet
         for d in sorted(by_dim, reverse=True):
-            if d == 0:
+            if d == 0 or seen.issuperset(
+                chain.from_iterable(map(combinations, by_dim[d], repeat(d)))
+            ):
                 continue
-            lower = seen
             for face in by_dim[d]:
                 for k in range(len(face)):
                     sub = face[:k] + face[k + 1 :]
-                    if sub not in lower:
+                    if sub not in seen:
                         raise ComplexError(f"face {face} missing facet {sub}")
         missing = [i for i in range(n) if (i,) not in seen]
         if missing:

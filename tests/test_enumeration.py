@@ -350,6 +350,20 @@ class TestCanonicalKeys:
         g2 = Multigraph([0, 1], [(0, 0, 1), (1, 0, 1), (2, 0, 1), (3, 0, 0)])
         assert canonical_key(g1) != canonical_key(g2)
 
+    def test_each_key_counts_neighbours_once(self, monkeypatch):
+        counted = []
+        real = enumeration._neighbour_counts
+
+        def counting(g):
+            counted.append(g)
+            return real(g)
+
+        monkeypatch.setattr(enumeration, "_neighbour_counts", counting)
+        for key in enumerate_graphs(3):
+            counted.clear()
+            assert canonical_key(parse_key(key)) == key
+            assert len(counted) == 1
+
 
 def _string_min_key(g):
     """The canonical key as the string minimum over the same permutation

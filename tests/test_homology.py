@@ -3,6 +3,7 @@ rational elimination, torsion and cohomology on a projective plane,
 subdivision invariance, nerves, duality, and contractibility certificates.
 """
 
+import heapq
 import random
 from collections import Counter, OrderedDict
 from fractions import Fraction
@@ -683,6 +684,137 @@ class TestClearing:
             assert not {i for i, _ in entries} & below.unit_pivot_cols
         # uncleared the matrices hold 62, 1,080, 4,680, 7,200 and 3,600 entries
         assert [len(entries) for entries, _ in handed_over] == [62, 1050, 4106, 4934, 1438]
+
+
+def slice_boundary_entries(k, d, skip_rows=frozenset()):
+    """The boundary builder that slices each facet out of its face: the
+    reference for `boundary_entries`, with row 0 of the augmentation
+    also left out when it is skipped."""
+    faces = k.faces(d)
+    entries = {}
+    if d == 0:
+        for j in range(len(faces)):
+            if 0 not in skip_rows:
+                entries[(0, j)] = 1
+        return entries
+    lower = k.face_index(d - 1)
+    for j, face in enumerate(faces):
+        for t in range(len(face)):
+            i = lower[face[:t] + face[t + 1 :]]
+            if i not in skip_rows:
+                entries[(i, j)] = (-1) ** t
+    return entries
+
+
+def tuple_key_unit_pivots(rows, cols):
+    """The unit-pivot loop with a sorted heap seed and a tuple key per
+    candidate entry: the reference for `_eliminate_unit_pivots`."""
+    heap = [(len(r), i) for i, r in sorted(rows.items())]
+    heapq.heapify(heap)
+    pivots = []
+    while heap:
+        length, r = heapq.heappop(heap)
+        row = rows.get(r)
+        if row is None or len(row) != length:
+            continue
+        pivot = None
+        for j, v in row.items():
+            if v == 1 or v == -1:
+                key = (len(cols[j]), j)
+                if pivot is None or key < pivot[0]:
+                    pivot = (key, j, v)
+        if pivot is None:
+            continue
+        _, c, pv = pivot
+        pivot_row = rows.pop(r)
+        for j in pivot_row:
+            cols[j].discard(r)
+            if not cols[j]:
+                del cols[j]
+        for i in sorted(cols.get(c, ())):
+            other = rows[i]
+            mult = other[c] * pv
+            for j, v in pivot_row.items():
+                if j == c:
+                    continue
+                new = other.get(j, 0) - mult * v
+                if new:
+                    if j not in other:
+                        cols.setdefault(j, set()).add(i)
+                    other[j] = new
+                elif j in other:
+                    del other[j]
+                    cols[j].discard(i)
+                    if not cols[j]:
+                        del cols[j]
+            del other[c]
+            if not other:
+                del rows[i]
+            else:
+                heapq.heappush(heap, (len(other), i))
+        if c in cols:
+            del cols[c]
+        pivots.append(c)
+    return pivots
+
+
+def eliminated(loop, entries):
+    """The pivots `loop` finds in the sparse matrix `entries`, and the
+    rows and columns it leaves for the dense residue."""
+    rows, cols = {}, {}
+    for (i, j), v in entries.items():
+        rows.setdefault(i, {})[j] = v
+        cols.setdefault(j, set()).add(i)
+    return loop(rows, cols), rows, cols
+
+
+def clearing_complexes():
+    """The complexes `TestClearing` reduces: named spaces, subset
+    lattices, the rank-2/3 census cores and full complexes, and seeded
+    random complexes."""
+    rp2 = projective_plane()
+    complexes = [torus(), rp2, dunce_hat(), suspension(rp2), suspension(suspension(rp2))]
+    complexes += [order_complex(subset_lattice(range(m))) for m in range(1, 7)]
+    census = {}
+    for _, p in census_posets():
+        for k in (core_complex(p), order_complex(p)):
+            census.setdefault(k.structure_key(), k)
+    return complexes + list(census.values()) + list(random_complexes(13, 300))
+
+
+class TestKernelOracles:
+    def test_boundary_and_pivots_equal_the_references_on_clearing_complexes(self):
+        for k in clearing_complexes():
+            cleared = frozenset()
+            for d in range(k.dim + 1):
+                for skip in (frozenset(), cleared):
+                    assert boundary_entries(k, d, skip) == slice_boundary_entries(k, d, skip)
+                entries = boundary_entries(k, d, cleared)
+                pivots, rows, cols = eliminated(homology._eliminate_unit_pivots, entries)
+                assert (pivots, rows, cols) == eliminated(tuple_key_unit_pivots, entries), k
+                cleared = frozenset(pivots)
+
+    def test_pivots_equal_the_reference_on_random_integer_matrices(self):
+        rng = random.Random(26)
+        residues = 0
+        for _ in range(400):
+            nrows, ncols = rng.randrange(1, 13), rng.randrange(1, 13)
+            entries = {
+                (i, j): rng.choice((-1, 1, 1, -2, 2, 3, -4, 6))
+                for i in range(nrows)
+                for j in range(ncols)
+                if rng.random() < 0.4
+            }
+            pivots, rows, cols = eliminated(homology._eliminate_unit_pivots, entries)
+            assert (pivots, rows, cols) == eliminated(tuple_key_unit_pivots, entries), entries
+            residues += bool(rows)
+        assert residues > 100  # the dense phase gets work on many of them
+
+    def test_skipped_augmentation_row_is_left_out(self):
+        k = sphere_complex(1)
+        assert boundary_entries(k, 0) == {(0, 0): 1, (0, 1): 1, (0, 2): 1}
+        assert boundary_entries(k, 0, frozenset({0})) == {}
+        assert boundary_entries(k, 0, frozenset({5})) == boundary_entries(k, 0)
 
 
 class TestBeatPointReduction:

@@ -406,6 +406,25 @@ class TestBeatPointCore:
         core, witnesses = beat_point_core(antichain(4))
         assert witnesses == [] and core == antichain(4)
 
+    def test_beat_free_poset_is_its_own_core(self):
+        # a cx core image of rank 4, as in rank4-deep, and a subset lattice
+        cc = build_poset(parse_key(enumerate_graphs(4)[0]), "cc")
+        for p in (subset_lattice(range(4)), cc):
+            core, witnesses = beat_point_core(p)
+            assert core is p and witnesses == []
+            check_beat_witnesses(p, core, witnesses)
+
+    def test_checker_rejects_a_full_core_with_a_changed_row(self):
+        p = subset_lattice(range(4))
+        rows = list(p.up)
+        # drop the cover {0} < {0, 1}: still a partial order, but not p's
+        rows[p.index(frozenset({0}))] &= ~(1 << p.index(frozenset({0, 1})))
+        changed = FinitePoset(p.elements, rows)
+        with pytest.raises(InvariantError, match="survivors do not match"):
+            check_beat_witnesses(p, changed, [])
+        with pytest.raises(InvariantError, match="survivors do not match"):
+            check_beat_witnesses(p, p.induced(p.elements[1:]), [])
+
     def test_skips_a_candidate_whose_witness_went_first(self):
         p = bowtie_with_tail()
         core, witnesses = beat_point_core(p)

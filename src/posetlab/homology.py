@@ -115,8 +115,8 @@ def _eliminate_unit_pivots(rows, cols):
     tie.  Short pivot rows keep fill-in small, which is what makes the
     big order complexes tractable.  A row popped without a unit entry
     re-enters the heap whenever a later elimination touches it, so no
-    unit pivot is ever missed.  The heap keys (length, row) are distinct,
-    so they alone fix the order of the pops.
+    unit pivot is ever missed.  A key (length, row) names its row, so the
+    keys alone fix the order of the pops, however the heap was seeded.
     """
     heap = [(len(r), i) for i, r in rows.items()]
     heapq.heapify(heap)

@@ -30,7 +30,3 @@ class TestRefusals:
         assert (
             refusal(range(4), edges + [(0, 1, 2)]) == "face (0, 1, 2) missing facet (1, 2)"
         )
-
-    def test_closed_family_is_accepted(self):
-        k = SimplicialComplex(range(3), [(2, 0), (0,), (1,), (2,), (0, 1), (1, 2), (0, 1, 2)])
-        assert [k.num_faces(d) for d in range(3)] == [3, 3, 1]

@@ -10,9 +10,8 @@ so torsion is never missed and there are no floating-point tolerances.
 from posetlab import (
     build_poset,
     enumerate_graphs,
-    order_complex,
     parse_key,
-    reduced_homology,
+    poset_homology,
     subset_lattice,
     verify_duality,
     verify_sphericity,
@@ -21,7 +20,7 @@ from posetlab import (
 # Warm-up: the subset lattice on m elements (minus top and bottom) is a
 # triangulated sphere of dimension m - 2.
 for m in range(2, 7):
-    h = reduced_homology(order_complex(subset_lattice(range(m))))
+    h = poset_homology(subset_lattice(range(m)))
     print(f"subset lattice on {m} elements: {h}")
 
 # The poset X(G) of cycle-containing proper subgraphs has a sharp
@@ -51,7 +50,7 @@ print(f"  verified degreewise on {ok} graphs")
 # three contractible pieces short of connectivity, while the cycle side
 # is three points.
 theta = parse_key("2;0-1,0-1,0-1")
-h_for = reduced_homology(order_complex(build_poset(theta, "for")))
-h_x = reduced_homology(order_complex(build_poset(theta, "x")))
+h_for = poset_homology(build_poset(theta, "for"))
+h_x = poset_homology(build_poset(theta, "x"))
 print("\n  theta: forests ", h_for)
 print("  theta: cycles   ", h_x)

@@ -14,8 +14,7 @@ from posetlab import (
     build_poset,
     graphs_with_separating_edge,
     parse_key,
-    reduced_homology,
-    order_complex,
+    poset_homology,
     search_certificate,
     theta_graph,
     verify_certificate,
@@ -38,7 +37,7 @@ for key in graphs_with_separating_edge(3):
 # complex.  The search confirms absence and the homology shows why.
 p = build_poset(theta_graph(), "c")
 res = search_certificate(p)
-h = reduced_homology(order_complex(p))
+h = poset_homology(p)
 print("\ntheta core poset:", p.n, "elements, homology", h)
 print("certificate found:", res.found, "| search exhausted:", res.exhausted)
 assert not res.found and not h.is_trivial()

@@ -47,7 +47,7 @@ from .homology import (
     alexander_duality_check,
     certify_contractible,
     pi1_field,
-    reduced_cohomology,
+    poset_homology,
     reduced_homology,
 )
 from .morse import (
@@ -95,7 +95,7 @@ __all__ = [
     "alexander_duality_check",
     "certify_contractible",
     "pi1_field",
-    "reduced_cohomology",
+    "poset_homology",
     "reduced_homology",
     "LevelCertificate",
     "search_certificate",

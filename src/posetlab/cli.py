@@ -44,7 +44,7 @@ from .graph_posets import (
     verify_subset_sphere,
     verify_valence_two,
 )
-from .homology import core_complex, read_triplet_matrix, reduced_homology, snf_from_entries
+from .homology import poset_homology, read_triplet_matrix, snf_from_entries
 from .morse import search_certificate
 from .multigraph import GraphError
 from .poset import _label_text
@@ -159,7 +159,7 @@ def _cmd_homology(args) -> int:
         return 0
     g = _require_graph(args)
     p = build_poset(g, args.kind)
-    h = reduced_homology(core_complex(p))
+    h = poset_homology(p)
     obj = {"graph": args.graph, "kind": args.kind, "homology": _homology_obj(h)}
     if args.json:
         _emit(canonical_json(obj), args.out)
@@ -237,7 +237,8 @@ def _cmd_morse(args) -> int:
 
 
 def _cmd_apartment(args) -> int:
-    h, expected, ok = verify_apartment(args.rank)
+    rec = verify_apartment(args.rank)
+    h, ok = rec.data["homology"], rec.ok
     p = apartment(args.rank)
     if args.dot:
         _emit(p.to_dot(), args.out)

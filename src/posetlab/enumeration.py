@@ -31,7 +31,7 @@ from .graph_posets import (
     graph_label,
     subset_lattice_homology,
 )
-from .homology import HomologyResult, core_complex, reduced_homology
+from .homology import HomologyResult, poset_homology
 from .multigraph import GraphError, Multigraph, rose
 from .poset import (
     FinitePoset,
@@ -426,8 +426,8 @@ def verify_fiber(
         cert.image, core.opposite(), {(empty, h): h for _, h in slice_elements}
     )
 
-    h_fiber = reduced_homology(core_complex(p))
-    homology_ok = h_fiber == reduced_homology(core_complex(core))
+    h_fiber = poset_homology(p)
+    homology_ok = h_fiber == poset_homology(core)
 
     data = {
         "connected_only": connected_only,
@@ -463,9 +463,13 @@ def apartment(rank: int) -> FinitePoset:
     return subset_lattice(range(rank))
 
 
-def verify_apartment(rank: int):
-    """Confirm the apartment of the given rank is a sphere of
-    dimension rank-2.  Returns (homology, expected, ok)."""
+def verify_apartment(rank: int) -> CheckReport:
+    """Check that the apartment of the given rank is a sphere of
+    dimension rank-2: the ``apartment-sphere`` record."""
+    if rank < 1:
+        raise ValueError("apartment rank must be >= 1")
     h = subset_lattice_homology(rank)
     expected = HomologyResult.sphere(rank - 2)
-    return h, expected, h == expected
+    data = {"rank": rank, "dimension": rank - 2, "homology": h, "expected": expected}
+    status = "pass" if h == expected else "fail"
+    return CheckReport(f"apartment-{rank}", "apartment-sphere", status, _betti_profile(h), data)

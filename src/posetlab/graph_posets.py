@@ -38,9 +38,8 @@ from .homology import (
     InvariantError,
     alexander_duality_check,
     boundary_entries,
-    core_complex,
     homotopy_verdict,
-    reduced_homology,
+    poset_homology,
     snf_from_entries,
 )
 from .multigraph import Multigraph
@@ -436,8 +435,7 @@ def subset_lattice_homology(num_elements: int) -> HomologyResult:
     This complex is the barycentric subdivision of the boundary of a
     simplex, hence a sphere of dimension `num_elements - 2`.
     """
-    p = subset_lattice(range(num_elements))
-    return reduced_homology(core_complex(p))
+    return poset_homology(subset_lattice(range(num_elements)))
 
 
 def verify_subset_sphere(g: Multigraph, label: str | None = None) -> CheckReport:
@@ -478,8 +476,7 @@ def _sphericity_report(g, kind, label, check, p, core, data, certified) -> Check
     `homotopy_verdict` decides it by pi1.
     """
     target = g.rank() - 2
-    k = core_complex(core)
-    h = reduced_homology(k)
+    h = poset_homology(core)
     separating = list(g.separating_edges())
     data.update(
         kind=kind,
@@ -498,7 +495,7 @@ def _sphericity_report(g, kind, label, check, p, core, data, certified) -> Check
     # a holding claim is free homology in degree target: at target 0
     # every component is acyclic, and above it the complex is connected,
     # so one pi1 verdict over all components settles the homotopy side
-    status, data["pi1"] = homotopy_verdict(k, certified and claim_ok)
+    status, data["pi1"] = homotopy_verdict(core, certified and claim_ok)
     return CheckReport(label, check, status, _betti_profile(h), data)
 
 
@@ -588,8 +585,8 @@ def verify_core_retraction(
         }
         return CheckReport(label, check, "fail", (), data)
 
-    h_src = reduced_homology(core_complex(p))
-    h_img = reduced_homology(core_complex(cert.image))
+    h_src = poset_homology(p)
+    h_img = poset_homology(cert.image)
     data["source_homology"] = h_src
     data["image_homology"] = h_img
     ok = h_src == h_img
@@ -677,8 +674,8 @@ def verify_valence_two(g: Multigraph, v: int, label: str | None = None) -> Check
     data["round_trip_identity"] = round_trip_q
     data["round_trip_dominated"] = dominated
 
-    h_p = reduced_homology(core_complex(p))
-    h_q = reduced_homology(core_complex(q))
+    h_p = poset_homology(p)
+    h_q = poset_homology(q)
     data["homology_before"] = h_p
     data["homology_after"] = h_q
     ok = round_trip_q and dominated and h_p == h_q
@@ -801,7 +798,7 @@ def verify_forest_generators(g: Multigraph, label: str | None = None) -> CheckRe
     k, cycles = forest_generator_cycles(g)
     # the full complex k names the cycles' faces; its homology is read
     # off the checked core, which verify_sphericity has usually cached
-    h = reduced_homology(core_complex(build_poset(g, "x")))
+    h = poset_homology(build_poset(g, "x"))
     data: dict = {
         "forests": len(cycles),
         "target_degree": target,

@@ -34,6 +34,7 @@ from functools import lru_cache
 from itertools import chain, combinations, compress, cycle, repeat
 from operator import not_
 
+from .multigraph import _union
 from .poset import _bits, _down_rows, beat_point_core, order_complex
 from .simplicial import SimplicialComplex
 
@@ -293,6 +294,21 @@ class HomologyResult:
     def max_degree(self):
         return max((d for d, _, _ in self.groups), default=None)
 
+    def cohomology(self):
+        """The reduced integer cohomology, by universal coefficients.
+
+        Free parts agree with homology degreewise; the torsion of H^d is
+        the torsion of reduced H_(d-1).
+        """
+        betti = {}
+        torsion = {}
+        for d, b, t in self.groups:
+            if b:
+                betti[d] = b
+            if t:
+                torsion[d + 1] = t
+        return HomologyResult.from_dicts(betti, torsion)
+
     def concentrated_in(self, degree):
         """True when every nonzero group sits in the given degree, torsion-free."""
         return all(d == degree and not t for d, _, t in self.groups)
@@ -421,23 +437,6 @@ def reduced_homology(k):
     return result
 
 
-def reduced_cohomology(k):
-    """Reduced integer cohomology via universal coefficients.
-
-    Free parts agree with homology degreewise; the torsion of H^d is the
-    torsion of reduced H_(d-1).
-    """
-    h = reduced_homology(k)
-    betti = {}
-    torsion = {}
-    for d, b, t in h.groups:
-        if b:
-            betti[d] = b
-        if t:
-            torsion[d + 1] = t
-    return HomologyResult.from_dicts(betti, torsion)
-
-
 def check_beat_witnesses(p, core, witnesses):
     """Replay beat-point removals against `p.up`; raise on a bad step.
 
@@ -521,6 +520,18 @@ def core_complex(p):
     return order_complex(core)
 
 
+def poset_homology(p):
+    """Reduced integer homology of the order complex of the poset p.
+
+    It is computed on p's checked beat-point core (:func:`core_complex`),
+    which has the same homology with (usually far) fewer faces.  Two
+    memos serve it, and neither can stand in for the other: the core
+    complex is remembered by poset, the homology by face list, since
+    distinct posets often reduce to the same core complex.
+    """
+    return reduced_homology(core_complex(p))
+
+
 # -- contractibility and fundamental group ----------------------------------
 
 
@@ -560,23 +571,14 @@ def _live_classes(k):
     of the relators, so no live class means a trivial group.
     """
     tree = list(range(len(k.vertices)))
-
-    def vertex_root(v):
-        while tree[v] != v:
-            tree[v] = tree[tree[v]]
-            v = tree[v]
-        return v
-
     gens = {}  # edge -> generator numbered from 1 for signed letters; forest edges 0
     live = 0
     for u, v in k.faces(1):
-        ru, rv = vertex_root(u), vertex_root(v)
-        if ru == rv:
+        if _union(tree, u, v):
+            gens[(u, v)] = 0
+        else:
             live += 1
             gens[(u, v)] = live
-        else:
-            tree[ru] = rv
-            gens[(u, v)] = 0
 
     root = list(range(live + 1))
     sign = [1] * len(root)
@@ -635,11 +637,13 @@ def _live_classes(k):
     return live
 
 
-def homotopy_verdict(k, claim_holds):
-    """The record status of a homology claim about k, with k's pi1 verdict.
+def homotopy_verdict(p, claim_holds):
+    """The record status of a homology claim about the poset p's order
+    complex, with its pi1 verdict.
 
     A claim that does not hold fails, pi1 not evaluated.  Otherwise
-    :func:`pi1_field` decides: "Trivial" certifies the homotopy type
+    :func:`pi1_field` decides on p's checked beat-point core, the complex
+    that :func:`poset_homology` read: "Trivial" certifies the homotopy type
     ("pass"), and any other verdict leaves it "homology-only".  Every
     claim is free homology in one degree, so a holding claim allows a
     nonzero reduced H_1 only for a wedge of circles, whose free
@@ -648,7 +652,7 @@ def homotopy_verdict(k, claim_holds):
     """
     if not claim_holds:
         return "fail", "not-evaluated"
-    pi1 = pi1_field(k)
+    pi1 = pi1_field(core_complex(p))
     return ("pass" if pi1 == PI1_TRIVIAL else "homology-only"), pi1
 
 
@@ -660,8 +664,7 @@ def certify_contractible(p):
     or "fail".  A cone needs no shortcut, since its core is one point.
     The empty poset fails: its order complex is the empty complex.
     """
-    k = core_complex(p)
-    return homotopy_verdict(k, reduced_homology(k).is_trivial())[0]
+    return homotopy_verdict(p, poset_homology(p).is_trivial())[0]
 
 
 # -- Alexander duality -------------------------------------------------------
@@ -692,13 +695,13 @@ def alexander_duality_check(p, q_elements, sphere_dim):
     q_set = set(q_elements)
     for x in q_elements:
         p.index(x)
-    hypothesis_ok = reduced_homology(core_complex(p)) == HomologyResult.sphere(sphere_dim)
+    hypothesis_ok = poset_homology(p) == HomologyResult.sphere(sphere_dim)
 
     q_poset = p.induced(q_elements)
     rest = [x for x in p.elements if x not in q_set]
     c_poset = p.induced(rest)
-    sub_h = reduced_homology(core_complex(q_poset))
-    comp_hh = reduced_cohomology(core_complex(c_poset))
+    sub_h = poset_homology(q_poset)
+    comp_hh = poset_homology(c_poset).cohomology()
 
     mismatches = []
     for i in range(-1, sphere_dim + 1):
@@ -741,6 +744,8 @@ def read_triplet_matrix(text):
     if len(first) != 2:
         raise ValueError("first line must be: nrows ncols")
     nrows, ncols = int(first[0]), int(first[1])
+    if nrows < 0 or ncols < 0:
+        raise ValueError(f"negative matrix size {nrows}x{ncols}")
     entries = {}
     for ln in lines[1:]:
         parts = ln.split()

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 from itertools import chain, combinations, repeat
 
+from .multigraph import _components_of
+
 
 class ComplexError(ValueError):
     """A face family that is not closed, or a malformed face."""
@@ -99,27 +101,9 @@ class SimplicialComplex:
     def components(self):
         """Vertex index sets of the connected components of the 1-skeleton."""
         if self._components is None:
-            self._components = self._find_components()
+            classes = _components_of(range(len(self.vertices)), self.faces(1))
+            self._components = sorted(classes.values(), key=min)
         return [set(c) for c in self._components]
-
-    def _find_components(self):
-        n = len(self.vertices)
-        parent = list(range(n))
-
-        def find(v):
-            while parent[v] != v:
-                parent[v] = parent[parent[v]]
-                v = parent[v]
-            return v
-
-        for u, v in self.faces(1):
-            ru, rv = find(u), find(v)
-            if ru != rv:
-                parent[max(ru, rv)] = min(ru, rv)
-        comps = {}
-        for v in range(n):
-            comps.setdefault(find(v), set()).add(v)
-        return sorted(comps.values(), key=min)
 
     def full_subcomplex(self, vertex_indices):
         """All faces whose vertices lie in the given index set."""

@@ -44,7 +44,7 @@ from .graph_posets import (
     verify_subset_sphere,
     verify_valence_two,
 )
-from .homology import core_complex, reduced_homology
+from .homology import poset_homology
 from .morse import search_certificate
 from .multigraph import theta_graph
 
@@ -133,7 +133,7 @@ def _morse_search(key: str):
         "elements": p.n,
         "found": res.found,
         "exhausted": res.exhausted,
-        "homology": reduced_homology(core_complex(p)),
+        "homology": poset_homology(p),
     }
     return p, res, data
 
@@ -183,21 +183,7 @@ def _deep_records(key: str) -> list[dict]:
 
 
 def _apartment_records(rank: int) -> list[dict]:
-    h, expected, ok = verify_apartment(rank)
-    data = {
-        "rank": rank,
-        "dimension": rank - 2,
-        "homology": h,
-        "expected": expected,
-    }
-    rec = CheckReport(
-        f"apartment-{rank}",
-        "apartment-sphere",
-        "pass" if ok else "fail",
-        _betti_profile(h),
-        data,
-    )
-    return [rec.to_json_obj()]
+    return [verify_apartment(rank).to_json_obj()]
 
 
 def _census_record(rank: int) -> dict:

@@ -65,9 +65,10 @@ class TestPosetAndHomology:
 
     def test_matrix_bad_file(self, tmp_path, capsys):
         path = tmp_path / "bad.txt"
-        path.write_text("not a matrix\n")
-        code, _, err = run_main(["homology", "--matrix", str(path)], capsys)
-        assert code == 2 and "error" in err
+        for text in ("not a matrix\n", "-1 -3\n"):
+            path.write_text(text)
+            code, _, err = run_main(["homology", "--matrix", str(path)], capsys)
+            assert code == 2 and "error" in err, text
 
 
 class TestVerify:

@@ -767,9 +767,9 @@ class TestApartments:
 
     def test_spheres_ranks_2_to_6(self):
         for rank in range(2, 7):
-            h, expected, ok = verify_apartment(rank)
-            assert ok
-            assert expected == HomologyResult.sphere(rank - 2)
+            rec = verify_apartment(rank)
+            assert rec.status == "pass"
+            assert rec.data["expected"] == HomologyResult.sphere(rank - 2)
 
     def test_runtime_under_5s(self):
         t0 = time.monotonic()
@@ -780,3 +780,5 @@ class TestApartments:
     def test_rejects_rank_zero(self):
         with pytest.raises(ValueError):
             apartment(0)
+        with pytest.raises(ValueError):
+            verify_apartment(0)

@@ -28,8 +28,8 @@ from posetlab.homology import (
     core_complex,
     homotopy_verdict,
     pi1_field,
+    poset_homology,
     read_triplet_matrix,
-    reduced_cohomology,
     reduced_homology,
     smith_normal_form,
     snf_from_entries,
@@ -400,7 +400,7 @@ class TestStandardSpaces:
         assert not h.is_trivial()
 
     def test_projective_plane_cohomology_shift(self):
-        hh = reduced_cohomology(projective_plane())
+        hh = reduced_homology(projective_plane()).cohomology()
         # universal coefficients: torsion climbs one degree in cohomology
         assert hh.torsion(2) == (2,)
         assert hh.torsion(1) == ()
@@ -534,15 +534,19 @@ class TestContractibilityAndPi1:
         assert certify_contractible(FinitePoset([], [])) == "fail"
 
     def test_homotopy_verdict(self):
+        sphere = subset_lattice(range(4))
         # a claim that fails is never handed to pi1
-        assert homotopy_verdict(sphere_complex(2), False) == ("fail", "not-evaluated")
-        # a wedge of circles: H1 free, pi1 nontrivial, yet no contradiction
-        wedge = SimplicialComplex.from_facets(
-            range(5), [(0, 1), (1, 2), (0, 2), (0, 3), (3, 4), (0, 4)]
+        assert homotopy_verdict(sphere, False) == ("fail", "not-evaluated")
+        # the face poset of the theta graph, two vertices below three
+        # edges, has no beat point; its order complex is a wedge of two
+        # circles: H1 free, pi1 nontrivial, yet no contradiction
+        theta = FinitePoset.from_covers(
+            ["u", "v", "a", "b", "c"], [(0, 2), (1, 2), (0, 3), (1, 3), (0, 4), (1, 4)]
         )
-        assert str(reduced_homology(wedge)) == "H~1=Z^2"
-        assert homotopy_verdict(wedge, True) == ("homology-only", PI1_NONTRIVIAL)
-        assert homotopy_verdict(sphere_complex(2), True) == ("pass", PI1_TRIVIAL)
+        assert beat_point_core(theta)[0] == theta
+        assert str(poset_homology(theta)) == "H~1=Z^2"
+        assert homotopy_verdict(theta, True) == ("homology-only", PI1_NONTRIVIAL)
+        assert homotopy_verdict(sphere, True) == ("pass", PI1_TRIVIAL)
 
     def test_pi1_of_simplex_boundary(self):
         assert pi1_field(sphere_complex(2)) == PI1_TRIVIAL
@@ -824,6 +828,7 @@ class TestBeatPointReduction:
         for name, p in census_posets():
             full, core = order_complex(p), core_complex(p)
             assert reduced_homology(core) == reduced_homology(full), name
+            assert poset_homology(p) == reduced_homology(full), name
             shrunk += core.num_faces() < full.num_faces()
         # cores are unique up to isomorphism, so which posets have a beat
         # point does not depend on the removal order: 77 of the 144

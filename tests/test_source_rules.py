@@ -78,11 +78,13 @@ def test_cli_import_leaves_numpy_and_multiprocessing_out():
 
 
 # Homology and pi1 verdicts of a poset are computed on its checked
-# beat-point core (`homology.core_complex`), one way everywhere.  Only
-# code that needs the full order complex may hand one over: the poset
-# module itself and the final cross-check of a validated level
-# certificate.
-HOMOTOPY_ROUTINES = {"reduced_homology", "reduced_cohomology", "pi1_field"}
+# beat-point core, one way everywhere: through `homology.poset_homology`
+# and `homology.homotopy_verdict`.  No module but `homology.py` names
+# `core_complex`.  Only code that needs the full order complex may hand
+# one over: the poset module itself and the final cross-check of a
+# validated level certificate.
+HOMOTOPY_ROUTINES = {"reduced_homology", "pi1_field"}
+CORE_COMPLEX_FILES = {"homology.py"}
 FULL_COMPLEX_FILES = {"poset.py"}
 FULL_COMPLEX_FUNCTIONS = {"verify_certificate"}
 _SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
@@ -133,6 +135,17 @@ def unreduced_complex_uses(tree):
     return sorted(found)
 
 
+def core_complex_names(tree):
+    """Lines that name `core_complex`: a read, an attribute or an import."""
+    return sorted(
+        node.lineno
+        for node in ast.walk(tree)
+        if (isinstance(node, ast.Name) and node.id == "core_complex")
+        or (isinstance(node, ast.Attribute) and node.attr == "core_complex")
+        or (isinstance(node, ast.alias) and node.name.rpartition(".")[2] == "core_complex")
+    )
+
+
 def test_rule_sees_direct_and_named_complexes():
     source = (
         "def f(p):\n"
@@ -144,15 +157,18 @@ def test_rule_sees_direct_and_named_complexes():
         "    return reduced_homology(core_complex(p))\n"
     )
     assert unreduced_complex_uses(ast.parse(source)) == [3, 3]
+    named = source + "from .homology import core_complex\nk = homology.core_complex(p)\n"
+    assert core_complex_names(ast.parse(named)) == [7, 8, 9]
 
 
 def test_homotopy_claims_use_the_reduced_complex():
     found = []
     for path in sorted(PACKAGE.rglob("*.py")):
-        if path.name in FULL_COMPLEX_FILES:
-            continue
         tree = ast.parse(path.read_text(), filename=str(path))
-        found += [f"{path.name}:{line}" for line in unreduced_complex_uses(tree)]
+        if path.name not in FULL_COMPLEX_FILES:
+            found += [f"{path.name}:{line}" for line in unreduced_complex_uses(tree)]
+        if path.name not in CORE_COMPLEX_FILES:
+            found += [f"{path.name}:{line}:core_complex" for line in core_complex_names(tree)]
     assert found == []
 
 

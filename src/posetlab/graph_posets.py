@@ -89,14 +89,13 @@ class _EdgeMasks:
     a graph with more than 63 edges is rejected here, before any subset
     is enumerated.
 
-    Holds each edge's endpoint positions and each vertex's incident and
-    loop edges, which is all that core peeling and the forest, connected
-    and core tests need.  Classifying the subsets lists one row per
-    proper nonempty subset, ``(ids, mask, flags, members, edges)``: its
-    edge ids, mask, flags, member positions and its one frozenset, which
-    every poset and core image of the graph shares.  It also records
-    each proper subset's core, so :meth:`core` peels only masks outside
-    the table.
+    Holds each edge's endpoint positions and each vertex's incident
+    edges, which is all that the forest, connected and core tests need.
+    Classifying the subsets lists one row per proper nonempty subset,
+    ``(ids, mask, flags, members, edges)``: its edge ids, mask, flags,
+    member positions and its one frozenset, which every poset and core
+    image of the graph shares.  It also records every subset's core, the
+    whole edge set's included, so :meth:`core` only reads that record.
 
     A quotient G/F keeps the edge ids of G - F, so its table can take the
     bits of G's (`bit`): its masks are then masks of G, and the fiber
@@ -110,7 +109,6 @@ class _EdgeMasks:
         "bit",
         "ends",
         "incident",
-        "loops",
         "quotients",
         "_table",
         "_cores",
@@ -124,13 +122,10 @@ class _EdgeMasks:
         self.bit = _mask_bits(self.ids) if bit is None else {e: bit[e] for e in self.ids}
         self.ends = [(pos[u], pos[v]) for _, u, v in g.edges]
         self.incident = [0] * len(pos)
-        self.loops = [0] * len(pos)
         for e, (u, v) in zip(self.ids, self.ends):
             b = self.bit[e]
             self.incident[u] |= b
             self.incident[v] |= b
-            if u == v:
-                self.loops[u] |= b
         self.quotients = {}
         self._table = None
         self._cores = {}
@@ -141,36 +136,13 @@ class _EdgeMasks:
     def edges(self, mask: int) -> frozenset:
         return frozenset(e for e, b in self.bit.items() if mask & b)
 
-    def hanging(self, mask: int) -> int:
-        """The edges of `mask` at its valence-one vertices: one peel step.
-
-        A vertex has valence one exactly when its incident edges in the
-        mask are a single edge that is not a loop (loops count twice).
-        """
-        out = 0
-        for inc, loop in zip(self.incident, self.loops):
-            x = mask & inc
-            if x and not x & (x - 1) and not x & loop:
-                out |= x
-        return out
-
     def core(self, mask: int) -> int:
-        """Drop the hanging edges until none are left.
-
-        Tree components vanish, so the core has minimum valence two and a
-        cycle in every component; a core is its own core, and a mask has
-        the core of itself minus its hanging edges.  Classifying the
-        subsets records every proper subset's core, so a mask is peeled
-        only while it is not in that record: the whole edge set, or any
-        mask before the subsets are classified.
-        """
-        cores = self._cores
-        while (core := cores.get(mask)) is None:
-            hanging = self.hanging(mask)
-            if not hanging:
-                return mask
-            mask ^= hanging
-        return core
+        """The core of the subset `mask`, as the classification recorded
+        it: its edges left once the edges at valence-one vertices are
+        dropped until none are left.  Tree components vanish, so the core
+        has minimum valence two and a cycle in every component."""
+        self.rows()
+        return self._cores[mask]
 
     def core_edges(self, edges) -> frozenset:
         return self.edges(self.core(self.mask(edges)))
@@ -260,7 +232,7 @@ class _EdgeMasks:
         sets = self._sets = {0: frozenset()}
         masks = self._masks = {}
         rows = []
-        for k in range(1, m):
+        for k in range(1, m + 1):
             for ids, members, own, held in zip(
                 combinations(self.ids, k),
                 combinations(range(m), k),
@@ -270,6 +242,8 @@ class _EdgeMasks:
                 s, mask = sum(own), sum(held)
                 w = leaf_of[s]
                 cores[mask] = cores[mask & ~incident[w - 1]] if w else mask
+                if k == m:
+                    break  # the whole edge set: a core, but no row
                 edges = sets[mask] = frozenset(ids)
                 masks[edges] = mask
                 rows.append((ids, mask, flags_of[s], members, edges))
@@ -438,6 +412,17 @@ def subset_lattice_homology(num_elements: int) -> HomologyResult:
     return poset_homology(subset_lattice(range(num_elements)))
 
 
+def _subset_sphere_report(label: str, check: str, m: int, data: dict) -> CheckReport:
+    """The `check` record of the claim that the proper nonempty subsets
+    of an `m`-element set, m >= 1, triangulate a sphere of dimension
+    m - 2; `data` holds the check's own keys and gains the dimension and
+    the homology."""
+    h = subset_lattice_homology(m)
+    data.update(dimension=m - 2, homology=h)
+    status = "pass" if h == HomologyResult.sphere(m - 2) else "fail"
+    return CheckReport(label, check, status, _betti_profile(h), data)
+
+
 def verify_subset_sphere(g: Multigraph, label: str | None = None) -> CheckReport:
     """Check that the full subgraph poset of `g` triangulates a sphere
     of dimension (number of edges - 2)."""
@@ -445,16 +430,7 @@ def verify_subset_sphere(g: Multigraph, label: str | None = None) -> CheckReport
     m = g.num_edges()
     if m < 1:
         raise VerificationError("verify_subset_sphere: graph must have an edge")
-    h = subset_lattice_homology(m)
-    expected = HomologyResult.sphere(m - 2)
-    ok = h == expected
-    return CheckReport(
-        graph=label,
-        check="subset-lattice-sphere",
-        status="pass" if ok else "fail",
-        betti=_betti_profile(h),
-        data={"dimension": m - 2, "homology": h},
-    )
+    return _subset_sphere_report(label, "subset-lattice-sphere", m, {})
 
 
 # ---------------------------------------------------------------------------
@@ -525,10 +501,10 @@ def verify_sphericity(g: Multigraph, kind: str = "x", label: str | None = None) 
 def core_map(g: Multigraph, p, q) -> PosetMap:
     """The map sending a subgraph to its core, as a poset map p -> q.
 
-    No element is peeled here: `g`'s mask table recorded every proper
-    subset's core when it classified the subsets (:meth:`_EdgeMasks.core`),
-    so the `x` and `cx` maps both read the same record, and each element's
-    mask and its core's frozenset are looked up in the table
+    No element is peeled here: `g`'s mask table recorded every subset's
+    core when it classified the subsets (:meth:`_EdgeMasks.core`), so the
+    `x` and `cx` maps both read the same record, and each element's mask
+    and its core's frozenset are looked up in the table
     (:meth:`_EdgeMasks.core_images`), so p's elements are proper edge
     subsets of `g`, as in every poset built here.  A core that is not an
     element of q is refused as any non-element.  The map validates order on
@@ -608,7 +584,7 @@ def valence_two_maps(g: Multigraph, v: int):
     """The comparison maps between connected cycle-containing posets of
     `g` and of the graph with the valence-two vertex `v` smoothed away.
 
-    Returns (smoothed graph, forward map, backward map).  Writing e1, e2
+    Returns (forward map, backward map).  Writing e1, e2
     for the two edges at `v` and e* for the edge replacing them:
 
     * forward drops `v` from a subgraph: a subgraph containing exactly
@@ -641,7 +617,7 @@ def valence_two_maps(g: Multigraph, v: int):
 
     fwd = PosetMap.from_function(p, q, forward)
     bwd = PosetMap.from_function(q, p, backward)
-    return g2, fwd, bwd
+    return fwd, bwd
 
 
 def verify_valence_two(g: Multigraph, v: int, label: str | None = None) -> CheckReport:
@@ -657,7 +633,7 @@ def verify_valence_two(g: Multigraph, v: int, label: str | None = None) -> Check
     if g.rank() < 1:
         raise VerificationError("verify_valence_two: graph must contain a cycle")
     try:
-        g2, fwd, bwd = valence_two_maps(g, v)
+        fwd, bwd = valence_two_maps(g, v)
     except PosetError as exc:
         return _certificate_failure(label, "valence-two-smoothing", {"vertex": v}, exc)
     p, q = fwd.source, fwd.target
@@ -761,24 +737,6 @@ def forest_generator_cycles(g: Multigraph):
     return k, cycles
 
 
-def _chain_boundary(target: int, chain: dict) -> dict:
-    """Boundary of an integer `target`-chain, including the augmentation
-    when target is 0.  Keys are faces of degree target-1 (or the empty
-    tuple for the augmentation)."""
-    out: dict = {}
-    if target == 0:
-        total = sum(chain.values())
-        if total:
-            out[()] = total
-        return out
-    for simplex, coeff in chain.items():
-        for drop in range(len(simplex)):
-            face = simplex[:drop] + simplex[drop + 1 :]
-            sgn = -1 if drop % 2 else 1
-            out[face] = out.get(face, 0) + sgn * coeff
-    return {f: c for f, c in out.items() if c != 0}
-
-
 def verify_forest_generators(g: Multigraph, label: str | None = None) -> CheckReport:
     """Verify that the dual cycles attached to maximal forests generate
     the top homology of the cycle-containing complex.
@@ -805,14 +763,18 @@ def verify_forest_generators(g: Multigraph, label: str | None = None) -> CheckRe
         "homology": h,
     }
 
-    closed = True
-    for chain in cycles:
-        if not chain:
-            closed = False
-            break
-        if _chain_boundary(target, chain):
-            closed = False
-            break
+    # each cycle is a column over k's target faces, and the boundary
+    # matrix of that degree (augmented at 0) must send it to zero
+    face_idx = k.face_index(target)
+    columns: dict = {}
+    for j, chain in enumerate(cycles):
+        for simplex, coeff in chain.items():
+            columns.setdefault(face_idx[simplex], []).append((j, coeff))
+    image: dict = {}
+    for (row, col), sign in boundary_entries(k, target).items():
+        for j, coeff in columns.get(col, ()):
+            image[row, j] = image.get((row, j), 0) + sign * coeff
+    closed = all(cycles) and not any(image.values())
     data["cycles_closed_nonzero"] = closed
     if not closed:
         return CheckReport(label, "forest-generators", "fail", _betti_profile(h), data)
@@ -820,7 +782,6 @@ def verify_forest_generators(g: Multigraph, label: str | None = None) -> CheckRe
     # Span rank inside the chain group: columns of the next boundary
     # matrix span the boundaries; adjoining the cycles and comparing
     # ranks counts how many are independent in homology.
-    face_idx = k.face_index(target)
     bd_entries = boundary_entries(k, target + 1)
     base_cols = k.num_faces(target + 1)
     joint = dict(bd_entries)

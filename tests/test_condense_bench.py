@@ -152,3 +152,24 @@ def test_failures_or_wrong_runs_meet_no_gain_rule(change_run):
     assert metrics["wall_s"]["change_wins"] == 10
     for name in METRICS:
         assert not metrics[name]["gain_rule_met"], name
+
+
+@pytest.mark.parametrize("bad", ["no-equals", "missing", "not-json"])
+def test_an_unreadable_argument_exits_2(bad, tmp_path, capsys):
+    # named on stderr with its reason, never a traceback; nothing is written
+    good = []
+    for i, (side, res) in enumerate(paired_runs()):
+        path = tmp_path / f"{i}.json"
+        path.write_text(json.dumps(res))
+        good.append(f"{side}={path}")
+    text = tmp_path / "text.json"
+    text.write_text("not json")
+    arg = {
+        "no-equals": "parent",
+        "missing": f"parent={tmp_path / 'absent.json'}",
+        "not-json": f"parent={text}",
+    }[bad]
+    out = tmp_path / "BENCH.json"
+    assert condense_bench.main([str(out), *good, arg]) == 2
+    assert capsys.readouterr().err.startswith(f"condense_bench: {arg}: ")
+    assert not out.exists()

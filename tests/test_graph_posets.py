@@ -12,7 +12,14 @@ from itertools import combinations
 import pytest
 
 from posetlab import cli, graph_posets
-from posetlab.enumeration import _quotient, enumerate_graphs, fiber_poset, parse_key, verify_fiber
+from posetlab.enumeration import (
+    _quotient,
+    enumerate_graphs,
+    fiber_poset,
+    parse_key,
+    verify_apartment,
+    verify_fiber,
+)
 from posetlab.graph_posets import (
     KINDS,
     _edge_masks,
@@ -54,11 +61,29 @@ def _components(vertices, pairs):
     return len({find(v) for v in vertices})
 
 
+def hanging(table, mask):
+    """The edges of `mask` at its valence-one vertices: one peel step.
+
+    A vertex has valence one exactly when its incident edges in the mask
+    are a single edge that is not a loop (loops count twice).
+    """
+    loops = [0] * len(table.incident)
+    for e, (u, v) in zip(table.ids, table.ends):
+        if u == v:
+            loops[u] |= table.bit[e]
+    out = 0
+    for inc, loop in zip(table.incident, loops):
+        x = mask & inc
+        if x and not x & (x - 1) and not x & loop:
+            out |= x
+    return out
+
+
 def peeled(table, mask):
-    """The core of `mask` by dropping the table's hanging edges until
-    none are left, with no recorded core read."""
-    while hanging := table.hanging(mask):
-        mask ^= hanging
+    """The core of `mask` by dropping its hanging edges until none are
+    left, with no recorded core read."""
+    while dropped := hanging(table, mask):
+        mask ^= dropped
     return mask
 
 
@@ -71,13 +96,14 @@ def union_find_rows(table):
     its vertex's valence, and a subset is core when no vertex has
     valence one.  Returns the rows ``(ids, mask, flags)`` and the core
     record, each core being the recorded core of the subset without its
-    non-loop edges at valence-one vertices.
+    non-loop edges at valence-one vertices; the whole edge set has a
+    core but no row.
     """
     ends, incident = table.ends, table.incident
     m, nv = len(ends), len(incident)
     bits = [table.bit[e] for e in table.ids]
     rows, cores = [], {0: 0}
-    for k in range(1, m):
+    for k in range(1, m + 1):
         for ids, combo in zip(combinations(table.ids, k), combinations(range(m), k)):
             parent = list(range(nv))
             valence = [0] * nv
@@ -108,7 +134,8 @@ def union_find_rows(table):
             else:
                 flags |= graph_posets._CORE
                 cores[mask] = mask
-            rows.append((ids, mask, flags))
+            if k < m:
+                rows.append((ids, mask, flags))
     return rows, cores
 
 
@@ -275,7 +302,7 @@ class TestEdgeMasks:
         checked = 0
         for table in tables:
             subsets = [mask for _, mask, *_ in table.admitted("sub")]
-            assert len(table._cores) == len(subsets) + 1  # and the empty set
+            assert len(table._cores) == len(subsets) + 2  # and the empty and whole sets
             for mask in subsets:
                 assert table._cores[mask] == peeled(table, mask), (mask, table.ids)
             full = table.mask(table.ids)
@@ -332,6 +359,22 @@ class TestSubsetSphere:
             rec = verify_subset_sphere(g)
             assert rec.status == "pass"
             assert rec.data["homology"].betti(g.num_edges() - 2) == 1
+
+    def test_apartment_and_rose_records_agree(self):
+        # the apartment of rank r is the subset lattice of rose(r)'s r edges
+        for r in range(1, 7):
+            apt, sub = verify_apartment(r), verify_subset_sphere(rose(r))
+            assert apt.data["homology"] == sub.data["homology"], r
+            assert (apt.betti, apt.status) == (sub.betti, sub.status), r
+            assert apt.status == "pass", r
+
+    def test_refusals(self):
+        with pytest.raises(VerificationError) as exc:
+            verify_subset_sphere(Multigraph(range(2), []))
+        assert str(exc.value) == "verify_subset_sphere: graph must have an edge"
+        with pytest.raises(ValueError) as exc:
+            verify_apartment(0)
+        assert str(exc.value) == "apartment rank must be >= 1"
 
 
 class TestSphericity:
@@ -663,6 +706,29 @@ class TestForestGenerators:
         monkeypatch.setattr(graph_posets, "_subset_flag_cycle", broken_flags)
         with pytest.raises(InvariantError, match="missed the complex"):
             forest_generator_cycles(rose(3))
+
+    @pytest.mark.parametrize("broken", ["one coefficient", "empty chain"])
+    @pytest.mark.parametrize("make, degree", [(theta_graph, 0), (lambda: rose(3), 1)])
+    def test_a_chain_that_is_not_a_nonzero_cycle_fails(self, make, degree, broken, monkeypatch):
+        # in degree 0 (theta) the augmentation decides, in degree 1
+        # (rose(3)) the boundary: the first cycle with one coefficient
+        # moved by one, or replaced by the empty chain, fails the record
+        assert verify_forest_generators(make()).data["cycles_closed_nonzero"] is True
+
+        def mutated(g):
+            k, cycles = forest_generator_cycles(g)
+            first = dict(cycles[0])
+            if broken == "empty chain":
+                first = {}
+            else:
+                first[min(first)] += 1
+            return k, [first, *cycles[1:]]
+
+        monkeypatch.setattr(graph_posets, "forest_generator_cycles", mutated)
+        rec = verify_forest_generators(make())
+        assert rec.data["target_degree"] == degree
+        assert rec.data["cycles_closed_nonzero"] is False
+        assert rec.status == "fail"
 
     def test_flags_equal_the_recursive_generator(self):
         # the recursive flag generator the library once used: the flag

@@ -25,7 +25,9 @@ parent/change pairs per workload.  With fewer, or with a run the output
 could not report (an untraced run whose seed has no run of the other
 side, a second run of one side and seed, a second traced run of one
 side, or runs of one workload made with different ``seconds``), the
-script names the workload and exits 2 without writing.
+script names the workload and exits 2 without writing.  So it does for
+an argument without ``=``, or whose file cannot be read or is not JSON,
+naming the argument.
 """
 
 from __future__ import annotations
@@ -120,8 +122,14 @@ def main(argv):
         return 2
     runs = []
     for arg in argv[1:]:
-        side, _, path = arg.partition("=")
-        runs.append((side, json.loads(Path(path).read_text(encoding="utf-8"))))
+        side, sep, path = arg.partition("=")
+        try:
+            if not sep:
+                raise ValueError("expected SIDE=RESULT.json")
+            runs.append((side, json.loads(Path(path).read_text(encoding="utf-8"))))
+        except (OSError, ValueError) as exc:  # a JSONDecodeError is a ValueError
+            sys.stderr.write(f"condense_bench: {arg}: {exc}\n")
+            return 2
     try:
         bench = condense(runs)
     except ValueError as exc:

@@ -567,7 +567,8 @@ def _live_classes(k):
     proves its class trivial, so the class dies; two letters of distinct
     classes prove one class a power +-1 of the other, so the two merge.
     A relator is read again only when one of its classes dies or merges,
-    and never after it has given its fact.  Every step is a consequence
+    and never after it has given its fact: a spent relator is not queued
+    again.  Every step is a consequence
     of the relators, so no live class means a trivial group.
     """
     tree = list(range(len(k.vertices)))
@@ -632,7 +633,7 @@ def _live_classes(k):
             continue
         relators[i] = ()  # it reads empty from now on
         live -= 1
-        queue += watchers[r]
+        queue += filter(relators.__getitem__, watchers[r])
         watchers[r] = []
     return live
 

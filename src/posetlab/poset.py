@@ -8,8 +8,8 @@ element list double as bit positions and as vertex indices of the order
 complex.
 
 The order complex of a poset has the elements as vertices and the finite
-chains as simplices.  Chains are enumerated by ascending depth-first search
-over the strict order, so each chain is produced exactly once.
+chains as simplices.  Chains are grown one dimension at a time, each by the
+elements strictly above its top, so each chain is produced exactly once.
 """
 
 from __future__ import annotations
@@ -131,32 +131,42 @@ class FinitePoset:
         for i, row in enumerate(up):
             if not row >> i & 1:
                 raise PosetError(f"not reflexive at {self.elements[i]!r}")
-        # the covers walk: rows are closed smallest up-set first, so in a
-        # partial order each strict member's row, a proper subset, is
-        # closed before it is read.  A row ORs the row of its lowest
-        # member left and drops every member that row holds; a member
-        # whose row is not closed yet is a fault, as are rows that add to
-        # the row.  By induction a row that passes holds only closed
+        # the covers walk: a row ORs the row of its lowest member left and
+        # drops every member that row holds; a member whose row is not
+        # closed yet stops it, and a row that the members' rows add to is
+        # a fault.  By induction a row that passes holds only closed
         # members (a dropped one lies in a closed row) and their rows lie
         # within it: the rows are transitive, and of two elements below
         # each other, the row closed first would hold the other still
-        # open.  So the walk accepts exactly the partial orders.
+        # open.  Rows are taken from the last down, which closes every
+        # member first while no row holds a bit below its own; at the
+        # first row that does, the rows left are taken smallest up-set
+        # first, so in a partial order each strict member's row, a proper
+        # subset, is closed before it is read, and a member still open is
+        # a fault.  So the walk accepts exactly the partial orders.
         closed = bytearray(n)
-        count = [row.bit_count() for row in up]
-        for i in sorted(range(n), key=count.__getitem__):
-            row = up[i]
-            reach = row
-            rest = row ^ 1 << i
-            while rest:
-                j = (rest & -rest).bit_length() - 1
-                if not closed[j]:
-                    _raise_first_fault(self.elements, up)
-                r = up[j]
-                reach |= r
-                rest &= ~r
-            if reach != row:
+        order = descending = range(n - 1, -1, -1)
+        while True:
+            for i in order:
+                row = up[i]
+                reach = row
+                rest = row ^ 1 << i
+                while rest:
+                    j = (rest & -rest).bit_length() - 1
+                    if not closed[j]:
+                        break
+                    r = up[j]
+                    reach |= r
+                    rest &= ~r
+                if rest or reach != row:
+                    break
+                closed[i] = 1
+            else:
+                break
+            if not rest or order is not descending:
                 _raise_first_fault(self.elements, up)
-            closed[i] = 1
+            count = [row.bit_count() for row in up]
+            order = sorted([i for i in range(n) if not closed[i]], key=count.__getitem__)
         self.up = up
 
     @classmethod
@@ -503,38 +513,57 @@ def beat_point_core(p):
     removals in order as ``(x, y, side)`` label triples.  A poset with no
     beat point is its own core: it comes back as itself, not a copy.
 
-    Each pass lists the covers among the survivors; an element with
+    Each pass reads the covers among the survivors; an element with
     exactly one upper (else lower) cover is a beat point whose witness is
     that cover.  Candidates are removed in index order, skipping one
     whose witness went earlier in the same pass: removing anything else
     leaves its witness the minimum (maximum), so every removal stays
     valid.
+
+    The covers are listed once.  Removing elements that are not upper
+    covers of x leaves x's upper covers as they were (every other member
+    of its up-set lies above one of them), so after a pass only the
+    survivors that lost an upper cover are listed again.  Lower covers
+    are kept as masks, ``lowers[j]`` holding each i with j among its
+    upper covers.
     """
     up = p.up
-    alive = (1 << p.n) - 1
+    n = p.n
+    alive = (1 << n) - 1
+    uppers = [_upper_covers(up, i, alive) for i in range(n)]
+    lowers = [0] * n
+    for i, covers in enumerate(uppers):
+        for j in covers:
+            lowers[j] |= 1 << i
     witnesses = []
     while True:
-        live = _bits(alive)
-        uppers, lowers = {}, {i: [] for i in live}
-        for i in live:
-            uppers[i] = _upper_covers(up, i, alive)
-            for j in uppers[i]:
-                lowers[j].append(i)
-        removed = False
-        for i in live:
+        gone = 0
+        for i in _bits(alive):
             if len(uppers[i]) == 1:
                 j, side = uppers[i][0], "up"
-            elif len(lowers[i]) == 1:
-                j, side = lowers[i][0], "down"
+            elif (low := lowers[i]) and not low & low - 1:
+                j, side = low.bit_length() - 1, "down"
             else:
                 continue
             if not alive >> j & 1:
                 continue
             alive ^= 1 << i
-            removed = True
+            gone |= 1 << i
             witnesses.append((p.elements[i], p.elements[j], side))
-        if not removed:
+        if not gone:
             break
+        stale = 0
+        for x in _bits(gone):
+            stale |= lowers[x]
+            for j in uppers[x]:
+                lowers[j] &= ~(1 << x)
+        for i in _bits(stale & alive):
+            bit = 1 << i
+            for j in uppers[i]:
+                lowers[j] &= ~bit
+            uppers[i] = _upper_covers(up, i, alive)
+            for j in uppers[i]:
+                lowers[j] |= bit
     if not witnesses:
         return p, witnesses
     return p.induced([p.elements[i] for i in _bits(alive)]), witnesses
@@ -547,15 +576,12 @@ def order_complex(p):
     spans a simplex exactly when it is totally ordered.
     """
     strict = [_bits(row ^ 1 << i) for i, row in enumerate(p.up)]
-    faces = []
-
-    def grow(chain, last):
-        faces.append(tuple(chain))
-        for j in strict[last]:
-            chain.append(j)
-            grow(chain, j)
-            chain.pop()
-
-    for i in range(p.n):
-        grow([i], i)
+    # one dimension at a time: each chain is extended by every element
+    # strictly above its top, so in a linear-extension order every
+    # dimension comes out sorted
+    layer = [(i,) for i in range(p.n)]
+    faces = list(layer)
+    while layer:
+        layer = [chain + (j,) for chain in layer for j in strict[chain[-1]]]
+        faces += layer
     return SimplicialComplex(p.elements, faces)

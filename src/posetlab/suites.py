@@ -15,12 +15,12 @@ thread count never changes a report.
 
 from __future__ import annotations
 
-import json
 import math
 import os
 import time
 from dataclasses import dataclass
 from functools import lru_cache
+from json.encoder import encode_basestring_ascii as _json_string
 from typing import Callable, NamedTuple
 
 from . import __version__
@@ -254,9 +254,61 @@ class SuiteReport:
 def canonical_json(obj) -> str:
     """Deterministic rendering used for all reports and golden fixtures.
 
-    NaN and the infinities are refused: strict JSON has no such tokens.
+    The bytes are those of ``json.dumps(obj, indent=2, sort_keys=True,
+    ensure_ascii=True, allow_nan=False)`` plus a newline, written in one
+    pass: keys sorted, two spaces per level, strings escaped to ASCII.
+    Keys must be strings.  NaN and the infinities are refused: strict
+    JSON has no such tokens.
     """
-    return json.dumps(obj, indent=2, sort_keys=True, ensure_ascii=True, allow_nan=False) + "\n"
+    parts = []
+    _write_json(obj, "\n", parts.append)
+    parts.append("\n")
+    return "".join(parts)
+
+
+def _write_json(obj, newline, out) -> None:
+    """Hand `obj`'s canonical JSON to `out` piece by piece; `newline` is
+    the line break plus the indent of the level `obj` opens."""
+    if isinstance(obj, dict):
+        if not obj:
+            out("{}")
+            return
+        inner = newline + "  "
+        sep = "{" + inner
+        for key, value in sorted(obj.items()):
+            if not isinstance(key, str):
+                raise TypeError(f"keys must be str, not {key.__class__.__name__}")
+            out(sep + _json_string(key) + ": ")
+            _write_json(value, inner, out)
+            sep = "," + inner
+        out(newline + "}")
+    elif isinstance(obj, (list, tuple)):
+        if not obj:
+            out("[]")
+            return
+        inner = newline + "  "
+        sep = "[" + inner
+        for value in obj:
+            out(sep)
+            _write_json(value, inner, out)
+            sep = "," + inner
+        out(newline + "]")
+    elif isinstance(obj, str):
+        out(_json_string(obj))
+    elif obj is None:
+        out("null")
+    elif obj is True:
+        out("true")
+    elif obj is False:
+        out("false")
+    elif isinstance(obj, int):
+        out(int.__repr__(obj))
+    elif isinstance(obj, float):
+        if not math.isfinite(obj):
+            raise ValueError(f"Out of range float values are not JSON compliant: {obj!r}")
+        out(float.__repr__(obj))
+    else:
+        raise TypeError(f"Object of type {obj.__class__.__name__} is not JSON serializable")
 
 
 def _summarize(records) -> dict:

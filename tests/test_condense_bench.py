@@ -173,3 +173,30 @@ def test_an_unreadable_argument_exits_2(bad, tmp_path, capsys):
     assert condense_bench.main([str(out), *good, arg]) == 2
     assert capsys.readouterr().err.startswith(f"condense_bench: {arg}: ")
     assert not out.exists()
+
+
+def _without(key):
+    res = result(0, 0.26)
+    del res[key]
+    return res
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [{}, [], *map(_without, condense_bench.RESULT_KEYS)],
+    ids=["empty-object", "array", *(f"no-{key}" for key in condense_bench.RESULT_KEYS)],
+)
+def test_json_that_is_not_a_result_exits_2(bad, tmp_path, capsys):
+    # read as a run, it would crash inside `condense` with a traceback
+    good = []
+    for i, (side, res) in enumerate(paired_runs()):
+        path = tmp_path / f"{i}.json"
+        path.write_text(json.dumps(res))
+        good.append(f"{side}={path}")
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(bad))
+    arg = f"change={path}"
+    out = tmp_path / "BENCH.json"
+    assert condense_bench.main([str(out), *good, arg]) == 2
+    assert capsys.readouterr().err.startswith(f"condense_bench: {arg}: ")
+    assert not out.exists()

@@ -9,9 +9,10 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from posetlab.enumeration import enumerate_graphs, parse_key
+from posetlab.enumeration import enumerate_graphs, fiber_poset, parse_key
 from posetlab.graph_posets import build_poset, core_map
 from posetlab.homology import InvariantError, check_beat_witnesses
+from posetlab.simplicial import SimplicialComplex
 from posetlab.poset import (
     CertificateError,
     FinitePoset,
@@ -808,3 +809,173 @@ class TestClosureRetraction:
         assert reduced_homology(order_complex(cert.image)) == reduced_homology(
             order_complex(p)
         )
+
+
+# -- kernel oracles ----------------------------------------------------------
+# The kernels as they were before each learned to skip a walk: the
+# beat-point core that lists every survivor's covers on every pass, the
+# covers walk that takes rows in popcount order, and the recursive chain
+# search.  The kernels must agree with them exactly.
+
+
+def reference_beat_point_core(p):
+    up = p.up
+    alive = (1 << p.n) - 1
+    witnesses = []
+    while True:
+        live = _bits(alive)
+        uppers, lowers = {}, {i: [] for i in live}
+        for i in live:
+            uppers[i] = _upper_covers(up, i, alive)
+            for j in uppers[i]:
+                lowers[j].append(i)
+        removed = False
+        for i in live:
+            if len(uppers[i]) == 1:
+                j, side = uppers[i][0], "up"
+            elif len(lowers[i]) == 1:
+                j, side = lowers[i][0], "down"
+            else:
+                continue
+            if not alive >> j & 1:
+                continue
+            alive ^= 1 << i
+            removed = True
+            witnesses.append((p.elements[i], p.elements[j], side))
+        if not removed:
+            break
+    if not witnesses:
+        return p, witnesses
+    return p.induced([p.elements[i] for i in _bits(alive)]), witnesses
+
+
+def popcount_walk_message(labels, up):
+    """The covers walk with rows taken smallest up-set first: None for a
+    partial order, else the message of the fault it raises."""
+    n = len(up)
+    try:
+        closed = bytearray(n)
+        count = [row.bit_count() for row in up]
+        for i in sorted(range(n), key=count.__getitem__):
+            row = up[i]
+            reach = row
+            rest = row ^ 1 << i
+            while rest:
+                j = (rest & -rest).bit_length() - 1
+                if not closed[j]:
+                    _raise_first_fault(labels, up)
+                r = up[j]
+                reach |= r
+                rest &= ~r
+            if reach != row:
+                _raise_first_fault(labels, up)
+            closed[i] = 1
+    except PosetError as exc:
+        return str(exc)
+    return None
+
+
+def reference_order_complex(p):
+    strict = [_bits(row ^ 1 << i) for i, row in enumerate(p.up)]
+    faces = []
+
+    def grow(chain, last):
+        faces.append(tuple(chain))
+        for j in strict[last]:
+            chain.append(j)
+            grow(chain, j)
+            chain.pop()
+
+    for i in range(p.n):
+        grow([i], i)
+    return SimplicialComplex(p.elements, faces)
+
+
+def core_and_fiber_posets():
+    """The c and cc posets of every census graph of rank 2 to 4, and both
+    fiber posets of every rank-2/3 graph (those of the report)."""
+    for rank in (2, 3, 4):
+        for key in enumerate_graphs(rank):
+            g = parse_key(key)
+            yield from (build_poset(g, kind) for kind in ("c", "cc"))
+            if rank < 4:
+                yield from (fiber_poset(g, connected) for connected in (False, True))
+
+
+def _permuted_rows(up, perm):
+    """The rows of the same order with element i moved to position perm[i]."""
+    out = [0] * len(up)
+    for i, row in enumerate(up):
+        out[perm[i]] = sum(1 << perm[j] for j in _bits(row))
+    return out
+
+
+class TestKernelOracles:
+    def test_beat_point_cores_equal_the_reference(self):
+        removed = 0
+        for p in core_and_fiber_posets():
+            core, witnesses = beat_point_core(p)
+            assert (core, witnesses) == reference_beat_point_core(p), p
+            check_beat_witnesses(p, core, witnesses)
+            removed += len(witnesses)
+        assert removed > 1000
+
+    def test_random_beat_point_cores_equal_the_reference(self):
+        rng = random.Random(53)
+        for n in (1, 4, 12, 30, 70):
+            for _ in range(15):
+                p = random_poset(rng, n, rng.choice([0.05, 0.15, 0.4]))
+                if rng.random() < 0.5:
+                    perm = rng.sample(range(n), n)
+                    p = FinitePoset([p.elements[perm.index(k)] for k in range(n)],
+                                    _permuted_rows(p.up, perm))
+                assert beat_point_core(p) == reference_beat_point_core(p)
+
+    def test_faults_equal_the_popcount_walk(self):
+        # random orders listed in a linear extension, fully shuffled, and
+        # shuffled only among the lowest positions (the last rows taken
+        # hold bits below their own), each as it is and with one or two
+        # off-diagonal bits flipped
+        rng = random.Random(59)
+        verdicts = Counter()
+        for n in (2, 3, 6, 20, 64, 65, 100):
+            for _ in range(30):
+                up = random_poset(rng, n, rng.choice([0.05, 0.2, 0.5])).up
+                low = rng.randrange(2, n + 1)
+                for perm in (
+                    list(range(n)),
+                    rng.sample(range(n), n),
+                    rng.sample(range(low), low) + list(range(low, n)),
+                ):
+                    rows = _permuted_rows(up, perm)
+                    for flips in (0, 1, 2):
+                        faulty = list(rows)
+                        for _ in range(flips):
+                            i, j = rng.sample(range(n), 2)
+                            faulty[i] ^= 1 << j
+                        labels = [f"e{k}" for k in range(n)]
+                        expected = popcount_walk_message(labels, faulty)
+                        assert covers_walk_message(labels, faulty) == expected, (n, perm)
+                        triangular = all(row & -row == 1 << i for i, row in enumerate(faulty))
+                        verdicts[expected and expected.split()[0], triangular] += 1
+        # rows with no bit below their own cannot break antisymmetry
+        cases = [(None, True), (None, False), ("transitivity", True), ("transitivity", False)]
+        assert min(verdicts[case] for case in [*cases, ("antisymmetry", False)]) > 30, verdicts
+
+    def test_order_complexes_equal_the_reference(self):
+        rng = random.Random(61)
+        shuffled = []
+        for n in (1, 5, 12, 20):
+            for _ in range(6):
+                p = random_poset(rng, n, rng.choice([0.1, 0.2]))
+                perm = rng.sample(range(n), n)
+                shuffled.append(
+                    FinitePoset([p.elements[perm.index(k)] for k in range(n)],
+                                _permuted_rows(p.up, perm))
+                )
+        for p in [*core_and_fiber_posets(), *shuffled, antichain(3), FinitePoset([], [])]:
+            k, ref = order_complex(p), reference_order_complex(p)
+            assert k.vertices == ref.vertices
+            assert k.dim == ref.dim
+            for d in range(-1, ref.dim + 2):
+                assert k.faces(d) == ref.faces(d), (p, d)

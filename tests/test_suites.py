@@ -5,6 +5,8 @@ import json
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from posetlab import cli, homology, suites
 from posetlab.poset import FinitePoset, beat_point_core
@@ -222,6 +224,58 @@ class TestGolden:
         monkeypatch.setenv("POSETLAB_THREADS", threads)
         text = canonical_json(report_all()[0])
         assert hashlib.sha256(text.encode()).hexdigest() == self.REPORT_SHA256
+
+
+def reference_json(obj):
+    """The rendering canonical_json replaced: json's indented encoder."""
+    return json.dumps(obj, indent=2, sort_keys=True, ensure_ascii=True, allow_nan=False) + "\n"
+
+
+JSON_VALUES = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | st.text(),
+    lambda children: st.lists(children, max_size=6)
+    | st.lists(children, max_size=4).map(tuple)
+    | st.dictionaries(st.text(), children, max_size=6),
+    max_leaves=40,
+)
+
+
+class TestCanonicalJsonOracle:
+    def test_every_golden_renders_byte_for_byte(self):
+        paths = sorted(GOLDEN.rglob("*.json"))
+        assert len(paths) == 7
+        for path in paths:
+            text = path.read_text(encoding="utf-8")
+            obj = json.loads(text)
+            assert canonical_json(obj) == reference_json(obj) == text, path.name
+
+    @settings(max_examples=150, deadline=None, database=None)
+    @given(JSON_VALUES)
+    def test_json_values_equal_the_reference(self, value):
+        assert canonical_json(value) == reference_json(value)
+
+    @pytest.mark.parametrize("obj", [{1: "a"}, {"a": {None: 1}}, [{2.5: 0}], {True: 1}])
+    def test_non_string_keys_raise_type_error(self, obj):
+        with pytest.raises(TypeError, match="keys must be str"):
+            canonical_json(obj)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_numbers_raise_the_reference_error(self, value):
+        for obj in (value, [1, value], {"a": {"b": value}}):
+            with pytest.raises(ValueError) as expected:
+                reference_json(obj)
+            with pytest.raises(ValueError, match="JSON") as exc:
+                canonical_json(obj)
+            assert str(exc.value) == str(expected.value)
+
+    @pytest.mark.parametrize("value", [{1, 2}, b"x", object()])
+    def test_other_values_raise_type_error(self, value):
+        with pytest.raises(TypeError, match="is not JSON serializable"):
+            canonical_json({"a": [value]})
 
 
 class TestSuiteNames:

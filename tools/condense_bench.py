@@ -26,8 +26,9 @@ could not report (an untraced run whose seed has no run of the other
 side, a second run of one side and seed, a second traced run of one
 side, or runs of one workload made with different ``seconds``), the
 script names the workload and exits 2 without writing.  So it does for
-an argument without ``=``, or whose file cannot be read or is not JSON,
-naming the argument.
+an argument without ``=``, or whose file cannot be read, is not JSON or
+is not a ``result.json`` object (one holding every key of
+``RESULT_KEYS``), naming the argument.
 """
 
 from __future__ import annotations
@@ -39,6 +40,9 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SIDES = ("parent", "change")
+
+#: the keys of a ``result.json`` object that ``condense`` reads
+RESULT_KEYS = ("machine", "workload", "seed", "trace", "seconds", "summary", "all_metrics")
 
 
 def _spread(values):
@@ -126,7 +130,13 @@ def main(argv):
         try:
             if not sep:
                 raise ValueError("expected SIDE=RESULT.json")
-            runs.append((side, json.loads(Path(path).read_text(encoding="utf-8"))))
+            res = json.loads(Path(path).read_text(encoding="utf-8"))
+            if not isinstance(res, dict):
+                raise ValueError(f"a JSON {type(res).__name__}, not a result.json object")
+            missing = [key for key in RESULT_KEYS if key not in res]
+            if missing:
+                raise ValueError(f"not a result.json object: no {', '.join(missing)}")
+            runs.append((side, res))
         except (OSError, ValueError) as exc:  # a JSONDecodeError is a ValueError
             sys.stderr.write(f"condense_bench: {arg}: {exc}\n")
             return 2

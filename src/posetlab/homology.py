@@ -568,8 +568,8 @@ def _live_classes(k):
     classes prove one class a power +-1 of the other, so the two merge.
     A relator is read again only when one of its classes dies or merges,
     and never after it has given its fact: a spent relator is not queued
-    again.  Every step is a consequence
-    of the relators, so no live class means a trivial group.
+    again.  Every step is a consequence of the relators, so no live
+    class means a trivial group.
     """
     tree = list(range(len(k.vertices)))
     gens = {}  # edge -> generator numbered from 1 for signed letters; forest edges 0

@@ -154,7 +154,22 @@ def test_failures_or_wrong_runs_meet_no_gain_rule(change_run):
         assert not metrics[name]["gain_rule_met"], name
 
 
-@pytest.mark.parametrize("bad", ["no-equals", "missing", "not-json"])
+def _without(key):
+    res = result(0, 0.26)
+    del res[key]
+    return res
+
+
+# JSON that is not a result.json object: read as a run, it would crash
+# inside `condense`
+NOT_RESULTS = {
+    "empty-object": {},
+    "array": [],
+    **{f"no-{key}": _without(key) for key in condense_bench.RESULT_KEYS},
+}
+
+
+@pytest.mark.parametrize("bad", ["no-equals", "missing", "not-json", *NOT_RESULTS])
 def test_an_unreadable_argument_exits_2(bad, tmp_path, capsys):
     # named on stderr with its reason, never a traceback; nothing is written
     good = []
@@ -163,39 +178,11 @@ def test_an_unreadable_argument_exits_2(bad, tmp_path, capsys):
         path.write_text(json.dumps(res))
         good.append(f"{side}={path}")
     text = tmp_path / "text.json"
-    text.write_text("not json")
+    text.write_text(json.dumps(NOT_RESULTS[bad]) if bad in NOT_RESULTS else "not json")
     arg = {
         "no-equals": "parent",
         "missing": f"parent={tmp_path / 'absent.json'}",
-        "not-json": f"parent={text}",
-    }[bad]
-    out = tmp_path / "BENCH.json"
-    assert condense_bench.main([str(out), *good, arg]) == 2
-    assert capsys.readouterr().err.startswith(f"condense_bench: {arg}: ")
-    assert not out.exists()
-
-
-def _without(key):
-    res = result(0, 0.26)
-    del res[key]
-    return res
-
-
-@pytest.mark.parametrize(
-    "bad",
-    [{}, [], *map(_without, condense_bench.RESULT_KEYS)],
-    ids=["empty-object", "array", *(f"no-{key}" for key in condense_bench.RESULT_KEYS)],
-)
-def test_json_that_is_not_a_result_exits_2(bad, tmp_path, capsys):
-    # read as a run, it would crash inside `condense` with a traceback
-    good = []
-    for i, (side, res) in enumerate(paired_runs()):
-        path = tmp_path / f"{i}.json"
-        path.write_text(json.dumps(res))
-        good.append(f"{side}={path}")
-    path = tmp_path / "bad.json"
-    path.write_text(json.dumps(bad))
-    arg = f"change={path}"
+    }.get(bad, f"parent={text}")
     out = tmp_path / "BENCH.json"
     assert condense_bench.main([str(out), *good, arg]) == 2
     assert capsys.readouterr().err.startswith(f"condense_bench: {arg}: ")

@@ -165,7 +165,7 @@ def _without(key):
 NOT_RESULTS = {
     "empty-object": {},
     "array": [],
-    **{f"no-{key}": _without(key) for key in condense_bench.RESULT_KEYS},
+    **{f"no-{key}": _without(key) for key in condense_bench._RESULT_KEYS},
 }
 
 

@@ -27,8 +27,8 @@ side, a second run of one side and seed, a second traced run of one
 side, or runs of one workload made with different ``seconds``), the
 script names the workload and exits 2 without writing.  So it does for
 an argument without ``=``, or whose file cannot be read, is not JSON or
-is not a ``result.json`` object (one holding every key of
-``RESULT_KEYS``), naming the argument.
+is not a ``result.json`` object (one holding every key that ``condense``
+reads), naming the argument.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ ROOT = Path(__file__).resolve().parent.parent
 SIDES = ("parent", "change")
 
 #: the keys of a ``result.json`` object that ``condense`` reads
-RESULT_KEYS = ("machine", "workload", "seed", "trace", "seconds", "summary", "all_metrics")
+_RESULT_KEYS = ("machine", "workload", "seed", "trace", "seconds", "summary", "all_metrics")
 
 
 def _spread(values):
@@ -133,7 +133,7 @@ def main(argv):
             res = json.loads(Path(path).read_text(encoding="utf-8"))
             if not isinstance(res, dict):
                 raise ValueError(f"a JSON {type(res).__name__}, not a result.json object")
-            missing = [key for key in RESULT_KEYS if key not in res]
+            missing = [key for key in _RESULT_KEYS if key not in res]
             if missing:
                 raise ValueError(f"not a result.json object: no {', '.join(missing)}")
             runs.append((side, res))

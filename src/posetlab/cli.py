@@ -35,14 +35,15 @@ from .graph_posets import (
     KINDS,
     VerificationError,
     CheckReport,
+    _subdivision_report,
     build_poset,
+    graph_label,
     verify_core_retraction,
     verify_duality,
     verify_forest_generators,
     verify_sphericity,
     verify_sphericity_via_core,
     verify_subset_sphere,
-    verify_valence_two,
 )
 from .homology import poset_homology, read_triplet_matrix, snf_from_entries
 from .morse import search_certificate
@@ -60,9 +61,13 @@ from .suites import (
 VERIFY_TARGETS = ("x", "cx", "retraction", "valence2", "generators", "subset-sphere")
 
 
-def _emit(text: str, out_path: str | None) -> None:
-    if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
+def _print(args, obj=None, text: str | None = None) -> None:
+    """The one output path: canonical JSON of `obj` under ``--json``, or
+    when there is no `text` form, else `text`; to ``--out``, else stdout."""
+    if obj is not None and (args.json or text is None):
+        text = canonical_json(obj)
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
@@ -78,14 +83,11 @@ def _homology_obj(h) -> dict:
     }
 
 
-def _print_record(rec: CheckReport, as_json: bool, out_path: str | None) -> int:
-    if as_json:
-        _emit(canonical_json(rec.to_json_obj()), out_path)
-    else:
-        lines = [f"{rec.graph}  {rec.check}  {rec.status}"]
-        for key, value in sorted(rec.to_json_obj()["data"].items()):
-            lines.append(f"  {key}: {value}")
-        _emit("\n".join(lines) + "\n", out_path)
+def _print_record(rec: CheckReport, args) -> int:
+    obj = rec.to_json_obj()
+    lines = [f"{rec.graph}  {rec.check}  {rec.status}"]
+    lines += [f"  {key}: {value}" for key, value in sorted(obj["data"].items())]
+    _print(args, obj, "\n".join(lines) + "\n")
     return 0 if rec.status != "fail" else 1
 
 
@@ -102,16 +104,13 @@ def _require_graph(args) -> "object":
 
 def _cmd_graphs(args) -> int:
     keys = enumerate_graphs(args.rank)
-    if args.json:
-        obj = {
-            "rank": args.rank,
-            "count": len(keys),
-            "with_separating_edge": sorted(graphs_with_separating_edge(args.rank)),
-            "graphs": list(keys),
-        }
-        _emit(canonical_json(obj), args.out)
-    else:
-        _emit("\n".join(keys) + "\n", args.out)
+    obj = {
+        "rank": args.rank,
+        "count": len(keys),
+        "with_separating_edge": sorted(graphs_with_separating_edge(args.rank)),
+        "graphs": list(keys),
+    }
+    _print(args, obj, "\n".join(keys) + "\n")
     return 0
 
 
@@ -119,21 +118,16 @@ def _cmd_poset(args) -> int:
     g = _require_graph(args)
     p = build_poset(g, args.kind)
     if args.dot:
-        _emit(p.to_dot(), args.out)
+        _print(args, text=p.to_dot())
         return 0
-    if args.json:
-        obj = {
-            "graph": args.graph,
-            "kind": args.kind,
-            "elements": [sorted(x) for x in p.elements],
-            "covers": sorted(map(list, p.covers())),
-        }
-        _emit(canonical_json(obj), args.out)
-        return 0
-    _emit(
-        f"{args.graph}  kind={args.kind}  elements={p.n}  covers={len(p.covers())}\n",
-        args.out,
-    )
+    name, covers = graph_label(g), p.covers()
+    obj = {
+        "graph": name,
+        "kind": args.kind,
+        "elements": [sorted(x) for x in p.elements],
+        "covers": sorted(map(list, covers)),
+    }
+    _print(args, obj, f"{name}  kind={args.kind}  elements={p.n}  covers={len(covers)}\n")
     return 0
 
 
@@ -149,62 +143,52 @@ def _cmd_homology(args) -> int:
             "invariant_factors": list(res.factors),
             "torsion": list(res.torsion()),
         }
-        if args.json:
-            _emit(canonical_json(obj), args.out)
-        else:
-            _emit(
-                f"rank {res.rank}  factors {list(res.factors)}  torsion {list(res.torsion())}\n",
-                args.out,
-            )
+        text = f"rank {res.rank}  factors {list(res.factors)}  torsion {list(res.torsion())}\n"
+        _print(args, obj, text)
         return 0
     g = _require_graph(args)
-    p = build_poset(g, args.kind)
-    h = poset_homology(p)
-    obj = {"graph": args.graph, "kind": args.kind, "homology": _homology_obj(h)}
-    if args.json:
-        _emit(canonical_json(obj), args.out)
-    else:
-        _emit(f"{args.graph}  kind={args.kind}  {h}\n", args.out)
+    h = poset_homology(build_poset(g, args.kind))
+    name = graph_label(g)
+    obj = {"graph": name, "kind": args.kind, "homology": _homology_obj(h)}
+    _print(args, obj, f"{name}  kind={args.kind}  {h}\n")
     return 0
 
 
 def _cmd_verify(args) -> int:
+    if args.connected and args.target != "retraction":
+        raise VerificationError(f"--connected applies to retraction, not {args.target}")
+    if args.deep and args.target not in ("x", "cx"):
+        raise VerificationError(f"--deep applies to x and cx, not {args.target}")
     g = _require_graph(args)
-    key = args.graph
     if args.target in ("x", "cx"):
         verify = verify_sphericity_via_core if args.deep else verify_sphericity
-        rec = verify(g, args.target, key)
+        rec = verify(g, args.target)
     elif args.target == "retraction":
-        rec = verify_core_retraction(g, connected_only=args.connected, label=key)
+        rec = verify_core_retraction(g, args.connected)
     elif args.target == "valence2":
-        if not g.edge_ids:
-            raise VerificationError("verify_valence_two: graph must have an edge")
-        subdivided, w = g.subdivide_edge(min(g.edge_ids))
-        rec = verify_valence_two(subdivided, w, label=key)
+        rec = _subdivision_report(g)
     elif args.target == "generators":
-        rec = verify_forest_generators(g, key)
+        rec = verify_forest_generators(g)
     else:
-        rec = verify_subset_sphere(g, key)
-    return _print_record(rec, args.json, args.out)
+        rec = verify_subset_sphere(g)
+    return _print_record(rec, args)
 
 
 def _cmd_duality(args) -> int:
-    g = _require_graph(args)
-    return _print_record(verify_duality(g, args.graph), args.json, args.out)
+    return _print_record(verify_duality(_require_graph(args)), args)
 
 
 def _cmd_fiber(args) -> int:
-    g = _require_graph(args)
-    rec = verify_fiber(g, args.connected, label=args.graph)
-    return _print_record(rec, args.json, args.out)
+    return _print_record(verify_fiber(_require_graph(args), args.connected), args)
 
 
 def _cmd_morse(args) -> int:
     g = _require_graph(args)
     p = build_poset(g, args.kind)
     res = search_certificate(p)
+    name = graph_label(g)
     obj = {
-        "graph": args.graph,
+        "graph": name,
         "kind": args.kind,
         "found": res.found,
         "exhausted": res.exhausted,
@@ -213,26 +197,18 @@ def _cmd_morse(args) -> int:
     if res.found:
         obj["levels"] = [sorted(map(_label_text, level)) for level in res.certificate.levels]
     if args.action == "search":
-        if args.json:
-            _emit(canonical_json(obj), args.out)
-        else:
-            _emit(
-                f"{args.graph}  kind={args.kind}  found={res.found}  exhausted={res.exhausted}\n",
-                args.out,
-            )
+        text = f"{name}  kind={args.kind}  found={res.found}  exhausted={res.exhausted}\n"
+        _print(args, obj, text)
         return 0
     # verify: a certificate must exist and check out
     if not res.found:
         obj["verified"] = False
-        _emit(canonical_json(obj) if args.json else f"{args.graph}  no certificate found\n", args.out)
+        _print(args, obj, f"{name}  no certificate found\n")
         return 1
     chk = res.check
     obj["verified"] = chk.ok
     obj["reason"] = chk.reason
-    if args.json:
-        _emit(canonical_json(obj), args.out)
-    else:
-        _emit(f"{args.graph}  kind={args.kind}  verified={chk.ok}  {chk.reason}\n", args.out)
+    _print(args, obj, f"{name}  kind={args.kind}  verified={chk.ok}  {chk.reason}\n")
     return 0 if chk.ok else 1
 
 
@@ -241,7 +217,7 @@ def _cmd_apartment(args) -> int:
     h, ok = rec.data["homology"], rec.ok
     p = apartment(args.rank)
     if args.dot:
-        _emit(p.to_dot(), args.out)
+        _print(args, text=p.to_dot())
         return 0 if ok else 1
     obj = {
         "rank": args.rank,
@@ -250,17 +226,14 @@ def _cmd_apartment(args) -> int:
         "homology": _homology_obj(h),
         "is_sphere": ok,
     }
-    if args.json:
-        _emit(canonical_json(obj), args.out)
-    else:
-        _emit(f"apartment-{args.rank}  elements={p.n}  sphere={ok}\n", args.out)
+    _print(args, obj, f"apartment-{args.rank}  elements={p.n}  sphere={ok}\n")
     return 0 if ok else 1
 
 
 def _cmd_report(args) -> int:
     if args.suite:
         rep = run_suite(args.suite, deep_budget=args.budget)
-        _emit(rep.to_json(), args.out)
+        _print(args, text=rep.to_json())
         s = rep.summary
         ran = f", {s['graphs_completed']} of {s['graphs_total']} graphs" if "graphs_total" in s else ""
         sys.stderr.write(
@@ -273,7 +246,7 @@ def _cmd_report(args) -> int:
     if args.deep:
         names.append("rank4-deep")
     obj, ok = report_all(names, deep_budget=args.budget)
-    _emit(canonical_json(obj), args.out)
+    _print(args, obj)
     return 0 if ok else 1
 
 
@@ -315,8 +288,8 @@ def build_parser() -> argparse.ArgumentParser:
     s = sp.add_parser("verify", help="run one verification on one graph")
     s.add_argument("target", choices=VERIFY_TARGETS)
     _add_common(s, graph=True)
-    s.add_argument("--connected", action="store_true", help="use the connected variants")
-    s.add_argument("--deep", action="store_true", help="route sphericity through the core poset")
+    s.add_argument("--connected", action="store_true", help="retraction: the connected variants")
+    s.add_argument("--deep", action="store_true", help="x, cx: route through the core poset")
 
     s = sp.add_parser("duality", help="forest/non-forest duality for one graph")
     _add_common(s, graph=True)

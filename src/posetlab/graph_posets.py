@@ -372,10 +372,12 @@ def _plain(value):
 
 
 def graph_label(g: Multigraph) -> str:
-    """A human-readable label for `g` built from its current edge list.
+    """The name of `g` in every record: its key, the string that
+    :func:`posetlab.enumeration.parse_key` reads back into `g`, with each
+    edge written low end first, in `g`'s edge order.
 
     This is *not* canonical across relabelings; enumeration provides
-    canonical keys.  It is stable for a fixed graph object.
+    canonical keys, and each census key is its own graph's label.
     """
     pairs = ",".join(f"{u}-{v}" for _, u, v in g.edges)
     return f"{g.num_vertices()};{pairs}"
@@ -423,14 +425,13 @@ def _subset_sphere_report(label: str, check: str, m: int, data: dict) -> CheckRe
     return CheckReport(label, check, status, _betti_profile(h), data)
 
 
-def verify_subset_sphere(g: Multigraph, label: str | None = None) -> CheckReport:
+def verify_subset_sphere(g: Multigraph) -> CheckReport:
     """Check that the full subgraph poset of `g` triangulates a sphere
     of dimension (number of edges - 2)."""
-    label = label or graph_label(g)
     m = g.num_edges()
     if m < 1:
         raise VerificationError("verify_subset_sphere: graph must have an edge")
-    return _subset_sphere_report(label, "subset-lattice-sphere", m, {})
+    return _subset_sphere_report(graph_label(g), "subset-lattice-sphere", m, {})
 
 
 # ---------------------------------------------------------------------------
@@ -438,7 +439,7 @@ def verify_subset_sphere(g: Multigraph, label: str | None = None) -> CheckReport
 # ---------------------------------------------------------------------------
 
 
-def _sphericity_report(g, kind, label, check, p, core, data, certified) -> CheckReport:
+def _sphericity_report(g, kind, check, p, core, data, certified) -> CheckReport:
     """The `check` record of the sphericity claim for the `kind` poset p
     of `g`, decided on the checked beat-point core of `core` (p itself,
     or the core poset that p retracts onto); `data` holds the check's
@@ -472,10 +473,10 @@ def _sphericity_report(g, kind, label, check, p, core, data, certified) -> Check
     # every component is acyclic, and above it the complex is connected,
     # so one pi1 verdict over all components settles the homotopy side
     status, data["pi1"] = homotopy_verdict(core, certified and claim_ok)
-    return CheckReport(label, check, status, _betti_profile(h), data)
+    return CheckReport(graph_label(g), check, status, _betti_profile(h), data)
 
 
-def verify_sphericity(g: Multigraph, kind: str = "x", label: str | None = None) -> CheckReport:
+def verify_sphericity(g: Multigraph, kind: str = "x") -> CheckReport:
     """Verify the homotopy-type claim for the `x` or `cx` poset of `g`.
 
     For `x`: if `g` has a separating edge the complex must have trivial
@@ -487,10 +488,9 @@ def verify_sphericity(g: Multigraph, kind: str = "x", label: str | None = None) 
     """
     if kind not in ("x", "cx"):
         raise VerificationError("verify_sphericity supports kinds 'x' and 'cx'")
-    label = label or graph_label(g)
     _require_connected_rank(g, f"verify_sphericity[{kind}]")
     p = build_poset(g, kind)
-    return _sphericity_report(g, kind, label, f"sphericity-{kind}", p, p, {}, True)
+    return _sphericity_report(g, kind, f"sphericity-{kind}", p, p, {}, True)
 
 
 # ---------------------------------------------------------------------------
@@ -529,16 +529,14 @@ def _core_certificate(g: Multigraph, p, core_kind: str):
     return cert, cert.direction in ("decreasing", "both"), core, image_ok
 
 
-def verify_core_retraction(
-    g: Multigraph, connected_only: bool = False, label: str | None = None
-) -> CheckReport:
+def verify_core_retraction(g: Multigraph, connected_only: bool = False) -> CheckReport:
     """Verify that taking cores retracts the cycle-containing poset onto
     the core poset: the map is a decreasing idempotent poset endomap
     fixing exactly the cores, and it preserves homology.
 
     With `connected_only` the same claim on the connected variants.
     """
-    label = label or graph_label(g)
+    label = graph_label(g)
     src_kind, dst_kind = ("cx", "cc") if connected_only else ("x", "c")
     _require_connected_rank(g, f"verify_core_retraction[{src_kind}]", min_rank=1)
     p = build_poset(g, src_kind)
@@ -664,6 +662,16 @@ def verify_valence_two(g: Multigraph, v: int, label: str | None = None) -> Check
     )
 
 
+def _subdivision_report(g: Multigraph) -> CheckReport:
+    """The `valence-two-smoothing` record of `g`: its lowest edge is
+    subdivided, and smoothing the new vertex away is checked on the
+    subdivision; the record is named by `g`, not by the subdivision."""
+    if not g.edge_ids:
+        raise VerificationError("verify_valence_two: graph must have an edge")
+    sub, w = g.subdivide_edge(min(g.edge_ids))
+    return verify_valence_two(sub, w, graph_label(g))
+
+
 # ---------------------------------------------------------------------------
 # dual generators from maximal forests
 # ---------------------------------------------------------------------------
@@ -737,7 +745,7 @@ def forest_generator_cycles(g: Multigraph):
     return k, cycles
 
 
-def verify_forest_generators(g: Multigraph, label: str | None = None) -> CheckReport:
+def verify_forest_generators(g: Multigraph) -> CheckReport:
     """Verify that the dual cycles attached to maximal forests generate
     the top homology of the cycle-containing complex.
 
@@ -746,7 +754,7 @@ def verify_forest_generators(g: Multigraph, label: str | None = None) -> CheckRe
     rank of the span of all cycles inside the cycle group, computed over
     the integers, must equal the top Betti number.
     """
-    label = label or graph_label(g)
+    label = graph_label(g)
     _require_connected_rank(g, "verify_forest_generators")
     if g.separating_edges():
         raise VerificationError(
@@ -803,7 +811,7 @@ def verify_forest_generators(g: Multigraph, label: str | None = None) -> CheckRe
     )
 
 
-def verify_duality(g: Multigraph, label: str | None = None) -> CheckReport:
+def verify_duality(g: Multigraph) -> CheckReport:
     """Check combinatorial Alexander duality between forests and non-forests.
 
     Inside the full subgraph poset (a homology sphere of dimension
@@ -811,7 +819,6 @@ def verify_duality(g: Multigraph, label: str | None = None) -> CheckReport:
     complementary, so reduced homology of one matches reduced cohomology
     of the other with a degree shift, torsion included.
     """
-    label = label or graph_label(g)
     _require_connected_rank(g, "verify_duality")
     ambient = build_poset(g, "sub")
     forests = poset_elements(g, "for")
@@ -825,12 +832,12 @@ def verify_duality(g: Multigraph, label: str | None = None) -> CheckReport:
         "forest_homology": rep.sub_homology,
         "nonforest_cohomology": rep.complement_cohomology,
     }
-    return CheckReport(label, "alexander-duality", status, _betti_profile(rep.sub_homology), data)
+    return CheckReport(
+        graph_label(g), "alexander-duality", status, _betti_profile(rep.sub_homology), data
+    )
 
 
-def verify_sphericity_via_core(
-    g: Multigraph, kind: str = "x", label: str | None = None
-) -> CheckReport:
+def verify_sphericity_via_core(g: Multigraph, kind: str = "x") -> CheckReport:
     """Same claim as ``verify_sphericity``, established through the core poset.
 
     At nine or more edges the order complex of the cycle-containing poset
@@ -845,7 +852,6 @@ def verify_sphericity_via_core(
     """
     if kind not in ("x", "cx"):
         raise VerificationError("verify_sphericity_via_core supports kinds 'x' and 'cx'")
-    label = label or graph_label(g)
     _require_connected_rank(g, f"verify_sphericity_via_core[{kind}]")
     check, core_kind = f"deep-sphericity-{kind}", "cc" if kind == "cx" else "c"
     p = build_poset(g, kind)
@@ -854,11 +860,11 @@ def verify_sphericity_via_core(
         cert, decreasing, core, image_ok = _core_certificate(g, p, core_kind)
     except PosetError as exc:
         data.update(kind=kind, rank=g.rank(), elements=p.n)
-        return _certificate_failure(label, check, data, exc)
+        return _certificate_failure(graph_label(g), check, data, exc)
     # both lists are in p's (size, sorted ids) order, so a matching
     # image is the induced core poset itself
     core_poset = cert.image if image_ok else p.induced(core)
     data["core_elements"] = core_poset.n
     data["retraction_direction"] = cert.direction
     data["retraction_image_is_core"] = image_ok
-    return _sphericity_report(g, kind, label, check, p, core_poset, data, decreasing and image_ok)
+    return _sphericity_report(g, kind, check, p, core_poset, data, decreasing and image_ok)

@@ -235,9 +235,6 @@ class FinitePoset:
 
     # -- constructions -----------------------------------------------------
 
-    def opposite(self):
-        return FinitePoset(self.elements, _down_rows(self.up))
-
     def induced(self, subset):
         """The induced subposet on the given elements, in the given order.
 
@@ -402,23 +399,6 @@ def closure_retraction(p, c):
     )
     image = p.induced(c.image())
     return RetractionCertificate(poset=p, image=image, direction=direction)
-
-
-def is_order_isomorphic_via(p, q, mapping):
-    """Check that an explicit bijection p -> q is an order isomorphism."""
-    if p.n != q.n:
-        return False
-    images = [mapping[x] for x in p.elements]
-    if len(set(images)) != p.n or set(images) != set(q.elements):
-        return False
-    back = {q.index(y): i for i, y in enumerate(images)}
-    for i, y in enumerate(images):
-        row = 0
-        for j in _bits(q.up[q.index(y)]):
-            row |= 1 << back[j]
-        if row != p.up[i]:
-            return False
-    return True
 
 
 def poset_of_subsets(subsets):

@@ -35,6 +35,7 @@ from .enumeration import (
 from .graph_posets import (
     CheckReport,
     _betti_profile,
+    _subdivision_report,
     build_poset,
     verify_core_retraction,
     verify_duality,
@@ -42,7 +43,6 @@ from .graph_posets import (
     verify_sphericity,
     verify_sphericity_via_core,
     verify_subset_sphere,
-    verify_valence_two,
 )
 from .homology import poset_homology
 from .morse import search_certificate
@@ -82,16 +82,15 @@ def _battery_records(key: str) -> list[dict]:
     """The full per-graph battery used by the rank suites."""
     g = parse_key(key)
     recs = [
-        verify_subset_sphere(g, key),
-        verify_sphericity(g, "x", key),
-        verify_sphericity(g, "cx", key),
-        verify_core_retraction(g, connected_only=False, label=key),
-        verify_core_retraction(g, connected_only=True, label=key),
+        verify_subset_sphere(g),
+        verify_sphericity(g, "x"),
+        verify_sphericity(g, "cx"),
+        verify_core_retraction(g, connected_only=False),
+        verify_core_retraction(g, connected_only=True),
     ]
     if not g.separating_edges():
-        recs.append(verify_forest_generators(g, key))
-    subdivided, w = g.subdivide_edge(min(g.edge_ids))
-    recs.append(verify_valence_two(subdivided, w, label=key))
+        recs.append(verify_forest_generators(g))
+    recs.append(_subdivision_report(g))
     out = [r.to_json_obj() for r in recs]
     out.extend(_duality_records(key))
     out.extend(_fiber_records(key))
@@ -112,7 +111,7 @@ def _fiber_records(key: str) -> list[dict]:
 @lru_cache(maxsize=_MEMO_KEYS)
 def _fiber_checks(key: str) -> tuple:
     g = parse_key(key)
-    return tuple(verify_fiber(g, connected_only, label=key) for connected_only in (False, True))
+    return tuple(verify_fiber(g, connected_only) for connected_only in (False, True))
 
 
 def _duality_records(key: str) -> list[dict]:
@@ -121,7 +120,7 @@ def _duality_records(key: str) -> list[dict]:
 
 @lru_cache(maxsize=_MEMO_KEYS)
 def _duality_check(key: str) -> CheckReport:
-    return verify_duality(parse_key(key), key)
+    return verify_duality(parse_key(key))
 
 
 def _morse_search(key: str):
@@ -177,8 +176,8 @@ def _morse_absence_records(key: str) -> list[dict]:
 def _deep_records(key: str) -> list[dict]:
     g = parse_key(key)
     return [
-        verify_sphericity_via_core(g, "x", key).to_json_obj(),
-        verify_sphericity_via_core(g, "cx", key).to_json_obj(),
+        verify_sphericity_via_core(g, "x").to_json_obj(),
+        verify_sphericity_via_core(g, "cx").to_json_obj(),
     ]
 
 

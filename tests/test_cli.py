@@ -119,6 +119,32 @@ class TestVerify:
         code, _, err = run_main(["verify", "x"], capsys)
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "target, flag",
+        [
+            *((t, "--connected") for t in ("x", "cx", "valence2", "generators", "subset-sphere")),
+            *((t, "--deep") for t in ("retraction", "valence2", "generators", "subset-sphere")),
+        ],
+    )
+    def test_flag_that_does_not_apply_is_usage_error(self, target, flag, capsys):
+        code, out, err = run_main(["verify", target, "--graph", THETA, flag], capsys)
+        assert code == 2 and out == ""
+        assert err.startswith("posetlab: error: ") and flag in err
+
+
+class TestGraphNames:
+    # a key with a reversed token names its graph in normal form
+    REVERSED = "2;1-0,0-1,0-1"
+
+    def test_verify_names_the_normal_key(self, capsys):
+        code, out, _ = run_main(["verify", "x", "--graph", self.REVERSED], capsys)
+        assert code == 0 and out.startswith(f"{THETA}  sphericity-x  pass\n")
+
+    @pytest.mark.parametrize("command", ["poset", "homology"])
+    def test_json_names_the_normal_key(self, command, capsys):
+        code, out, _ = run_main([command, "--graph", self.REVERSED, "--json"], capsys)
+        assert code == 0 and json.loads(out)["graph"] == THETA
+
 
 class TestOtherCommands:
     def test_duality(self, capsys):

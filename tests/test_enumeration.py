@@ -42,12 +42,14 @@ from posetlab.enumeration import (
     verify_apartment,
     verify_fiber,
 )
-from posetlab.graph_posets import KINDS, _EdgeMasks, _forests, build_poset
+from posetlab.graph_posets import KINDS, _EdgeMasks, _forests, build_poset, graph_label
 from posetlab.homology import HomologyResult, reduced_homology
 from posetlab.multigraph import GraphError, Multigraph, dumbbell, rose, theta_graph
 from posetlab.poset import (
     CertificateError,
     FinitePoset,
+    RetractionCertificate,
+    _down_rows,
     closure_retraction,
     order_complex,
     subset_lattice,
@@ -260,6 +262,13 @@ class TestCensus:
         }
         for rank, digest in digests.items():
             assert hashlib.sha256("\n".join(enumerate_graphs(rank)).encode()).hexdigest() == digest
+
+    def test_every_key_is_its_graphs_label(self):
+        # records name their graph by graph_label, so a census key must
+        # read back to a graph whose label is the key itself
+        for rank in (2, 3, 4, 5):
+            for key in enumerate_graphs(rank):
+                assert graph_label(parse_key(key)) == key
 
     def test_trivalent_slice_matches_cubic_multigraph_counts(self):
         # connected trivalent multigraphs on 2, 4, 6, 8 vertices: 2, 5, 17,
@@ -517,6 +526,26 @@ class TestFiberPosets:
             rep = verify_fiber(parse_key(key), False)
             assert rep.data["slice_matches_core_opposite"]
 
+    def test_image_that_is_not_the_opposite_core_fails_the_slice_check(self, monkeypatch):
+        # the dumbbell's core poset has a loop below the two loops together,
+        # so the slice with the core's own order, not its opposite, differs
+        key = "2;0-0,0-1,1-1"
+        g = parse_key(key)
+        core = build_poset(g, "c")
+        real = enumeration.fiber_retraction
+
+        def unreversed(g, connected_only=False):
+            cert = real(g, connected_only)
+            cores = [h for _, h in cert.image.elements]
+            image = FinitePoset(cert.image.elements, core.induced(cores).up)
+            return RetractionCertificate(cert.poset, image, cert.direction)
+
+        assert verify_fiber(g).data["slice_matches_core_opposite"] is True
+        monkeypatch.setattr(enumeration, "fiber_retraction", unreversed)
+        rep = verify_fiber(g)
+        assert rep.data["slice_matches_core_opposite"] is False
+        assert rep.status == "fail"
+
     def test_retraction_increasing_and_homology(self):
         for key in (*enumerate_graphs(2), *enumerate_graphs(3)):
             for connected_only in (False, True):
@@ -662,7 +691,7 @@ class TestFiberPosets:
         p = fiber_poset(g, False)
         core = build_poset(g, "c")
         assert reduced_homology(order_complex(p)) == reduced_homology(
-            order_complex(core.opposite())
+            order_complex(FinitePoset(core.elements, _down_rows(core.up)))
         )
 
     def test_mask_order_matches_definition(self):

@@ -386,7 +386,8 @@ class TestSphericity:
             "2;0-0,0-1,1-1": 1,  # dumbbell
         }
         for key, b0 in expected.items():
-            rec = verify_sphericity(parse_key(key), "cx", key)
+            rec = verify_sphericity(parse_key(key), "cx")
+            assert rec.graph == key
             assert rec.status in ("pass", "homology-only")
             assert rec.data["homology"].betti(0) == b0, key
 
@@ -526,7 +527,7 @@ class TestCoreRetraction:
         key = "2;0-0,0-1,1-1"
         g = parse_key(key)
         x, c = build_poset(g, "x"), set(build_poset(g, "c").elements)
-        rec = verify_core_retraction(g, label=key)
+        rec = verify_core_retraction(g)
         assert rec.status == "fail"
         assert rec.data["direction"] == "both"
         assert rec.data["image_size"] == x.n
@@ -534,7 +535,7 @@ class TestCoreRetraction:
             "missing": [],
             "extra": sorted(sorted(y) for y in x.elements if y not in c),
         }
-        deep = verify_sphericity_via_core(g, "x", key)
+        deep = verify_sphericity_via_core(g, "x")
         assert deep.status == "fail"
         assert deep.data["retraction_direction"] == "both"
         assert deep.data["retraction_image_is_core"] is False

@@ -19,12 +19,12 @@ from posetlab.poset import (
     PosetError,
     PosetMap,
     _bits,
+    _down_rows,
     _inclusion_rows,
     _raise_first_fault,
     _upper_covers,
     beat_point_core,
     closure_retraction,
-    is_order_isomorphic_via,
     order_complex,
     poset_of_subsets,
     subset_lattice,
@@ -44,6 +44,11 @@ def antichain(n):
 def divisibility(n):
     els = list(range(1, n + 1))
     return FinitePoset.from_relation(els, lambda a, b: b % a == 0)
+
+
+def opposite(p):
+    """p with its order reversed: the same elements, transposed rows."""
+    return FinitePoset(p.elements, _down_rows(p.up))
 
 
 class TestConstruction:
@@ -66,14 +71,14 @@ class TestConstruction:
 
     def test_opposite_involution(self):
         p = divisibility(8)
-        assert p.opposite().opposite() == p
-        assert p.opposite().le(8, 1)
+        assert opposite(opposite(p)) == p
+        assert opposite(p).le(8, 1)
 
     def test_equal_posets_hash_equal(self):
         p = divisibility(12)
         q = FinitePoset(list(p.elements), list(p.up))
         assert p == q and p is not q and hash(p) == hash(q)
-        assert len({p, q, p.opposite()}) == 2
+        assert len({p, q, opposite(p)}) == 2
 
     def test_induced_preserves_order(self):
         p = divisibility(12)
@@ -573,22 +578,9 @@ class TestMaps:
         assert closure_retraction(p, ident).direction == "both"
         down = PosetMap(p, p, {0: 0, 1: 0, 2: 2})
         assert closure_retraction(p, down).direction == "decreasing"
-        op = p.opposite()
+        op = opposite(p)
         up = PosetMap(op, op, {0: 0, 1: 0, 2: 2})
         assert closure_retraction(op, up).direction == "increasing"
-
-    def test_order_isomorphism_via(self):
-        p = chain(3)
-        q = FinitePoset.from_relation(["x", "y", "z"], lambda a, b: a <= b)
-        assert is_order_isomorphic_via(p, q, {0: "x", 1: "y", 2: "z"})
-        assert not is_order_isomorphic_via(p, q, {0: "y", 1: "x", 2: "z"})
-        # order-preserving but not order-reflecting
-        assert not is_order_isomorphic_via(antichain(3), p, {0: 0, 1: 1, 2: 2})
-        assert not is_order_isomorphic_via(p, antichain(3), {0: 0, 1: 1, 2: 2})
-        # not a bijection
-        assert not is_order_isomorphic_via(p, q, {0: "x", 1: "x", 2: "z"})
-        d = divisibility(6)
-        assert is_order_isomorphic_via(d, d.opposite().opposite(), {x: x for x in d.elements})
 
 
 def _ascending_bits(row):
@@ -720,7 +712,7 @@ class TestRowChecksAgainstPairWalks:
                     assert p.comparables(x) == [
                         y for j, y in enumerate(p.elements) if leq[i, j] or leq[j, i]
                     ]
-                assert p.opposite().up == _rows(leq.T)
+                assert opposite(p).up == _rows(leq.T)
                 between = (strict.astype(np.int64) @ strict.astype(np.int64)) > 0
                 assert p.covers() == [tuple(map(int, ij)) for ij in np.argwhere(strict & ~between)]
                 k = order_complex(p)

@@ -63,8 +63,9 @@ VERIFY_TARGETS = ("x", "cx", "retraction", "valence2", "generators", "subset-sph
 
 def _print(args, obj=None, text: str | None = None) -> None:
     """The one output path: canonical JSON of `obj` under ``--json``, or
-    when there is no `text` form, else `text`; to ``--out``, else stdout."""
-    if obj is not None and (args.json or text is None):
+    when there is no `text` form (``report``, which has no ``--json``),
+    else `text`; to ``--out``, else stdout."""
+    if obj is not None and (text is None or args.json):
         text = canonical_json(obj)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
@@ -114,7 +115,13 @@ def _cmd_graphs(args) -> int:
     return 0
 
 
+def _refuse_dot_with_json(args) -> None:
+    if args.dot and args.json:
+        raise VerificationError("--dot and --json cannot be combined")
+
+
 def _cmd_poset(args) -> int:
+    _refuse_dot_with_json(args)
     g = _require_graph(args)
     p = build_poset(g, args.kind)
     if args.dot:
@@ -213,6 +220,7 @@ def _cmd_morse(args) -> int:
 
 
 def _cmd_apartment(args) -> int:
+    _refuse_dot_with_json(args)
     rec = verify_apartment(args.rank)
     h, ok = rec.data["homology"], rec.ok
     p = apartment(args.rank)
@@ -255,14 +263,15 @@ def _cmd_report(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _add_common(sub, graph=False, kind=False, rank=False):
+def _add_common(sub, graph=False, kind=False, rank=False, json=True):
     if graph:
         sub.add_argument("--graph", metavar="KEY", help="graph key, e.g. '2;0-1,0-1,0-1'")
     if kind:
         sub.add_argument("--kind", choices=KINDS, default="x", help="which subgraph poset")
     if rank:
         sub.add_argument("--rank", type=int, required=True, help="first Betti number")
-    sub.add_argument("--json", action="store_true", help="emit canonical JSON")
+    if json:
+        sub.add_argument("--json", action="store_true", help="emit canonical JSON")
     sub.add_argument("--out", metavar="PATH", help="write output to a file")
 
 
@@ -308,7 +317,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--dot", action="store_true", help="emit the Hasse diagram as dot")
 
     s = sp.add_parser("report", help="run verification suites, emit canonical JSON")
-    _add_common(s)
+    _add_common(s, json=False)  # the report is always canonical JSON
     s.add_argument("--suite", choices=SUITE_NAMES, help="run a single suite")
     s.add_argument("--deep", action="store_true", help="include the rank-4 suite")
     s.add_argument(

@@ -132,6 +132,27 @@ class TestVerify:
         assert err.startswith("posetlab: error: ") and flag in err
 
 
+    @pytest.mark.parametrize(
+        "argv", [["poset", "--graph", THETA], ["apartment", "--rank", "3"]]
+    )
+    def test_dot_with_json_is_usage_error(self, argv, capsys):
+        code, out, err = run_main([*argv, "--dot", "--json"], capsys)
+        assert code == 2 and out == ""
+        assert err == "posetlab: error: --dot and --json cannot be combined\n"
+        # each flag alone still works
+        code, out, _ = run_main([*argv, "--dot"], capsys)
+        assert code == 0 and out.startswith("digraph")
+        code, out, _ = run_main([*argv, "--json"], capsys)
+        assert code == 0 and json.loads(out)
+
+    def test_report_has_no_json_flag(self, capsys):
+        # the report is always canonical JSON, so the flag would do nothing
+        with pytest.raises(SystemExit) as exc:
+            main(["report", "--suite", "rank2", "--json"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --json" in capsys.readouterr().err
+
+
 class TestGraphNames:
     # a key with a reversed token names its graph in normal form
     REVERSED = "2;1-0,0-1,0-1"

@@ -36,6 +36,7 @@ from posetlab.homology import (
 )
 from posetlab.poset import FinitePoset, beat_point_core, order_complex, subset_lattice
 from posetlab.simplicial import SimplicialComplex
+from posetlab.suites import run_suite
 
 # ---------------------------------------------------------------------------
 # oracles
@@ -955,3 +956,167 @@ class TestCoreComplexMemo:
             assert core_complex.cache_info().currsize == 0
         finally:
             core_complex.cache_clear()
+
+
+# ---------------------------------------------------------------------------
+# acyclic matchings
+# ---------------------------------------------------------------------------
+
+CIRCLE_ORDER = [(None, (0,)), ((1,), (0, 1)), ((2,), (0, 2)), (None, (1, 2))]
+
+
+class TestMatchingReplay:
+    def test_the_circle_leaves_a_vertex_and_an_edge(self):
+        k = sphere_complex(1)
+        assert homology._coreduction_matching(k) == CIRCLE_ORDER
+        assert homology._replay_matching(k, CIRCLE_ORDER) == {0: 1, 1: 1}
+
+    @pytest.mark.parametrize(
+        "order, message",
+        [
+            # a V-path around the circle closes: 0, 01, 1, 12, 2, 02, 0
+            ([((0,), (0, 1)), ((1,), (1, 2)), ((2,), (0, 2))], "before another facet"),
+            ([((1,), (0, 1)), (None, (0,)), ((2,), (0, 2)), (None, (1, 2))], "before another facet"),
+            ([(None, (0,)), ((2,), (0, 1)), ((1,), (1, 2)), (None, (0, 2))], "not incident"),
+            ([(None, (1,)), ((1,), (0, 1)), ((2,), (1, 2)), (None, (0, 2))], "twice"),
+            (CIRCLE_ORDER + [(None, (1, 2))], "twice"),
+            (CIRCLE_ORDER[:-1], r"never removes \(1, 2\)"),
+            ([(None, (0,)), (None, (1, 2)), ((1,), (0, 1)), ((2,), (0, 2))], "before its facets"),
+            (CIRCLE_ORDER + [(None, (0, 1, 2))], r"removes \(0, 1, 2\), which is not a face"),
+        ],
+    )
+    def test_replay_refuses_a_bad_order(self, order, message):
+        with pytest.raises(InvariantError, match=message):
+            homology._replay_matching(sphere_complex(1), order)
+
+    def test_every_step_moved_first_is_refused(self):
+        # at the front nothing is gone yet, so only a critical vertex may
+        # stand there; the producer's first step is one
+        k = order_complex(subset_lattice(range(4)))
+        order = homology._coreduction_matching(k)
+        assert homology._replay_matching(k, order) == {0: 1, 2: 1}
+        for i, step in enumerate(order[1:], 1):
+            moved = [step, *order[:i], *order[i + 1 :]]
+            with pytest.raises(InvariantError):
+                homology._replay_matching(k, moved)
+
+    @pytest.mark.parametrize(
+        "space, critical",
+        [
+            (dunce_hat, {0: 1, 1: 1, 2: 1}),  # contractible, not collapsible
+            (projective_plane, {0: 1, 1: 1, 2: 1}),  # torsion
+            (torus, {0: 1, 1: 2, 2: 1}),  # two degrees
+        ],
+    )
+    def test_spaces_without_a_perfect_matching_fall_back_to_snf(
+        self, space, critical, monkeypatch
+    ):
+        k = space()
+        assert homology._replay_matching(k, homology._coreduction_matching(k)) == critical
+        monkeypatch.setattr(homology, "_homology_cache", OrderedDict())
+        snfs = []
+        real = homology.snf_from_entries
+        monkeypatch.setattr(homology, "snf_from_entries", lambda e: snfs.append(e) or real(e))
+        h, pi1 = homology._core_homotopy(k)
+        assert pi1 is None and len(snfs) == k.dim + 1
+        assert h == reduced_homology(k)
+
+    def test_component_check_catches_a_miscounted_matching(self, monkeypatch):
+        monkeypatch.setattr(homology, "_homology_cache", OrderedDict())
+        monkeypatch.setattr(homology, "_replay_matching", lambda k, order: {0: 1})
+        two = SimplicialComplex.from_facets(range(2), [(0,), (1,)])
+        with pytest.raises(InvariantError, match="components"):
+            homology._core_homotopy(two)
+
+    def test_points_and_wedges(self, monkeypatch):
+        monkeypatch.setattr(homology, "_homology_cache", OrderedDict())
+        three = SimplicialComplex.from_facets(range(3), [(0,), (1,), (2,)])
+        assert homology._core_homotopy(three) == (HomologyResult(((0, 2, ()),)), PI1_TRIVIAL)
+        disk = SimplicialComplex.from_facets(range(3), [(0, 1, 2)])
+        assert homology._core_homotopy(disk) == (HomologyResult(()), PI1_TRIVIAL)
+        s2 = sphere_complex(2)
+        assert homology._core_homotopy(s2) == (HomologyResult.sphere(2), PI1_TRIVIAL)
+        # the empty complex has no vertex to start from
+        assert homology._core_homotopy(SimplicialComplex([], [])) == (
+            HomologyResult.sphere(-1),
+            None,
+        )
+
+    def test_matched_verdict_is_memoised_beside_the_homology(self, monkeypatch):
+        monkeypatch.setattr(homology, "_homology_cache", OrderedDict())
+        core_complex.cache_clear()
+        replays = []
+        real = homology._replay_matching
+        monkeypatch.setattr(
+            homology, "_replay_matching", lambda k, order: replays.append(k) or real(k, order)
+        )
+
+        def no_presentation(k):
+            raise AssertionError("a matched complex reads no presentation")
+
+        monkeypatch.setattr(homology, "_live_classes", no_presentation)
+        theta = FinitePoset.from_covers(
+            ["u", "v", "a", "b", "c"], [(0, 2), (1, 2), (0, 3), (1, 3), (0, 4), (1, 4)]
+        )
+        assert str(poset_homology(theta)) == "H~1=Z^2"
+        assert homotopy_verdict(theta, True) == ("homology-only", PI1_NONTRIVIAL)
+        k = core_complex(theta)
+        assert homology._homology_cache[k.structure_key()] == (poset_homology(theta), PI1_NONTRIVIAL)
+        assert reduced_homology(k) == poset_homology(theta)  # a memo hit, no SNF
+        assert len(replays) == 1
+
+
+def census_core_complexes():
+    """The distinct core complexes of the rank 2/3 census posets (every
+    kind, and both fiber posets) and of the rank-4 x, cx, c and cc."""
+    posets = [p for _, p in census_posets()]
+    posets += [build_poset(parse_key(key), kind) for key in enumerate_graphs(4) for kind in ("x", "cx", "c", "cc")]
+    found = {}
+    for p in posets:
+        k = core_complex(p)
+        found.setdefault(k.structure_key(), k)
+    return list(found.values())
+
+
+class TestMatchingOracle:
+    def routes(self, k):
+        """(matched verdict, SNF and presentation verdict), each on a
+        cleared memo; the first is None where the matching falls back."""
+        homology._homology_cache.clear()
+        h, pi1 = homology._core_homotopy(k)
+        homology._homology_cache.clear()
+        return (h, pi1) if pi1 else None, (reduced_homology(k), pi1_field(k))
+
+    def test_matched_verdicts_equal_snf_and_the_presentation(self, monkeypatch):
+        monkeypatch.setattr(homology, "_homology_cache", OrderedDict())
+        census = census_core_complexes()
+        clearing = clearing_complexes()
+        fallbacks = Counter()
+        for group, complexes in (("census", census), ("clearing", clearing)):
+            for k in complexes:
+                matched, reference = self.routes(k)
+                if matched is None:
+                    fallbacks[group] += 1
+                else:
+                    assert matched == reference, k
+        # the empty complex falls back, having no vertex to start from
+        # (among the clearing complexes it is the proper part of the
+        # one-element subset lattice and a census core); so do the torus,
+        # RP2, the dunce hat, two suspensions of RP2 and 23 random ones
+        assert (len(census), len(clearing)) == (222, 419)
+        assert fallbacks == {"census": 1, "clearing": 30}
+
+    def test_every_rank4_deep_complex_is_matched(self, monkeypatch):
+        # a producer change that loses matchings shows up here
+        monkeypatch.setattr(homology, "_homology_cache", OrderedDict())
+        seen = {}
+        real = homology._core_homotopy
+
+        def recording(k):
+            seen.setdefault(k.structure_key(), k)
+            return real(k)
+
+        monkeypatch.setattr(homology, "_core_homotopy", recording)
+        assert run_suite("rank4-deep", deep_budget=1e9).ok
+        fallbacks = [k for k in seen.values() if self.routes(k)[0] is None]
+        assert (len(seen), len(fallbacks)) == (137, 0)

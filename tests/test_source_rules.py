@@ -83,7 +83,7 @@ def test_cli_import_leaves_numpy_and_multiprocessing_out():
 # `core_complex`.  Only code that needs the full order complex may hand
 # one over: the poset module itself and the final cross-check of a
 # validated level certificate.
-HOMOTOPY_ROUTINES = {"reduced_homology", "pi1_field"}
+HOMOTOPY_ROUTINES = {"reduced_homology", "pi1_field", "_coreduction_matching"}
 CORE_COMPLEX_FILES = {"homology.py"}
 FULL_COMPLEX_FILES = {"poset.py"}
 FULL_COMPLEX_FUNCTIONS = {"verify_certificate"}
@@ -170,6 +170,64 @@ def test_homotopy_claims_use_the_reduced_complex():
         if path.name not in CORE_COMPLEX_FILES:
             found += [f"{path.name}:{line}:core_complex" for line in core_complex_names(tree)]
     assert found == []
+
+
+# The acyclic matching that certifies a core complex is checked by a
+# replay that shares no code with its producer, as `check_beat_witnesses`
+# calls neither `beat_point_core` nor `induced`: the replay names no
+# function of `homology.py`.  And only the core-complex route makes a
+# matching, so nothing else reads a homotopy type off one.
+MATCHING_PRODUCER = "_coreduction_matching"
+MATCHING_REPLAY = "_replay_matching"
+MATCHING_ROUTE = {("homology.py", "_core_homotopy")}
+
+
+def _named(nodes):
+    """The names that `nodes` read, call or import, attributes included."""
+    return {
+        n.id if isinstance(n, ast.Name) else n.attr if isinstance(n, ast.Attribute) else n.name
+        for n in nodes
+        if isinstance(n, (ast.Name, ast.Attribute, ast.alias))
+    }
+
+
+def naming_scopes(tree, name):
+    """The functions (or ``<module>``) whose own bodies name `name`."""
+    scopes = [tree, *(n for n in ast.walk(tree) if isinstance(n, _SCOPES))]
+    return {
+        getattr(scope, "name", "<module>" if scope is tree else "<lambda>")
+        for scope in scopes
+        if name in _named(_own_nodes(scope))
+    }
+
+
+def test_matching_rules_on_a_snippet():
+    tree = ast.parse(
+        "from .homology import _coreduction_matching as m\n"
+        "def route(k):\n"
+        "    return homology._coreduction_matching(k)\n"
+        "def other(k):\n"
+        "    f = lambda: _coreduction_matching(k)\n"
+        "    return f\n"
+    )
+    assert naming_scopes(tree, MATCHING_PRODUCER) == {"<module>", "route", "<lambda>"}
+
+
+def test_matching_replay_names_no_function_of_its_module():
+    tree = ast.parse((PACKAGE / "homology.py").read_text())
+    functions = {n.name: n for n in tree.body if isinstance(n, ast.FunctionDef)}
+    assert MATCHING_PRODUCER in functions
+    named = _named(ast.walk(functions[MATCHING_REPLAY]))
+    assert named & set(functions) == set()
+
+
+def test_only_the_core_complex_route_makes_a_matching():
+    found = set()
+    for path in sorted(PACKAGE.rglob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        found |= {(path.name, scope) for scope in naming_scopes(tree, MATCHING_PRODUCER)}
+    # the definition itself names it only as a FunctionDef, not a read
+    assert found == MATCHING_ROUTE
 
 
 # Every parameter of a function or lambda in the package, other than

@@ -140,6 +140,8 @@ def _cmd_poset(args) -> int:
 
 def _cmd_homology(args) -> int:
     if args.matrix:
+        if args.graph is not None or args.kind is not None:
+            raise VerificationError("--matrix cannot be combined with --graph or --kind")
         with open(args.matrix, encoding="utf-8") as fh:
             entries, nrows, ncols = read_triplet_matrix(fh.read())
         res = snf_from_entries(entries)
@@ -153,11 +155,11 @@ def _cmd_homology(args) -> int:
         text = f"rank {res.rank}  factors {list(res.factors)}  torsion {list(res.torsion())}\n"
         _print(args, obj, text)
         return 0
-    g = _require_graph(args)
-    h = poset_homology(build_poset(g, args.kind))
+    g, kind = _require_graph(args), args.kind or "x"
+    h = poset_homology(build_poset(g, kind))
     name = graph_label(g)
-    obj = {"graph": name, "kind": args.kind, "homology": _homology_obj(h)}
-    _print(args, obj, f"{name}  kind={args.kind}  {h}\n")
+    obj = {"graph": name, "kind": kind, "homology": _homology_obj(h)}
+    _print(args, obj, f"{name}  kind={kind}  {h}\n")
     return 0
 
 
@@ -293,6 +295,7 @@ def build_parser() -> argparse.ArgumentParser:
     s = sp.add_parser("homology", help="reduced homology of a poset, or SNF of a matrix")
     _add_common(s, graph=True, kind=True)
     s.add_argument("--matrix", metavar="PATH", help="triplet matrix file: 'rows cols' then 'i j value' lines")
+    s.set_defaults(kind=None)  # "x" when unset; --matrix refuses a given --kind
 
     s = sp.add_parser("verify", help="run one verification on one graph")
     s.add_argument("target", choices=VERIFY_TARGETS)

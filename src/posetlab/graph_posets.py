@@ -720,10 +720,7 @@ def forest_generator_cycles(g: Multigraph):
     _require_connected_rank(g, "forest_generator_cycles")
     p = build_poset(g, "x")
     k = order_complex(p)
-    target = g.rank() - 2
-    index = {}
-    for i, simplex in enumerate(k.faces(target)):
-        index[simplex] = i
+    index = k.face_index(g.rank() - 2)
 
     masks = _edge_masks(g)
     cycles = []

@@ -29,10 +29,11 @@ cells of one degree d, the complex is a wedge of b d-spheres: reduced
 homology Z^b in degree d, no torsion, and a pi1 verdict that is
 "Nontrivial" for d = 1 and b >= 1 and "Trivial" otherwise, a proof
 rather than the presentation prover's three-valued verdict.  Any other
-complex falls back to `reduced_homology` and `pi1_field`.  SNF's Euler
-check is an identity that cannot see a wrong rank in degree 2 or above;
-on the core-complex route that gap is left only where the matching
-falls back.
+complex falls back to `reduced_homology` and `pi1_field`.  Only the
+route keeps a memo, of the last 128 complexes it read; `reduced_homology`
+keeps no state.  SNF's Euler check is an identity that cannot see a
+wrong rank in degree 2 or above; on the core-complex route that gap is
+left only where the matching falls back.
 
 Homology is reduced throughout.  The chain complex is augmented with the
 empty simplex in dimension -1, so a point has no homology at all and the
@@ -351,14 +352,6 @@ class HomologyResult:
         return ", ".join(parts)
 
 
-# A caller that walks many complexes and comes back keeps its recent
-# results: the memo evicts the least recently used entry, one at a time.
-# An entry is (homology, pi1): pi1 is the verdict of a checked matching
-# (see `_core_homotopy`), or None where SNF computed the homology.
-_homology_cache = OrderedDict()
-_HOMOLOGY_CACHE_MAX = 128
-
-
 def boundary_entries(k, d, skip_rows=frozenset()):
     """Sparse entries of the boundary map C_d -> C_(d-1), augmented at d=0.
 
@@ -392,21 +385,13 @@ def reduced_homology(k):
     Z): the matrix of degree d+1 leaves out the rows at the unit-pivot
     columns of degree d.  Those pivots form a block of determinant +-1 and
     bd_d bd_(d+1) = 0, so the dropped rows are integer combinations of the
-    kept ones.  Pivots of the dense residue never clear a row.
-
-    Results are kept in a least-recently-used memo of at most
-    ``_HOMOLOGY_CACHE_MAX`` complexes, keyed on the face lists.
+    kept ones.  Pivots of the dense residue never clear a row.  Nothing
+    is remembered: every call builds and reduces the matrices again.
 
     >>> triangle = SimplicialComplex.from_facets("abc", [(0, 1), (1, 2), (0, 2)])
     >>> str(reduced_homology(triangle))
     'H~1=Z'
     """
-    key = k.structure_key()
-    cached = _homology_cache.get(key)
-    if cached is not None:
-        _homology_cache.move_to_end(key)
-        return cached[0]
-
     top = k.dim
     counts = {-1: 1}
     ranks = {}
@@ -448,15 +433,7 @@ def reduced_homology(k):
         or betti.get(0, 0) != max(pieces - 1, 0)
     ):
         raise InvariantError(f"SNF ranks disagree with {pieces} components")
-
-    _remember(key, (result, None))
     return result
-
-
-def _remember(key, entry):
-    _homology_cache[key] = entry
-    if len(_homology_cache) > _HOMOLOGY_CACHE_MAX:
-        _homology_cache.popitem(last=False)
 
 
 def check_beat_witnesses(p, core, witnesses):
@@ -640,6 +617,13 @@ def _replay_matching(k, order):
     return critical
 
 
+# Only `_core_homotopy` reads and writes this memo.  An entry is
+# (homology, pi1): pi1 is the verdict of a checked matching, or None
+# where SNF computed the homology.
+_homology_cache = OrderedDict()
+_HOMOLOGY_CACHE_MAX = 128
+
+
 def _core_homotopy(k):
     """(homology, pi1) of a core complex: pi1 is None where the matching
     falls back to SNF and leaves the verdict to :func:`pi1_field`.
@@ -649,8 +633,9 @@ def _core_homotopy(k):
     k is a wedge of b d-spheres (b + 1 points when d = 0): its reduced
     homology is Z^b in degree d, and its fundamental group is free of
     rank b when d = 1 and trivial otherwise.  Any other matching falls
-    back to :func:`reduced_homology`.  Results share its memo, the
-    verdict stored beside the homology.
+    back to :func:`reduced_homology`.  Either result is kept in a
+    least-recently-used memo of at most ``_HOMOLOGY_CACHE_MAX``
+    complexes, keyed on the face lists.
     """
     key = k.structure_key()
     entry = _homology_cache.get(key)
@@ -660,13 +645,16 @@ def _core_homotopy(k):
     critical = _replay_matching(k, _coreduction_matching(k))
     points = critical.pop(0, 0)
     if not points or len(critical) > 1 or (critical and points > 1):
-        return reduced_homology(k), None
-    degree, b = critical.popitem() if critical else (0, points - 1)
-    h = HomologyResult.from_dicts({degree: b}, {})
-    if h.betti(0) != len(k.components()) - 1:
-        raise InvariantError(f"{points} critical vertices disagree with k's components")
-    entry = (h, PI1_NONTRIVIAL if degree == 1 and b else PI1_TRIVIAL)
-    _remember(key, entry)
+        entry = reduced_homology(k), None
+    else:
+        degree, b = critical.popitem() if critical else (0, points - 1)
+        h = HomologyResult.from_dicts({degree: b}, {})
+        if h.betti(0) != len(k.components()) - 1:
+            raise InvariantError(f"{points} critical vertices disagree with k's components")
+        entry = (h, PI1_NONTRIVIAL if degree == 1 and b else PI1_TRIVIAL)
+    _homology_cache[key] = entry
+    if len(_homology_cache) > _HOMOLOGY_CACHE_MAX:
+        _homology_cache.popitem(last=False)
     return entry
 
 

@@ -9,8 +9,8 @@ Timing is kept on the in-memory report object but excluded from the
 canonical rendering so that byte-identity holds.
 
 Worker processes are capped by the ``POSETLAB_THREADS`` environment
-variable (default 1); results are merged in a fixed order, so the
-thread count never changes a report.
+variable, an integer >= 1 (default 1); results are merged in a fixed
+order, so the thread count never changes a report.
 """
 
 from __future__ import annotations
@@ -59,13 +59,21 @@ CENSUS_SIZES = {2: 3, 3: 15, 4: 111}
 DEEP_BUDGET_SECONDS = 600.0
 
 
-def _map_jobs(jobs):
-    """Run jobs in order on up to ``POSETLAB_THREADS`` processes."""
+def _worker_count() -> int:
+    """``POSETLAB_THREADS``, or 1 when it is unset."""
+    text = os.environ.get("POSETLAB_THREADS", "1")
     try:
-        n = int(os.environ.get("POSETLAB_THREADS", "1"))
+        n = int(text)
     except ValueError:
-        n = 1
-    if n <= 1 or len(jobs) <= 1:
+        n = 0
+    if n < 1:
+        raise ValueError(f"POSETLAB_THREADS must be an integer >= 1, not {text!r}")
+    return n
+
+
+def _map_jobs(jobs, n):
+    """Run jobs in order on up to `n` processes."""
+    if n == 1 or len(jobs) <= 1:
         return [_run_job(job) for job in jobs]
     from multiprocessing import Pool  # imported only when a pool runs
 
@@ -409,6 +417,7 @@ def run_suite(name: str, deep_budget: float = DEEP_BUDGET_SECONDS) -> SuiteRepor
         raise ValueError(f"unknown suite {name!r}; choose from {', '.join(SUITE_NAMES)}")
     if not math.isfinite(deep_budget):
         raise ValueError(f"the deep budget must be a finite number of seconds, not {deep_budget}")
+    workers = _worker_count()
     suite = _SUITES[name]
     t0 = time.monotonic()
     jobs = suite.jobs()
@@ -426,7 +435,7 @@ def run_suite(name: str, deep_budget: float = DEEP_BUDGET_SECONDS) -> SuiteRepor
             "budget_exhausted": len(lists) < len(jobs),
         }
     else:
-        lists = _map_jobs(jobs)
+        lists = _map_jobs(jobs, workers)
     records = [r for sub in lists for r in sub]
     records.extend(_census_record(rank) for rank in suite.census)
     records.sort(key=lambda r: (r["graph"], r["check"]))

@@ -63,6 +63,22 @@ class TestPosetAndHomology:
         assert obj["invariant_factors"] == [1, 6]
         assert obj["torsion"] == [6]
 
+    @pytest.mark.parametrize(
+        "extra", [["--graph", THETA, "--kind", "cx"], ["--graph", THETA], ["--kind", "x"]]
+    )
+    def test_matrix_refuses_graph_and_kind(self, extra, tmp_path, capsys):
+        # the matrix's SNF names no poset, so the poset flags are refused
+        path = tmp_path / "m.txt"
+        path.write_text("2 2\n0 0 2\n1 1 3\n")
+        code, out, err = run_main(["homology", "--matrix", str(path), *extra], capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith("posetlab: error:") and "--matrix" in err
+
+    def test_homology_kind_defaults_to_x(self, capsys):
+        assert run_main(["homology", "--graph", THETA], capsys) == run_main(
+            ["homology", "--graph", THETA, "--kind", "x"], capsys
+        )
+
     def test_matrix_bad_file(self, tmp_path, capsys):
         path = tmp_path / "bad.txt"
         for text in ("not a matrix\n", "-1 -3\n"):
@@ -247,6 +263,18 @@ class TestReport:
             assert proc.returncode == 0, proc.stderr
             out.append(path.read_bytes())
         assert out[0] == out[1]
+
+    @pytest.mark.parametrize("threads", ["abc", "-3", "0", "2.5"])
+    @pytest.mark.parametrize(
+        "suite", [["--suite", "apartments"], ["--suite", "rank4-deep"], []], ids=["suite", "deep", "all"]
+    )
+    def test_malformed_threads_exits_2(self, threads, suite, monkeypatch, tmp_path, capsys):
+        # refused before any suite runs, not read as one worker
+        monkeypatch.setenv("POSETLAB_THREADS", threads)
+        out_path = tmp_path / "r.json"
+        code, _, err = run_main(["report", *suite, "--out", str(out_path)], capsys)
+        assert code == 2 and err.startswith("posetlab: error: POSETLAB_THREADS")
+        assert not out_path.exists()
 
     @pytest.mark.parametrize("budget", ["nan", "inf", "-inf"])
     @pytest.mark.parametrize("suite", [["--suite", "rank4-deep"], ["--deep"]], ids=["suite", "deep"])

@@ -596,12 +596,10 @@ class TestInvariantChecks:
             return res
 
         monkeypatch.setattr(homology, "snf_from_entries", drop_one_unit)
-        monkeypatch.setattr(homology, "_homology_cache", {})
         with pytest.raises(InvariantError):
             reduced_homology(sphere_complex(2))
 
-    def test_honest_snf_passes_the_checks(self, monkeypatch):
-        monkeypatch.setattr(homology, "_homology_cache", {})
+    def test_honest_snf_passes_the_checks(self):
         two = SimplicialComplex.from_facets(range(4), [(0, 1), (2, 3)])
         assert reduced_homology(two) == HomologyResult(((0, 1, ()),))
         assert reduced_homology(SimplicialComplex([], [])) == HomologyResult.sphere(-1)
@@ -639,9 +637,8 @@ def random_complexes(seed, count):
 class TestClearing:
     @pytest.fixture
     def handed_over(self, monkeypatch):
-        """A fresh homology memo, and each (entries, SNF) pair that
-        `reduced_homology` hands to and gets from `snf_from_entries`."""
-        monkeypatch.setattr(homology, "_homology_cache", OrderedDict())
+        """Each (entries, SNF) pair that `reduced_homology` hands to and
+        gets from `snf_from_entries`."""
         real = homology.snf_from_entries
         calls = []
 
@@ -672,7 +669,6 @@ class TestClearing:
         named += census.values()
         named += [(f"random {i}", k) for i, k in enumerate(random_complexes(13, 300))]
         for name, k in named:
-            homology._homology_cache.clear()
             handed_over.clear()
             reduced_homology(k)
             # SNFResult equality compares rank and factors only
@@ -828,8 +824,8 @@ class TestBeatPointReduction:
         shrunk = 0
         for name, p in census_posets():
             full, core = order_complex(p), core_complex(p)
-            assert reduced_homology(core) == reduced_homology(full), name
-            assert poset_homology(p) == reduced_homology(full), name
+            h = reduced_homology(full)
+            assert reduced_homology(core) == h and poset_homology(p) == h, name
             shrunk += core.num_faces() < full.num_faces()
         # cores are unique up to isomorphism, so which posets have a beat
         # point does not depend on the removal order: 77 of the 144
@@ -864,16 +860,11 @@ def antichain(labels):
 
 
 class TestHomologyMemo:
-    def test_memo_is_bounded_and_least_recently_used(self, monkeypatch):
+    @pytest.fixture
+    def built(self, monkeypatch):
+        """A fresh route memo, and each complex that a boundary matrix is
+        built for."""
         monkeypatch.setattr(homology, "_homology_cache", OrderedDict())
-        bound = homology._HOMOLOGY_CACHE_MAX
-        paths = [
-            SimplicialComplex.from_facets(range(n), [(i, i + 1) for i in range(n - 1)])
-            for n in range(2, bound + 4)
-        ]
-        for k in paths:
-            reduced_homology(k)
-        assert len(paths) == bound + 2 and len(homology._homology_cache) == bound
         built = []
         real = homology.boundary_entries
 
@@ -882,16 +873,44 @@ class TestHomologyMemo:
             return real(k, d, skip_rows)
 
         monkeypatch.setattr(homology, "boundary_entries", counting)
+        return built
+
+    def test_reduced_homology_keeps_no_state(self, built):
+        k = torus()
+        assert reduced_homology(k) == reduced_homology(k)
+        assert built == [k] * 2 * (k.dim + 1)
+        assert not homology._homology_cache
+
+    def test_route_stores_a_fallback_with_no_verdict(self, built):
+        k = torus()
+        entry = homology._core_homotopy(k)
+        assert entry == (reduced_homology(k), None) and len(built) == 2 * (k.dim + 1)
+        assert homology._homology_cache == {k.structure_key(): entry}
+        assert homology._core_homotopy(k) == entry and len(built) == 2 * (k.dim + 1)
+
+    def test_memo_is_bounded_and_least_recently_used(self, built, monkeypatch):
+        bound = homology._HOMOLOGY_CACHE_MAX
+        paths = [
+            SimplicialComplex.from_facets(range(n), [(i, i + 1) for i in range(n - 1)])
+            for n in range(2, bound + 4)
+        ]
+        for k in paths:
+            homology._core_homotopy(k)
+        assert len(paths) == bound + 2 and len(homology._homology_cache) == bound
+        made = []
+        real = homology._coreduction_matching
+        monkeypatch.setattr(homology, "_coreduction_matching", lambda k: made.append(k) or real(k))
         for k in paths[-(bound - 1) :]:
-            reduced_homology(k)
-        assert built == []
+            homology._core_homotopy(k)
+        assert made == []
         # a hit refreshes an entry, so the next miss evicts paths[3], not it
-        reduced_homology(paths[2])
-        assert built == []
-        reduced_homology(paths[0])
-        assert built and len(homology._homology_cache) == bound
+        homology._core_homotopy(paths[2])
+        assert made == []
+        homology._core_homotopy(paths[0])
+        assert made == [paths[0]] and len(homology._homology_cache) == bound
         assert paths[2].structure_key() in homology._homology_cache
         assert paths[3].structure_key() not in homology._homology_cache
+        assert built == []  # paths are matched: no SNF
 
 
 class TestCoreComplexMemo:
@@ -1062,7 +1081,7 @@ class TestMatchingReplay:
         assert homotopy_verdict(theta, True) == ("homology-only", PI1_NONTRIVIAL)
         k = core_complex(theta)
         assert homology._homology_cache[k.structure_key()] == (poset_homology(theta), PI1_NONTRIVIAL)
-        assert reduced_homology(k) == poset_homology(theta)  # a memo hit, no SNF
+        assert reduced_homology(k) == poset_homology(theta)  # SNF agrees
         assert len(replays) == 1
 
 
@@ -1080,11 +1099,10 @@ def census_core_complexes():
 
 class TestMatchingOracle:
     def routes(self, k):
-        """(matched verdict, SNF and presentation verdict), each on a
-        cleared memo; the first is None where the matching falls back."""
+        """(matched verdict on a cleared memo, SNF and presentation
+        verdict); the first is None where the matching falls back."""
         homology._homology_cache.clear()
         h, pi1 = homology._core_homotopy(k)
-        homology._homology_cache.clear()
         return (h, pi1) if pi1 else None, (reduced_homology(k), pi1_field(k))
 
     def test_matched_verdicts_equal_snf_and_the_presentation(self, monkeypatch):

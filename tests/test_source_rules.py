@@ -230,6 +230,48 @@ def test_only_the_core_complex_route_makes_a_matching():
     assert found == MATCHING_ROUTE
 
 
+# The homology memo has one reader and writer, the core-complex route
+# (`MATCHING_ROUTE`), so `reduced_homology` and every other caller of SNF
+# keep no state.  Besides the route, only the memo's module-level
+# definition names it.
+HOMOLOGY_MEMO = "_homology_cache"
+
+
+def memo_names(tree):
+    """The scopes that name the homology memo, with ``<definition>`` for
+    a module-level assignment to the bare name and ``<module>`` for any
+    other module-level naming."""
+    scopes = naming_scopes(tree, HOMOLOGY_MEMO) - {"<module>"}
+    own = list(_own_nodes(tree))
+    stores = {id(n) for n in own if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)}
+    if HOMOLOGY_MEMO in _named(n for n in own if id(n) in stores):
+        scopes.add("<definition>")
+    if HOMOLOGY_MEMO in _named(n for n in own if id(n) not in stores):
+        scopes.add("<module>")
+    return scopes
+
+
+def test_memo_rule_on_a_snippet():
+    tree = ast.parse(
+        "_homology_cache = OrderedDict()\n"
+        "def route(k):\n"
+        "    _homology_cache[k] = 1\n"
+        "def other(k):\n"
+        "    return homology._homology_cache.get(k)\n"
+    )
+    assert memo_names(tree) == {"<definition>", "route", "other"}
+    for line in ("_homology_cache.clear()", "from .homology import _homology_cache"):
+        assert memo_names(ast.parse(line)) == {"<module>"}
+
+
+def test_only_the_route_names_the_homology_memo():
+    found = set()
+    for path in sorted(PACKAGE.rglob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        found |= {(path.name, scope) for scope in memo_names(tree)}
+    assert found == {("homology.py", "<definition>"), *MATCHING_ROUTE}
+
+
 # Every parameter of a function or lambda in the package, other than
 # `self` and `cls`, is read in its body (a nested function's read
 # counts): an input that nothing reads only looks as if it mattered.

@@ -14,7 +14,7 @@ Subcommands:
 
 Exit codes: 0 when every performed check passes (homology-only counts
 as a pass for exit purposes), 1 when any check fails, 2 on usage or
-input errors.  ``POSETLAB_THREADS`` caps suite worker processes.
+input errors.
 """
 
 from __future__ import annotations
@@ -241,8 +241,14 @@ def _cmd_apartment(args) -> int:
 
 
 def _cmd_report(args) -> int:
+    if args.suite and args.deep:
+        raise VerificationError("--deep adds rank4-deep to the full report, not to --suite")
+    deep = args.deep or args.suite not in (None, *DEFAULT_REPORT_SUITES)
+    if args.budget is not None and not deep:
+        raise VerificationError("--budget applies to a deep suite: --suite rank4-deep or --deep")
+    budget = DEEP_BUDGET_SECONDS if args.budget is None else args.budget
     if args.suite:
-        rep = run_suite(args.suite, deep_budget=args.budget)
+        rep = run_suite(args.suite, deep_budget=budget)
         _print(args, text=rep.to_json())
         s = rep.summary
         ran = f", {s['graphs_completed']} of {s['graphs_total']} graphs" if "graphs_total" in s else ""
@@ -255,7 +261,7 @@ def _cmd_report(args) -> int:
     names = list(DEFAULT_REPORT_SUITES)
     if args.deep:
         names.append("rank4-deep")
-    obj, ok = report_all(names, deep_budget=args.budget)
+    obj, ok = report_all(names, deep_budget=budget)
     _print(args, obj)
     return 0 if ok else 1
 
@@ -326,9 +332,8 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument(
         "--budget",
         type=float,
-        default=DEEP_BUDGET_SECONDS,
         metavar="SECONDS",
-        help="wall-clock budget for the rank-4 suite",
+        help=f"wall-clock budget for the rank-4 suite (default {DEEP_BUDGET_SECONDS:g})",
     )
     return ap
 

@@ -4,19 +4,14 @@ Each suite runs a fixed battery of verifications over a census of
 multigraphs (or over boolean lattices, for apartments) and returns a
 :class:`SuiteReport`.  Reports are deterministic: records are sorted by
 ``(graph, check)``, numbers are exact integers, and the canonical JSON
-rendering is byte-identical across runs and across worker counts.
-Timing is kept on the in-memory report object but excluded from the
-canonical rendering so that byte-identity holds.
-
-Worker processes are capped by the ``POSETLAB_THREADS`` environment
-variable, an integer >= 1 (default 1); results are merged in a fixed
-order, so the thread count never changes a report.
+rendering is byte-identical across runs.  Every suite runs its jobs in
+order in one process.  Timing is kept on the in-memory report object
+but excluded from the canonical rendering so that byte-identity holds.
 """
 
 from __future__ import annotations
 
 import math
-import os
 import time
 from dataclasses import dataclass
 from functools import lru_cache
@@ -59,30 +54,8 @@ CENSUS_SIZES = {2: 3, 3: 15, 4: 111}
 DEEP_BUDGET_SECONDS = 600.0
 
 
-def _worker_count() -> int:
-    """``POSETLAB_THREADS``, or 1 when it is unset."""
-    text = os.environ.get("POSETLAB_THREADS", "1")
-    try:
-        n = int(text)
-    except ValueError:
-        n = 0
-    if n < 1:
-        raise ValueError(f"POSETLAB_THREADS must be an integer >= 1, not {text!r}")
-    return n
-
-
-def _map_jobs(jobs, n):
-    """Run jobs in order on up to `n` processes."""
-    if n == 1 or len(jobs) <= 1:
-        return [_run_job(job) for job in jobs]
-    from multiprocessing import Pool  # imported only when a pool runs
-
-    with Pool(processes=min(n, len(jobs))) as pool:
-        return pool.map(_run_job, jobs, chunksize=1)
-
-
 # ---------------------------------------------------------------------------
-# per-job workers (module level so they can cross process boundaries)
+# per-job record builders
 # ---------------------------------------------------------------------------
 
 
@@ -106,9 +79,9 @@ def _battery_records(key: str) -> list[dict]:
 
 
 # The rank suites and the duality and fibers suites check the same rank-2/3
-# graphs, so these checks are built once per key in each process.  Each
-# call renders fresh JSON records from the cached reports, so no caller
-# can mutate what another caller receives.
+# graphs, so these checks are built once per key.  Each call renders fresh
+# JSON records from the cached reports, so no caller can mutate what
+# another caller receives.
 _MEMO_KEYS = 64
 
 
@@ -215,7 +188,11 @@ def _census_record(rank: int) -> dict:
 
 
 def _run_job(job):
-    """Run one ``(record builder, argument)`` job: its list of records."""
+    """Run one ``(record builder, argument)`` job: its list of records.
+
+    The one job runner of :func:`run_suite`.  ``perfbench/tracer.py``
+    rebinds it as its job boundary, so a traced run needs it.
+    """
     build, arg = job
     return build(arg)
 
@@ -348,7 +325,7 @@ class _Suite(NamedTuple):
     jobs: Callable[[], list]  # the (record builder, argument) jobs, in order
     assumptions: tuple = ()
     census: tuple = ()  # ranks whose census-count record joins the report
-    budgeted: bool = False  # run sequentially under the wall-clock budget
+    budgeted: bool = False  # stop at the wall-clock budget, checked between jobs
 
 
 def _each(build, args) -> list:
@@ -373,9 +350,9 @@ def _deep_suite(rank: int) -> _Suite:
     Order complexes of the cycle-containing posets at nine edges are far
     too large to build, so each graph is handled by validating the core
     retraction on the full poset and computing homology on the core
-    side.  The graphs run sequentially so the wall-clock budget is
-    enforced between them; if the budget runs out the summary says how
-    many graphs were completed and the suite does not claim the rest.
+    side.  The wall-clock budget is checked between graphs; if it runs
+    out the summary says how many graphs were completed and the suite
+    does not claim the rest.
     """
     return _Suite(
         lambda: _each(_deep_records, enumerate_graphs(rank)),
@@ -417,25 +394,22 @@ def run_suite(name: str, deep_budget: float = DEEP_BUDGET_SECONDS) -> SuiteRepor
         raise ValueError(f"unknown suite {name!r}; choose from {', '.join(SUITE_NAMES)}")
     if not math.isfinite(deep_budget):
         raise ValueError(f"the deep budget must be a finite number of seconds, not {deep_budget}")
-    workers = _worker_count()
     suite = _SUITES[name]
     t0 = time.monotonic()
     jobs = suite.jobs()
+    lists = []
+    for job in jobs:
+        if suite.budgeted and time.monotonic() - t0 > deep_budget:
+            break
+        lists.append(_run_job(job))
     budget = {}
     if suite.budgeted:
-        lists = []
-        for build, arg in jobs:
-            if time.monotonic() - t0 > deep_budget:
-                break
-            lists.append(build(arg))
         budget = {
             "deep_budget_seconds": deep_budget,
             "graphs_completed": len(lists),
             "graphs_total": len(jobs),
             "budget_exhausted": len(lists) < len(jobs),
         }
-    else:
-        lists = _map_jobs(jobs, workers)
     records = [r for sub in lists for r in sub]
     records.extend(_census_record(rank) for rank in suite.census)
     records.sort(key=lambda r: (r["graph"], r["check"]))

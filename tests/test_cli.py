@@ -1,13 +1,9 @@
 """Command line interface: outputs, exit codes, determinism."""
 
 import json
-import subprocess
-import sys
-from pathlib import Path
 
 import pytest
 
-import posetlab
 from posetlab import cli
 from posetlab.cli import main
 
@@ -233,47 +229,23 @@ class TestReport:
             assert main(["report", "--suite", "rank2", "--out", str(p)]) == 0
         assert paths[0].read_bytes() == paths[1].read_bytes()
 
-    def test_threads_env_byte_identical_subprocess(self, tmp_path):
-        # The child sees only these variables, so a caller's POSETLAB_THREADS
-        # cannot leak in; PYTHONPATH points at the directory holding the
-        # posetlab package this process imported, source tree or install.
-        package_root = str(Path(posetlab.__file__).resolve().parents[1])
-        out = []
-        for threads in ("1", "2"):
-            path = tmp_path / f"t{threads}.json"
-            proc = subprocess.run(
-                [
-                    sys.executable,
-                    "-m",
-                    "posetlab.cli",
-                    "report",
-                    "--suite",
-                    "fibers",
-                    "--out",
-                    str(path),
-                ],
-                env={
-                    "POSETLAB_THREADS": threads,
-                    "PATH": "/usr/bin:/bin",
-                    "PYTHONPATH": package_root,
-                },
-                capture_output=True,
-                text=True,
-            )
-            assert proc.returncode == 0, proc.stderr
-            out.append(path.read_bytes())
-        assert out[0] == out[1]
-
-    @pytest.mark.parametrize("threads", ["abc", "-3", "0", "2.5"])
-    @pytest.mark.parametrize(
-        "suite", [["--suite", "apartments"], ["--suite", "rank4-deep"], []], ids=["suite", "deep", "all"]
-    )
-    def test_malformed_threads_exits_2(self, threads, suite, monkeypatch, tmp_path, capsys):
-        # refused before any suite runs, not read as one worker
-        monkeypatch.setenv("POSETLAB_THREADS", threads)
+    @pytest.mark.parametrize("suite", ["apartments", "rank4-deep"])
+    def test_deep_with_suite_exits_2(self, suite, tmp_path, capsys):
+        # --deep adds a suite to the full report; a single suite ignored it
         out_path = tmp_path / "r.json"
-        code, _, err = run_main(["report", *suite, "--out", str(out_path)], capsys)
-        assert code == 2 and err.startswith("posetlab: error: POSETLAB_THREADS")
+        argv = ["report", "--suite", suite, "--deep", "--out", str(out_path)]
+        code, _, err = run_main(argv, capsys)
+        assert code == 2 and err.startswith("posetlab: error: --deep")
+        assert not out_path.exists()
+
+    @pytest.mark.parametrize("budget", ["5", "0"])
+    @pytest.mark.parametrize("suite", [["--suite", "apartments"], []], ids=["suite", "all"])
+    def test_budget_without_a_deep_suite_exits_2(self, budget, suite, tmp_path, capsys):
+        # no deep suite runs, so a given budget would bound nothing
+        out_path = tmp_path / "r.json"
+        argv = ["report", *suite, "--budget", budget, "--out", str(out_path)]
+        code, _, err = run_main(argv, capsys)
+        assert code == 2 and err.startswith("posetlab: error: --budget")
         assert not out_path.exists()
 
     @pytest.mark.parametrize("budget", ["nan", "inf", "-inf"])

@@ -174,7 +174,6 @@ class TestSearch:
             calls.append(p)
             return real(p)
 
-        monkeypatch.setenv("POSETLAB_THREADS", "1")
         monkeypatch.setattr(morse, "certify_contractible", counting)
         assert run_suite("morse").ok
         assert len(calls) == 66

@@ -40,30 +40,78 @@ def test_no_assert_statements():
     assert found == []
 
 
+def absolute_imports(tree):
+    """(line, top-level module) of each absolute import in `tree`,
+    inside functions too; relative imports are the package's own."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            names = [node.module]
+        else:
+            continue
+        found += [(node.lineno, name.partition(".")[0]) for name in names]
+    return sorted(found)
+
+
 # The package runs on the standard library alone: the order of a poset
 # is kept in Python ints, and nothing else needed a third-party module.
 def test_imports_are_standard_library_or_relative():
     found = []
     for path in sorted(PACKAGE.rglob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Import):
-                names = [alias.name for alias in node.names]
-            elif isinstance(node, ast.ImportFrom) and not node.level:
-                names = [node.module]
-            else:
-                continue
-            found += [
-                f"{path.name}:{node.lineno}:{name}"
-                for name in names
-                if name.partition(".")[0] not in sys.stdlib_module_names
-            ]
+        found += [
+            f"{path.name}:{line}:{name}"
+            for line, name in absolute_imports(tree)
+            if name not in sys.stdlib_module_names
+        ]
+    assert found == []
+
+
+# The package starts no process or thread and reads no environment, so a
+# report depends on its arguments alone; parallel runs are separate
+# processes started from outside.
+PROCESS_MODULES = {"os", "multiprocessing", "concurrent", "threading", "subprocess"}
+
+
+def process_imports(tree):
+    """(line, module) of each import of a module in PROCESS_MODULES."""
+    return [(line, name) for line, name in absolute_imports(tree) if name in PROCESS_MODULES]
+
+
+def test_process_rule_on_a_snippet():
+    tree = ast.parse(
+        "import os.path, json\n"
+        "from concurrent.futures import ProcessPoolExecutor\n"
+        "def f():\n"
+        "    import multiprocessing as mp\n"
+        "    from threading import Thread\n"
+        "    return subprocess.run\n"
+        "import osmosis, threadpoolctl\n"
+        "from . import os\n"
+    )
+    # imports inside functions count; a name that is only read, a module
+    # that merely starts alike and a relative import do not
+    assert process_imports(tree) == [
+        (1, "os"),
+        (2, "concurrent"),
+        (4, "multiprocessing"),
+        (5, "threading"),
+    ]
+
+
+def test_package_starts_no_process_and_reads_no_environment():
+    found = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        found += [f"{path.name}:{line}:{name}" for line, name in process_imports(tree)]
     assert found == []
 
 
 def test_cli_import_leaves_numpy_and_multiprocessing_out():
-    # a fresh interpreter, so modules the tests import do not count; the
-    # pool module is imported only when a suite runs on several processes
+    # a fresh interpreter, so modules the tests import do not count: no
+    # standard-library module the package imports pulls either one in
     probe = "import sys, json, posetlab.cli; print(json.dumps(sorted(sys.modules)))"
     proc = subprocess.run(
         [sys.executable, "-c", probe],

@@ -19,6 +19,7 @@ from posetlab.suites import (
 )
 
 GOLDEN = Path(__file__).parent / "golden"
+REPO = Path(__file__).resolve().parent.parent
 FIXTURE_SUITES = ("rank3", "duality", "fibers", "morse", "rank4-deep")
 # sha256 of the canonical report of each suite too large for a golden file
 SUITE_SHA256: dict[str, str] = {}
@@ -88,19 +89,6 @@ class TestOtherSuites:
 
 
 class TestDeterminism:
-    def test_thread_count_does_not_change_bytes(self, monkeypatch):
-        monkeypatch.setenv("POSETLAB_THREADS", "1")
-        a = run_suite("rank2").to_json()
-        monkeypatch.setenv("POSETLAB_THREADS", "2")
-        b = run_suite("rank2").to_json()
-        assert a == b
-
-    def test_env_variable_is_honored(self, monkeypatch):
-        monkeypatch.setenv("POSETLAB_THREADS", "2")
-        b = run_suite("apartments").to_json()
-        monkeypatch.setenv("POSETLAB_THREADS", "1")
-        assert b == run_suite("apartments").to_json()
-
     def test_consecutive_runs_byte_identical(self):
         assert run_suite("duality").to_json() == run_suite("duality").to_json()
 
@@ -177,7 +165,6 @@ class TestPerKeyMemo:
             built.append(1)
             real(self, elements, up)
 
-        monkeypatch.setenv("POSETLAB_THREADS", "1")
         monkeypatch.setattr(FinitePoset, "__init__", counting)
         homology.core_complex.cache_clear()
         out = tmp_path / "rank4-deep.json"
@@ -216,14 +203,22 @@ class TestGolden:
         assert run_suite(suite).to_json() == frozen
 
     # The aggregate report of the default suites, pinned by its digest: the
-    # same bytes `posetlab report` writes, at one worker and at two.
+    # same bytes `posetlab report` writes.
     REPORT_SHA256 = "4b032f92f65836c5eaafd243a103f37a584111cd750eeab6010877751fc1095c"
 
-    @pytest.mark.parametrize("threads", ["1", "2"])
-    def test_report_all_matches_pinned_digest(self, threads, monkeypatch):
-        monkeypatch.setenv("POSETLAB_THREADS", threads)
+    def test_report_all_matches_pinned_digest(self):
         text = canonical_json(report_all()[0])
         assert hashlib.sha256(text.encode()).hexdigest() == self.REPORT_SHA256
+
+    def test_benchmark_pins_match_these_pins(self):
+        # the benchmark checks each run's bytes against its own pins, so a
+        # report change that moved only the pins here would surface there
+        # only as incorrect outputs
+        spec = json.loads((REPO / "perfbench" / "spec.json").read_text())["workloads"]
+        assert (spec["report"]["sha256"], spec["report"]["checks"]) == (self.REPORT_SHA256, 242)
+        deep = (GOLDEN / "rank4-deep_report.json").read_bytes()
+        assert spec["rank4-deep"]["sha256"] == hashlib.sha256(deep).hexdigest()
+        assert spec["rank4-deep"]["checks"] == json.loads(deep)["summary"]["checks"] == 223
 
 
 def reference_json(obj):

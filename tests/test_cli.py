@@ -231,7 +231,7 @@ class TestReport:
 
     @pytest.mark.parametrize("suite", ["apartments", "rank4-deep"])
     def test_deep_with_suite_exits_2(self, suite, tmp_path, capsys):
-        # --deep adds a suite to the full report; a single suite ignored it
+        # --deep adds a suite to the full report, so beside --suite it adds nothing
         out_path = tmp_path / "r.json"
         argv = ["report", "--suite", suite, "--deep", "--out", str(out_path)]
         code, _, err = run_main(argv, capsys)

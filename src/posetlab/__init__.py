@@ -46,7 +46,6 @@ from .homology import (
     InvariantError,
     alexander_duality_check,
     certify_contractible,
-    pi1_field,
     poset_homology,
     reduced_homology,
 )
@@ -94,7 +93,6 @@ __all__ = [
     "InvariantError",
     "alexander_duality_check",
     "certify_contractible",
-    "pi1_field",
     "poset_homology",
     "reduced_homology",
     "LevelCertificate",

@@ -27,13 +27,16 @@ them checks the removal order, so every V-path runs backward in it and
 the matching is acyclic.  If its critical cells are one vertex plus b
 cells of one degree d, the complex is a wedge of b d-spheres: reduced
 homology Z^b in degree d, no torsion, and a pi1 verdict that is
-"Nontrivial" for d = 1 and b >= 1 and "Trivial" otherwise, a proof
-rather than the presentation prover's three-valued verdict.  Any other
-complex falls back to `reduced_homology` and `pi1_field`.  Only the
-route keeps a memo, of the last 128 complexes it read; `reduced_homology`
-keeps no state.  SNF's Euler check is an identity that cannot see a
-wrong rank in degree 2 or above; on the core-complex route that gap is
-left only where the matching falls back.
+"Nontrivial" for d = 1 and b >= 1 and "Trivial" otherwise.  That is the
+one proof of a "Trivial" verdict; the empty complex, with no vertex to
+start from, is the (-1)-sphere and needs none.  Any other complex falls
+back to `reduced_homology`, and its verdict is "Nontrivial" when reduced
+H_1 is nonzero and "Unknown" otherwise, so a contractible complex that is
+not collapsible, such as the dunce hat, is never proved contractible.
+Only the route keeps a memo, of the last 128 complexes it read;
+`reduced_homology` keeps no state.  SNF's Euler check is an identity that
+cannot see a wrong rank in degree 2 or above; on the core-complex route
+that gap is left only where the matching falls back.
 
 Homology is reduced throughout.  The chain complex is augmented with the
 empty simplex in dimension -1, so a point has no homology at all and the
@@ -51,7 +54,6 @@ from functools import lru_cache
 from itertools import chain, combinations, compress, cycle, repeat
 from operator import not_
 
-from .multigraph import _union
 from .poset import _bits, _down_rows, beat_point_core, order_complex
 from .simplicial import SimplicialComplex
 
@@ -618,34 +620,38 @@ def _replay_matching(k, order):
 
 
 # Only `_core_homotopy` reads and writes this memo.  An entry is
-# (homology, pi1): pi1 is the verdict of a checked matching, or None
-# where SNF computed the homology.
+# (homology, pi1 verdict).
 _homology_cache = OrderedDict()
 _HOMOLOGY_CACHE_MAX = 128
 
 
 def _core_homotopy(k):
-    """(homology, pi1) of a core complex: pi1 is None where the matching
-    falls back to SNF and leaves the verdict to :func:`pi1_field`.
+    """(homology, pi1 verdict) of a core complex.
 
-    The coreduction matching is replayed on every call that makes it.
-    If its critical cells are one vertex plus b cells of one degree d,
-    k is a wedge of b d-spheres (b + 1 points when d = 0): its reduced
-    homology is Z^b in degree d, and its fundamental group is free of
-    rank b when d = 1 and trivial otherwise.  Any other matching falls
-    back to :func:`reduced_homology`.  Either result is kept in a
-    least-recently-used memo of at most ``_HOMOLOGY_CACHE_MAX``
-    complexes, keyed on the face lists.
+    The empty complex has no vertex to start a matching from: it is the
+    (-1)-sphere, with no component whose fundamental group could be
+    nontrivial.  Otherwise the coreduction matching is replayed on every
+    call that makes it.  If its critical cells are one vertex plus b
+    cells of one degree d, k is a wedge of b d-spheres (b + 1 points when
+    d = 0): its reduced homology is Z^b in degree d, and its fundamental
+    group is free of rank b when d = 1 and trivial otherwise.  Any other
+    matching falls back to :func:`reduced_homology`, and the verdict to
+    "Nontrivial" when reduced H_1 is nonzero, else "Unknown".  Either
+    result is kept in a least-recently-used memo of at most
+    ``_HOMOLOGY_CACHE_MAX`` complexes, keyed on the face lists.
     """
+    if not k.vertices:
+        return HomologyResult.sphere(-1), PI1_TRIVIAL
     key = k.structure_key()
     entry = _homology_cache.get(key)
     if entry is not None:
         _homology_cache.move_to_end(key)
         return entry
     critical = _replay_matching(k, _coreduction_matching(k))
-    points = critical.pop(0, 0)
-    if not points or len(critical) > 1 or (critical and points > 1):
-        entry = reduced_homology(k), None
+    points = critical.pop(0)  # the replay starts every order with a vertex
+    if len(critical) > 1 or (critical and points > 1):
+        h = reduced_homology(k)
+        entry = h, PI1_NONTRIVIAL if h.betti(1) or h.torsion(1) else PI1_UNKNOWN
     else:
         degree, b = critical.popitem() if critical else (0, points - 1)
         h = HomologyResult.from_dicts({degree: b}, {})
@@ -675,127 +681,24 @@ def poset_homology(p):
 # -- contractibility and fundamental group ----------------------------------
 
 
-def pi1_field(k):
-    """Three-valued triviality test for the fundamental group of every
-    component of k at once.
-
-    The presentation is read off a spanning forest of the 1-skeleton:
-    one generator per edge off the forest, one relator of at most three
-    letters per 2-simplex.  Relators never cross components, so none
-    needs a copy of its own.  Returns "Trivial" only if every generator
-    is proved trivial (see :func:`_live_classes`); "Nontrivial" only if
-    reduced H_1 is nonzero; otherwise "Unknown".  Never returns
-    "Trivial" when H_1 is nonzero.
-    """
-    h = reduced_homology(k)
-    h1_nonzero = bool(h.betti(1)) or bool(h.torsion(1))
-    if not _live_classes(k):
-        if h1_nonzero:
-            raise InvariantError("presentation emptied but H1 is nonzero")
-        return PI1_TRIVIAL
-    if h1_nonzero:
-        return PI1_NONTRIVIAL
-    return PI1_UNKNOWN
-
-
-def _live_classes(k):
-    """How many generator classes of k's forest presentation stay alive.
-
-    A signed union-find sorts the generators into classes: generator g
-    is ``root[g] ** sign[g]``.  A relator is read in root letters, dead
-    roots dropped, and reduced freely and cyclically.  One letter left
-    proves its class trivial, so the class dies; two letters of distinct
-    classes prove one class a power +-1 of the other, so the two merge.
-    A relator is read again only when one of its classes dies or merges,
-    and never after it has given its fact: a spent relator is not queued
-    again.  Every step is a consequence of the relators, so no live
-    class means a trivial group.
-    """
-    tree = list(range(len(k.vertices)))
-    gens = {}  # edge -> generator numbered from 1 for signed letters; forest edges 0
-    live = 0
-    for u, v in k.faces(1):
-        if _union(tree, u, v):
-            gens[(u, v)] = 0
-        else:
-            live += 1
-            gens[(u, v)] = live
-
-    root = list(range(live + 1))
-    sign = [1] * len(root)
-    dead = [False] * len(root)
-    members = [[g] for g in root]
-    watchers = [[] for _ in root]
-    relators = []
-    # a < b < c: the edges come as (a, b), (a, c), (b, c), and the loop
-    # a -> b -> c -> a crosses the edge (a, c) backwards
-    letters = map(gens.__getitem__, chain.from_iterable(map(combinations, k.faces(2), repeat(2))))
-    for ab, ac, bc in zip(letters, letters, letters):
-        word = tuple(filter(None, (ab, bc, -ac)))
-        if word:
-            for x in word:
-                watchers[abs(x)].append(len(relators))
-            relators.append(word)
-
-    queue = list(range(len(relators)))
-    while queue:
-        i = queue.pop()
-        if not relators[i]:
-            continue  # spent: it reads empty
-        word = []
-        for x in relators[i]:
-            g = abs(x)
-            r = root[g]
-            if dead[r]:
-                continue
-            y = r if (x > 0) == (sign[g] > 0) else -r
-            if word and word[-1] == -y:
-                word.pop()
-            else:
-                word.append(y)
-        if len(word) == 3 and word[0] == -word[2]:
-            word = word[1:2]
-        if len(word) == 1:
-            r = abs(word[0])
-            dead[r] = True
-        elif len(word) == 2 and abs(word[0]) != abs(word[1]):
-            # x y = 1 with x = r ** e and y = b ** f gives r = b ** (-e f);
-            # the class with fewer watchers joins the other, the first on a tie
-            r, b = abs(word[0]), abs(word[1])
-            if len(watchers[b]) < len(watchers[r]):
-                r, b = b, r
-            s = -1 if (word[0] > 0) == (word[1] > 0) else 1
-            for g in members[r]:
-                root[g], sign[g] = b, sign[g] * s
-            members[b] += members[r]
-            watchers[b] += watchers[r]
-        else:
-            continue
-        relators[i] = ()  # it reads empty from now on
-        live -= 1
-        queue += filter(relators.__getitem__, watchers[r])
-        watchers[r] = []
-    return live
-
-
 def homotopy_verdict(p, claim_holds):
     """The record status of a homology claim about the poset p's order
     complex, with its pi1 verdict.
 
     A claim that does not hold fails, pi1 not evaluated.  Otherwise the
-    verdict is read on p's checked beat-point core, the complex that
-    :func:`poset_homology` read: from its memo entry when a matching
-    certified the core a wedge of spheres, else from :func:`pi1_field`.
-    "Trivial" certifies the homotopy type ("pass"), and any other verdict
-    leaves it "homology-only".  Every claim is free homology in one
-    degree, so a holding claim allows a nonzero reduced H_1 only for a
-    wedge of circles, whose free fundamental group is nontrivial and
-    consistent with the claim: "Nontrivial" never contradicts it.
+    verdict is the one :func:`_core_homotopy` stored beside the homology
+    of p's checked beat-point core, the complex that
+    :func:`poset_homology` read.  "Trivial", which only a matched wedge
+    of spheres of degree other than 1 (or the empty complex) gets,
+    certifies the homotopy type ("pass"); any other verdict leaves it
+    "homology-only".  Every claim is free homology in one degree, so a
+    holding claim allows a nonzero reduced H_1 only for a wedge of
+    circles, whose free fundamental group is nontrivial and consistent
+    with the claim: "Nontrivial" never contradicts it.
     """
     if not claim_holds:
         return "fail", "not-evaluated"
-    core = core_complex(p)
-    pi1 = _core_homotopy(core)[1] or pi1_field(core)
+    pi1 = _core_homotopy(core_complex(p))[1]
     return ("pass" if pi1 == PI1_TRIVIAL else "homology-only"), pi1
 
 
@@ -803,9 +706,11 @@ def certify_contractible(p):
     """The record status of the claim that p's order complex is contractible.
 
     The claim, trivial reduced homology, is decided on p's checked
-    beat-point core by :func:`homotopy_verdict`: "pass", "homology-only"
-    or "fail".  A cone needs no shortcut, since its core is one point.
-    The empty poset fails: its order complex is the empty complex.
+    beat-point core by :func:`homotopy_verdict`: "pass" where a matching
+    collapses the core to a point, "homology-only" where the homology is
+    trivial but no matching proves it (the dunce hat), or "fail".  A cone
+    needs no shortcut, since its core is one point.  The empty poset
+    fails: its order complex is the empty complex.
     """
     return homotopy_verdict(p, poset_homology(p).is_trivial())[0]
 

@@ -7,7 +7,7 @@ import heapq
 import random
 from collections import Counter, OrderedDict
 from fractions import Fraction
-from itertools import combinations, permutations
+from itertools import chain, combinations, permutations, repeat
 from math import gcd
 
 import numpy as np
@@ -16,9 +16,11 @@ import pytest
 from posetlab import homology
 from posetlab.enumeration import enumerate_graphs, fiber_poset, parse_key
 from posetlab.graph_posets import KINDS, build_poset
+from posetlab.multigraph import _union
 from posetlab.homology import (
     PI1_NONTRIVIAL,
     PI1_TRIVIAL,
+    PI1_UNKNOWN,
     HomologyResult,
     InvariantError,
     SNFResult,
@@ -27,7 +29,6 @@ from posetlab.homology import (
     certify_contractible,
     core_complex,
     homotopy_verdict,
-    pi1_field,
     poset_homology,
     read_triplet_matrix,
     reduced_homology,
@@ -182,6 +183,111 @@ def nerve_with_audit(cover):
     return SimplicialComplex(list(range(k)), nerve_faces), audit
 
 
+# A presentation prover: a second pi1 route that shares no code with the
+# checked matching, and the reference for the matching's verdicts.
+def pi1_field(k):
+    """Three-valued triviality test for the fundamental group of every
+    component of k at once.
+
+    The presentation is read off a spanning forest of the 1-skeleton:
+    one generator per edge off the forest, one relator of at most three
+    letters per 2-simplex.  Relators never cross components, so none
+    needs a copy of its own.  Returns "Trivial" only if every generator
+    is proved trivial (see :func:`_live_classes`); "Nontrivial" only if
+    reduced H_1 is nonzero; otherwise "Unknown".  Never returns
+    "Trivial" when H_1 is nonzero.
+    """
+    h = reduced_homology(k)
+    h1_nonzero = bool(h.betti(1)) or bool(h.torsion(1))
+    if not _live_classes(k):
+        if h1_nonzero:
+            raise InvariantError("presentation emptied but H1 is nonzero")
+        return PI1_TRIVIAL
+    if h1_nonzero:
+        return PI1_NONTRIVIAL
+    return PI1_UNKNOWN
+
+
+def _live_classes(k):
+    """How many generator classes of k's forest presentation stay alive.
+
+    A signed union-find sorts the generators into classes: generator g
+    is ``root[g] ** sign[g]``.  A relator is read in root letters, dead
+    roots dropped, and reduced freely and cyclically.  One letter left
+    proves its class trivial, so the class dies; two letters of distinct
+    classes prove one class a power +-1 of the other, so the two merge.
+    A relator is read again only when one of its classes dies or merges,
+    and never after it has given its fact: a spent relator is not queued
+    again.  Every step is a consequence of the relators, so no live
+    class means a trivial group.
+    """
+    tree = list(range(len(k.vertices)))
+    gens = {}  # edge -> generator numbered from 1 for signed letters; forest edges 0
+    live = 0
+    for u, v in k.faces(1):
+        if _union(tree, u, v):
+            gens[(u, v)] = 0
+        else:
+            live += 1
+            gens[(u, v)] = live
+
+    root = list(range(live + 1))
+    sign = [1] * len(root)
+    dead = [False] * len(root)
+    members = [[g] for g in root]
+    watchers = [[] for _ in root]
+    relators = []
+    # a < b < c: the edges come as (a, b), (a, c), (b, c), and the loop
+    # a -> b -> c -> a crosses the edge (a, c) backwards
+    letters = map(gens.__getitem__, chain.from_iterable(map(combinations, k.faces(2), repeat(2))))
+    for ab, ac, bc in zip(letters, letters, letters):
+        word = tuple(filter(None, (ab, bc, -ac)))
+        if word:
+            for x in word:
+                watchers[abs(x)].append(len(relators))
+            relators.append(word)
+
+    queue = list(range(len(relators)))
+    while queue:
+        i = queue.pop()
+        if not relators[i]:
+            continue  # spent: it reads empty
+        word = []
+        for x in relators[i]:
+            g = abs(x)
+            r = root[g]
+            if dead[r]:
+                continue
+            y = r if (x > 0) == (sign[g] > 0) else -r
+            if word and word[-1] == -y:
+                word.pop()
+            else:
+                word.append(y)
+        if len(word) == 3 and word[0] == -word[2]:
+            word = word[1:2]
+        if len(word) == 1:
+            r = abs(word[0])
+            dead[r] = True
+        elif len(word) == 2 and abs(word[0]) != abs(word[1]):
+            # x y = 1 with x = r ** e and y = b ** f gives r = b ** (-e f);
+            # the class with fewer watchers joins the other, the first on a tie
+            r, b = abs(word[0]), abs(word[1])
+            if len(watchers[b]) < len(watchers[r]):
+                r, b = b, r
+            s = -1 if (word[0] > 0) == (word[1] > 0) else 1
+            for g in members[r]:
+                root[g], sign[g] = b, sign[g] * s
+            members[b] += members[r]
+            watchers[b] += watchers[r]
+        else:
+            continue
+        relators[i] = ()  # it reads empty from now on
+        live -= 1
+        queue += filter(relators.__getitem__, watchers[r])
+        watchers[r] = []
+    return live
+
+
 # ---------------------------------------------------------------------------
 # fixture complexes
 # ---------------------------------------------------------------------------
@@ -249,6 +355,12 @@ def suspension(k):
     n = len(k.vertices)
     faces = [f + (apex,) for f in k.all_faces() for apex in (n, n + 1)]
     return SimplicialComplex.from_facets(range(n + 2), faces)
+
+
+def face_poset(k):
+    """The faces of k ordered by inclusion; its order complex is the
+    barycentric subdivision of k."""
+    return FinitePoset.from_relation(k.all_faces(), lambda a, b: set(a) <= set(b))
 
 
 # ---------------------------------------------------------------------------
@@ -549,6 +661,24 @@ class TestContractibilityAndPi1:
         assert homotopy_verdict(theta, True) == ("homology-only", PI1_NONTRIVIAL)
         assert homotopy_verdict(sphere, True) == ("pass", PI1_TRIVIAL)
 
+    def test_contractible_but_not_collapsible_is_homology_only(self):
+        # only a matching proves "Trivial", and none collapses the dunce
+        # hat: its face poset is its own core, with trivial homology, and
+        # the claim holds without a homotopy certificate
+        p = face_poset(dunce_hat())
+        assert p.n == 105 and beat_point_core(p)[0] == p
+        assert poset_homology(p).is_trivial()
+        assert certify_contractible(p) == "homology-only"
+        assert homotopy_verdict(p, True) == ("homology-only", PI1_UNKNOWN)
+
+    def test_torsion_alone_makes_the_fallback_nontrivial(self, monkeypatch):
+        monkeypatch.setattr(homology, "_homology_cache", OrderedDict())
+        p = face_poset(projective_plane())
+        h = poset_homology(p)
+        assert (h.betti(1), h.torsion(1)) == (0, (2,))
+        assert homology._core_homotopy(core_complex(p)) == (h, PI1_NONTRIVIAL)
+        assert homotopy_verdict(p, True) == ("homology-only", PI1_NONTRIVIAL)
+
     def test_pi1_of_simplex_boundary(self):
         assert pi1_field(sphere_complex(2)) == PI1_TRIVIAL
 
@@ -576,7 +706,7 @@ class TestContractibilityAndPi1:
         assert pi1_field(projective_plane()) == PI1_NONTRIVIAL
 
     def test_emptied_presentation_with_h1_is_caught(self, monkeypatch):
-        monkeypatch.setattr(homology, "_live_classes", lambda k: 0)
+        monkeypatch.setitem(globals(), "_live_classes", lambda k: 0)
         with pytest.raises(InvariantError):
             pi1_field(projective_plane())
 
@@ -851,7 +981,7 @@ def _rows(leq):
     return [sum(1 << int(j) for j in np.flatnonzero(row)) for row in leq]
 
 
-def chain(labels):
+def total_order(labels):
     return FinitePoset(labels, _rows(np.triu(np.ones((len(labels), len(labels)), dtype=bool))))
 
 
@@ -881,10 +1011,10 @@ class TestHomologyMemo:
         assert built == [k] * 2 * (k.dim + 1)
         assert not homology._homology_cache
 
-    def test_route_stores_a_fallback_with_no_verdict(self, built):
+    def test_route_stores_a_fallback_with_its_verdict(self, built):
         k = torus()
         entry = homology._core_homotopy(k)
-        assert entry == (reduced_homology(k), None) and len(built) == 2 * (k.dim + 1)
+        assert entry == (reduced_homology(k), PI1_NONTRIVIAL) and len(built) == 2 * (k.dim + 1)
         assert homology._homology_cache == {k.structure_key(): entry}
         assert homology._core_homotopy(k) == entry and len(built) == 2 * (k.dim + 1)
 
@@ -939,7 +1069,7 @@ class TestCoreComplexMemo:
         assert first.structure_key() == fresh.structure_key()
 
     def test_same_labels_other_order_is_another_entry(self, reductions):
-        point, four = core_complex(chain(range(4))), core_complex(antichain(range(4)))
+        point, four = core_complex(total_order(range(4))), core_complex(antichain(range(4)))
         assert len(reductions) == 2 and core_complex.cache_info().currsize == 2
         assert (point.num_faces(), four.num_faces()) == (1, 4)
 
@@ -971,7 +1101,7 @@ class TestCoreComplexMemo:
         try:
             for _ in range(2):
                 with pytest.raises(InvariantError, match="do not match the core"):
-                    core_complex(chain(range(4)))
+                    core_complex(total_order(range(4)))
             assert core_complex.cache_info().currsize == 0
         finally:
             core_complex.cache_clear()
@@ -1019,6 +1149,14 @@ class TestMatchingReplay:
             with pytest.raises(InvariantError):
                 homology._replay_matching(k, moved)
 
+    # without a matched wedge, pi1 is "Nontrivial" where H~1 is nonzero
+    # and "Unknown" otherwise: the dunce hat's trivial group goes unproved
+    FALLBACK_VERDICTS = {
+        "dunce_hat": PI1_UNKNOWN,
+        "projective_plane": PI1_NONTRIVIAL,
+        "torus": PI1_NONTRIVIAL,
+    }
+
     @pytest.mark.parametrize(
         "space, critical",
         [
@@ -1037,7 +1175,7 @@ class TestMatchingReplay:
         real = homology.snf_from_entries
         monkeypatch.setattr(homology, "snf_from_entries", lambda e: snfs.append(e) or real(e))
         h, pi1 = homology._core_homotopy(k)
-        assert pi1 is None and len(snfs) == k.dim + 1
+        assert pi1 == self.FALLBACK_VERDICTS[space.__name__] and len(snfs) == k.dim + 1
         assert h == reduced_homology(k)
 
     def test_component_check_catches_a_miscounted_matching(self, monkeypatch):
@@ -1058,8 +1196,21 @@ class TestMatchingReplay:
         # the empty complex has no vertex to start from
         assert homology._core_homotopy(SimplicialComplex([], [])) == (
             HomologyResult.sphere(-1),
-            None,
+            PI1_TRIVIAL,
         )
+
+    def test_the_empty_complex_needs_no_matching_and_no_snf(self, monkeypatch):
+        monkeypatch.setattr(homology, "_homology_cache", OrderedDict())
+        calls = []
+        for name in ("snf_from_entries", "_replay_matching"):
+            real = getattr(homology, name)
+            monkeypatch.setattr(
+                homology, name, lambda *a, name=name, real=real: calls.append(name) or real(*a)
+            )
+        empty = SimplicialComplex([], [])
+        assert homology._core_homotopy(empty) == (HomologyResult.sphere(-1), PI1_TRIVIAL)
+        assert homotopy_verdict(FinitePoset([], []), True) == ("pass", PI1_TRIVIAL)
+        assert calls == []
 
     def test_matched_verdict_is_memoised_beside_the_homology(self, monkeypatch):
         monkeypatch.setattr(homology, "_homology_cache", OrderedDict())
@@ -1070,10 +1221,6 @@ class TestMatchingReplay:
             homology, "_replay_matching", lambda k, order: replays.append(k) or real(k, order)
         )
 
-        def no_presentation(k):
-            raise AssertionError("a matched complex reads no presentation")
-
-        monkeypatch.setattr(homology, "_live_classes", no_presentation)
         theta = FinitePoset.from_covers(
             ["u", "v", "a", "b", "c"], [(0, 2), (1, 2), (0, 3), (1, 3), (0, 4), (1, 4)]
         )
@@ -1098,35 +1245,57 @@ def census_core_complexes():
 
 
 class TestMatchingOracle:
-    def routes(self, k):
-        """(matched verdict on a cleared memo, SNF and presentation
-        verdict); the first is None where the matching falls back."""
-        homology._homology_cache.clear()
-        h, pi1 = homology._core_homotopy(k)
-        return (h, pi1) if pi1 else None, (reduced_homology(k), pi1_field(k))
-
-    def test_matched_verdicts_equal_snf_and_the_presentation(self, monkeypatch):
+    @pytest.fixture
+    def route(self, monkeypatch):
+        """The route's (homology, pi1) of a complex on a cleared memo, and
+        whether it fell back, that is, called `reduced_homology`."""
         monkeypatch.setattr(homology, "_homology_cache", OrderedDict())
+        snfs = []
+        real = homology.reduced_homology
+        monkeypatch.setattr(homology, "reduced_homology", lambda k: snfs.append(k) or real(k))
+
+        def route(k):
+            homology._homology_cache.clear()
+            snfs.clear()
+            return homology._core_homotopy(k), bool(snfs)
+
+        return route
+
+    def test_matched_verdicts_equal_snf_and_the_presentation(self, route):
         census = census_core_complexes()
         clearing = clearing_complexes()
         fallbacks = Counter()
+        weakened = []
         for group, complexes in (("census", census), ("clearing", clearing)):
             for k in complexes:
-                matched, reference = self.routes(k)
-                if matched is None:
-                    fallbacks[group] += 1
-                else:
-                    assert matched == reference, k
-        # the empty complex falls back, having no vertex to start from
-        # (among the clearing complexes it is the proper part of the
-        # one-element subset lattice and a census core); so do the torus,
-        # RP2, the dunce hat, two suspensions of RP2 and 23 random ones
+                (h, pi1), fell_back = route(k)
+                reference = reduced_homology(k), pi1_field(k)
+                if not fell_back:
+                    assert (h, pi1) == reference, k
+                    continue
+                fallbacks[group] += 1
+                assert h == reference[0], k
+                # a fallback's verdict is weaker than the prover's, never
+                # contradictory: "Unknown" only where the prover proves "Trivial"
+                if pi1 != reference[1]:
+                    assert (pi1, reference[1]) == (PI1_UNKNOWN, PI1_TRIVIAL), k
+                    weakened.append(k.structure_key())
+        # the torus, RP2, the dunce hat, two suspensions of RP2 and 23
+        # random complexes fall back; the empty complex (among the clearing
+        # complexes twice, the proper part of the one-element subset
+        # lattice and a census core) is answered without a matching
         assert (len(census), len(clearing)) == (222, 419)
-        assert fallbacks == {"census": 1, "clearing": 30}
+        assert fallbacks == {"clearing": 28}
+        # simply connected, so the prover proves what the fallback leaves
+        # "Unknown": the dunce hat, both suspensions of RP2 and one random
+        # contractible complex on 7 vertices
+        rp2 = projective_plane()
+        random_260 = list(random_complexes(13, 300))[260]
+        named = (dunce_hat(), suspension(rp2), suspension(suspension(rp2)), random_260)
+        assert weakened == [k.structure_key() for k in named]
 
-    def test_every_rank4_deep_complex_is_matched(self, monkeypatch):
+    def test_every_rank4_deep_complex_is_matched(self, route, monkeypatch):
         # a producer change that loses matchings shows up here
-        monkeypatch.setattr(homology, "_homology_cache", OrderedDict())
         seen = {}
         real = homology._core_homotopy
 
@@ -1136,5 +1305,5 @@ class TestMatchingOracle:
 
         monkeypatch.setattr(homology, "_core_homotopy", recording)
         assert run_suite("rank4-deep", deep_budget=1e9).ok
-        fallbacks = [k for k in seen.values() if self.routes(k)[0] is None]
+        fallbacks = [k for k in seen.values() if route(k)[1]]
         assert (len(seen), len(fallbacks)) == (137, 0)

@@ -131,7 +131,7 @@ def test_cli_import_leaves_numpy_and_multiprocessing_out():
 # `core_complex`.  Only code that needs the full order complex may hand
 # one over: the poset module itself and the final cross-check of a
 # validated level certificate.
-HOMOTOPY_ROUTINES = {"reduced_homology", "pi1_field", "_coreduction_matching"}
+HOMOTOPY_ROUTINES = {"reduced_homology", "_coreduction_matching"}
 CORE_COMPLEX_FILES = {"homology.py"}
 FULL_COMPLEX_FILES = {"poset.py"}
 FULL_COMPLEX_FUNCTIONS = {"verify_certificate"}
@@ -198,7 +198,7 @@ def test_rule_sees_direct_and_named_complexes():
     source = (
         "def f(p):\n"
         "    k = order_complex(p)\n"
-        "    return pi1_field(k), homology.reduced_homology(order_complex(p))\n"
+        "    return _coreduction_matching(k), homology.reduced_homology(order_complex(p))\n"
         "def verify_certificate(p):\n"
         "    return reduced_homology(order_complex(p))\n"
         "def g(p):\n"
@@ -318,6 +318,77 @@ def test_only_the_route_names_the_homology_memo():
         tree = ast.parse(path.read_text(), filename=str(path))
         found |= {(path.name, scope) for scope in memo_names(tree)}
     assert found == {("homology.py", "<definition>"), *MATCHING_ROUTE}
+
+
+# One certificate makes a "Trivial" pi1 verdict: the core-complex route,
+# from a checked matching (or for the empty complex).  Besides the
+# constant's definition, only `homotopy_verdict` names it, and only to
+# compare a verdict with it; no other code names the constant or spells
+# its string.
+TRIVIAL_VERDICT = ("PI1_TRIVIAL", "Trivial")
+
+
+def trivial_verdicts(tree):
+    """(scope, role) of each naming of ``PI1_TRIVIAL`` or the string
+    "Trivial": role "definition" for the module-level assignment that
+    defines it, "comparison" for an operand of a comparison, "value"
+    otherwise."""
+    name, text = TRIVIAL_VERDICT
+    found = set()
+    for scope in [tree, *(n for n in ast.walk(tree) if isinstance(n, _SCOPES))]:
+        where = getattr(scope, "name", "<module>" if scope is tree else "<lambda>")
+        nodes = list(_own_nodes(scope))
+        defined = {
+            id(part)
+            for n in nodes
+            if scope is tree and isinstance(n, ast.Assign) and _named(n.targets) == {name}
+            for part in (*n.targets, n.value)
+        }
+        compared = {
+            id(part)
+            for n in nodes
+            if isinstance(n, ast.Compare)
+            for part in (n.left, *n.comparators)
+        }
+        for n in nodes:
+            if name in _named([n]) or (isinstance(n, ast.Constant) and n.value == text):
+                if id(n) in defined:
+                    found.add((where, "definition"))
+                else:
+                    found.add((where, "comparison" if id(n) in compared else "value"))
+    return found
+
+
+def test_one_certificate_rule_on_a_snippet():
+    tree = ast.parse(
+        'PI1_TRIVIAL = "Trivial"\n'
+        "def route(k):\n"
+        "    return h, PI1_TRIVIAL\n"
+        "def verdict(pi1):\n"
+        '    return "pass" if pi1 == PI1_TRIVIAL else "homology-only"\n'
+        "def second_producer(k):\n"
+        '    return h, "Trivial" if prover(k) else homology.PI1_TRIVIAL\n'
+        "from .homology import PI1_TRIVIAL\n"
+    )
+    assert trivial_verdicts(tree) == {
+        ("<module>", "definition"),
+        ("route", "value"),
+        ("verdict", "comparison"),
+        ("second_producer", "value"),
+        ("<module>", "value"),
+    }
+
+
+def test_only_the_route_makes_a_trivial_verdict():
+    found = set()
+    for path in sorted(PACKAGE.rglob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        found |= {(path.name, *entry) for entry in trivial_verdicts(tree)}
+    assert found == {
+        ("homology.py", "<module>", "definition"),
+        ("homology.py", "_core_homotopy", "value"),
+        ("homology.py", "homotopy_verdict", "comparison"),
+    }
 
 
 # Every parameter of a function or lambda in the package, other than
@@ -483,6 +554,9 @@ def test_no_unused_definitions_in_the_package():
 GONE_SPANS = {
     "homology.pi1_triviality": "pi1 is proved by pi1_field alone; the benchmark files "
     "keep the old name until the benchmark itself is next changed",
+    "homology.pi1_field": "pi1 is proved by the checked matching alone and the "
+    "presentation prover is a test oracle; the benchmark keeps the span until it is "
+    "next changed",
 }
 
 

@@ -6,18 +6,6 @@ phases: a sparse phase that eliminates +-1 pivots (which is almost all of
 the work on boundary matrices of order complexes) and a dense textbook
 phase on whatever small residue is left, which is where torsion shows up.
 
-`reduced_homology` runs one SNF per degree, from the bottom up, and
-clears as it goes (the "twist" of Chen and Kerber, *Persistent homology
-computation with a twist*, 2011): the boundary matrix of degree d+1 is
-built without the rows indexed by the unit-pivot columns C of degree d.
-Over Z this loses nothing.  The elimination uses row operations only, so
-in pivot order the unit pivots form a unit-triangular block and the
-original block bd_d[R, C] has determinant +-1.  Since bd_d bd_(d+1) = 0,
-the rows C of bd_(d+1) are then integer combinations of the other rows,
-and removing them is a unimodular row operation that keeps the rank and
-the invariant factors.  Only unit pivots clear; a pivot of the dense
-residue gives no such block.
-
 A poset's homology and pi1 verdict are read on its checked beat-point
 core complex, and there an acyclic matching comes first (Forman, *Morse
 theory for cell complexes*, 1998).  Coreductions from the lowest vertex
@@ -49,10 +37,9 @@ from __future__ import annotations
 
 import heapq
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
-from itertools import chain, combinations, compress, cycle, repeat
-from operator import not_
+from itertools import chain, combinations, cycle, repeat
 
 from .poset import _bits, _down_rows, beat_point_core, order_complex
 from .simplicial import SimplicialComplex
@@ -73,38 +60,24 @@ class InvariantError(RuntimeError):
 class SNFResult:
     rank: int
     factors: tuple
-    # the columns the sparse phase pivoted on with a +-1; they clear the
-    # rows of the next boundary matrix (see the module docstring)
-    unit_pivot_cols: frozenset = field(default=frozenset(), compare=False, repr=False)
 
     def torsion(self):
         return tuple(f for f in self.factors if f > 1)
 
 
-def smith_normal_form(matrix):
-    """Smith normal form data of an integer matrix.
+def snf_from_entries(entries):
+    """Smith normal form data of the sparse matrix ``{(row, col): value}``.
 
-    Accepts any nested sequence of integers.  Returns the rank and the
-    full tuple of invariant factors d1 | d2 | ... | dr, the ones included.
+    Returns the rank and the full tuple of invariant factors
+    d1 | d2 | ... | dr, the ones included.
 
-    >>> smith_normal_form([[1, 0], [0, 1]]).factors
-    (1, 1)
-    >>> smith_normal_form([[2, 0], [0, 3]]).factors
+    >>> snf_from_entries({(0, 0): 2, (1, 1): 3}).factors
     (1, 6)
-    >>> smith_normal_form([[0, 0], [0, 0]])
+    >>> snf_from_entries({(0, 0): 1, (1, 1): 1}).factors
+    (1, 1)
+    >>> snf_from_entries({})
     SNFResult(rank=0, factors=())
     """
-    entries = {}
-    for i, row in enumerate(matrix):
-        for j, v in enumerate(row):
-            v = int(v)
-            if v:
-                entries[(i, j)] = v
-    return snf_from_entries(entries)
-
-
-def snf_from_entries(entries):
-    """Smith normal form data of the sparse matrix ``{(row, col): value}``."""
     rows = {}
     cols = {}
     for (i, j), v in entries.items():
@@ -121,9 +94,7 @@ def snf_from_entries(entries):
         if b % a:
             raise InvariantError(f"dense SNF diagonal {dense} is not a divisor chain")
     factors = [1] * len(pivots) + dense
-    return SNFResult(
-        rank=len(factors), factors=tuple(factors), unit_pivot_cols=frozenset(pivots)
-    )
+    return SNFResult(rank=len(factors), factors=tuple(factors))
 
 
 def _eliminate_unit_pivots(rows, cols):
@@ -354,41 +325,29 @@ class HomologyResult:
         return ", ".join(parts)
 
 
-def boundary_entries(k, d, skip_rows=frozenset()):
+def boundary_entries(k, d):
     """Sparse entries of the boundary map C_d -> C_(d-1), augmented at d=0.
 
-    Rows are numbered by the (d-1)-faces of k.  Rows in `skip_rows`, the
-    augmentation's row 0 included, are left out, so they read as zero;
-    `reduced_homology` clears rows with it.  `combinations(face, d)`
+    Rows are numbered by the (d-1)-faces of k.  `combinations(face, d)`
     lists a face's facets with its last vertex dropped first, so their
     signs run (-1)^d .. (-1)^0.
     """
     faces = k.faces(d)
     if d == 0:
-        return {} if 0 in skip_rows else dict.fromkeys(zip(repeat(0), range(len(faces))), 1)
-    rows = list(
-        map(
-            k.face_index(d - 1).__getitem__,
-            chain.from_iterable(map(combinations, faces, repeat(d))),
-        )
+        return dict.fromkeys(zip(repeat(0), range(len(faces))), 1)
+    rows = map(
+        k.face_index(d - 1).__getitem__,
+        chain.from_iterable(map(combinations, faces, repeat(d))),
     )
     cols = chain.from_iterable(map(repeat, range(len(faces)), repeat(d + 1)))
-    entries = zip(zip(rows, cols), cycle([(-1) ** t for t in range(d, -1, -1)]))
-    if skip_rows:
-        entries = compress(entries, map(not_, map(skip_rows.__contains__, rows)))
-    return dict(entries)
+    return dict(zip(zip(rows, cols), cycle([(-1) ** t for t in range(d, -1, -1)])))
 
 
 def reduced_homology(k):
     """Reduced integer homology of a complex, all degrees at once.
 
-    The boundary matrices are reduced from degree 0 up, with clearing
-    (Chen and Kerber, 2011; the module docstring has why it is exact over
-    Z): the matrix of degree d+1 leaves out the rows at the unit-pivot
-    columns of degree d.  Those pivots form a block of determinant +-1 and
-    bd_d bd_(d+1) = 0, so the dropped rows are integer combinations of the
-    kept ones.  Pivots of the dense residue never clear a row.  Nothing
-    is remembered: every call builds and reduces the matrices again.
+    Each degree's full boundary matrix gets one SNF.  Nothing is
+    remembered: every call builds and reduces the matrices again.
 
     >>> triangle = SimplicialComplex.from_facets("abc", [(0, 1), (1, 2), (0, 2)])
     >>> str(reduced_homology(triangle))
@@ -398,13 +357,11 @@ def reduced_homology(k):
     counts = {-1: 1}
     ranks = {}
     torsion_at = {}
-    cleared = frozenset()
     for d in range(0, top + 1):
         counts[d] = k.num_faces(d)
-        res = snf_from_entries(boundary_entries(k, d, cleared))
+        res = snf_from_entries(boundary_entries(k, d))
         ranks[d] = res.rank
         torsion_at[d] = res.torsion()
-        cleared = res.unit_pivot_cols
     ranks[top + 1] = 0
     torsion_at[top + 1] = ()
 
@@ -421,9 +378,8 @@ def reduced_homology(k):
 
     # Euler characteristic bookkeeping check, reduced form.  The ranks
     # telescope out of it, so it guards the arithmetic above but cannot see
-    # a wrong SNF rank or a wrong clearing; the 1-skeleton's components give
-    # H~_-1 and H~_0 without SNF, which catches a wrong rank in degrees 0
-    # and 1.
+    # a wrong SNF rank; the 1-skeleton's components give H~_-1 and H~_0
+    # without SNF, which catches a wrong rank in degrees 0 and 1.
     chi_faces = sum((-1) ** d * c for d, c in counts.items())
     chi_betti = sum((-1) ** d * b for d, b in betti.items())
     if chi_faces != chi_betti:

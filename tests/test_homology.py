@@ -32,7 +32,6 @@ from posetlab.homology import (
     poset_homology,
     read_triplet_matrix,
     reduced_homology,
-    smith_normal_form,
     snf_from_entries,
 )
 from posetlab.poset import FinitePoset, beat_point_core, order_complex, subset_lattice
@@ -368,12 +367,18 @@ def face_poset(k):
 # ---------------------------------------------------------------------------
 
 
+def snf_of_list(matrix):
+    """SNF of a nested list, every entry handed over, zeros included."""
+    entries = {(i, j): v for i, row in enumerate(matrix) for j, v in enumerate(row)}
+    return snf_from_entries(entries)
+
+
 class TestSmithNormalForm:
     def test_known_matrices(self):
-        assert smith_normal_form([[2, 0], [0, 3]]).factors == (1, 6)
-        assert smith_normal_form([[1, 0], [0, 1]]).factors == (1, 1)
-        assert smith_normal_form([[0, 0], [0, 0]]).factors == ()
-        assert smith_normal_form([[2, 4], [4, 8]]).factors == (2,)
+        assert snf_of_list([[2, 0], [0, 3]]).factors == (1, 6)
+        assert snf_of_list([[1, 0], [0, 1]]).factors == (1, 1)
+        assert snf_of_list([[0, 0], [0, 0]]).factors == ()
+        assert snf_of_list([[2, 4], [4, 8]]).factors == (2,)
 
     def test_divisor_chain_property(self):
         rng = random.Random(7)
@@ -381,7 +386,7 @@ class TestSmithNormalForm:
             rows = rng.randrange(1, 5)
             cols = rng.randrange(1, 5)
             m = [[rng.randrange(-4, 5) for _ in range(cols)] for _ in range(rows)]
-            res = smith_normal_form(m)
+            res = snf_of_list(m)
             for a, b in zip(res.factors, res.factors[1:]):
                 assert b % a == 0
 
@@ -395,7 +400,7 @@ class TestSmithNormalForm:
             rows = rng.randrange(1, 6)
             cols = rng.randrange(1, 6)
             m = [[rng.choice(values[k % 2]) for _ in range(cols)] for _ in range(rows)]
-            res = smith_normal_form(m)
+            res = snf_of_list(m)
             expected = snf_oracle(m)
             assert res.factors == expected, (m, res.factors, expected)
             assert res.rank == len(expected)
@@ -417,7 +422,7 @@ class TestSmithNormalForm:
                 for j in range(cols)
                 if m[i][j]
             }
-            assert snf_from_entries(entries).factors == smith_normal_form(m).factors
+            assert snf_from_entries(entries).factors == snf_of_list(m).factors
 
     def test_unit_block_glued_to_torsion_residue(self):
         # I_300 (+) diag(4, 6), scrambled by row operations that mix the
@@ -427,18 +432,18 @@ class TestSmithNormalForm:
         m += [[0] * n + [4, 0], [0] * n + [0, 6]]
         for target, source, mult in ((n, 5, 3), (0, n + 1, 1), (n + 1, 7, -2), (9, n, 1)):
             m[target] = [a + mult * b for a, b in zip(m[target], m[source])]
-        res = smith_normal_form(m)
+        res = snf_of_list(m)
         assert res.factors == (1,) * n + (2, 12)
         assert res.rank == n + 2
 
     def test_rank_deficient(self):
-        assert smith_normal_form([[2, 4], [4, 8]]).factors == (2,)
-        assert smith_normal_form([[1, 2], [2, 4]]).factors == (1,)
-        assert smith_normal_form([[0, 3], [0, 6]]).factors == (3,)
-        assert smith_normal_form([[2, 4, 6], [4, 8, 12], [1, 2, 3]]).factors == (1,)
+        assert snf_of_list([[2, 4], [4, 8]]).factors == (2,)
+        assert snf_of_list([[1, 2], [2, 4]]).factors == (1,)
+        assert snf_of_list([[0, 3], [0, 6]]).factors == (3,)
+        assert snf_of_list([[2, 4, 6], [4, 8, 12], [1, 2, 3]]).factors == (1,)
         # units in front of a rank-deficient residue
         m = [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 2, 4], [0, 0, 4, 8]]
-        assert smith_normal_form(m) == SNFResult(rank=3, factors=(1, 1, 2))
+        assert snf_of_list(m) == SNFResult(rank=3, factors=(1, 1, 2))
 
     def test_unit_prefix_equals_full_chain_normalization(self):
         # a pairwise gcd/lcm pass over units and residue together, which
@@ -748,11 +753,6 @@ def census_posets():
             )
 
 
-def uncleared_snfs(k):
-    """One SNF per degree of the full boundary matrix, no row cleared."""
-    return [snf_from_entries(boundary_entries(k, d)) for d in range(k.dim + 1)]
-
-
 def random_complexes(seed, count):
     """Seeded random 2- and 3-complexes on 4 to 8 vertices."""
     rng = random.Random(seed)
@@ -764,76 +764,45 @@ def random_complexes(seed, count):
         yield SimplicialComplex.from_facets(range(nverts), facets + [(v,) for v in range(nverts)])
 
 
-class TestClearing:
+class TestReducedHomology:
     @pytest.fixture
     def handed_over(self, monkeypatch):
-        """Each (entries, SNF) pair that `reduced_homology` hands to and
-        gets from `snf_from_entries`."""
+        """Each matrix that `reduced_homology` hands to `snf_from_entries`."""
         real = homology.snf_from_entries
         calls = []
 
         def recording(entries):
-            res = real(entries)
-            calls.append((entries, res))
-            return res
+            calls.append(entries)
+            return real(entries)
 
         monkeypatch.setattr(homology, "snf_from_entries", recording)
         return calls
 
-    def test_cleared_ranks_and_factors_equal_the_uncleared_ones(self, handed_over):
-        rp2 = projective_plane()
-        named = [
-            ("torus", torus()),
-            ("RP2", rp2),
-            ("dunce hat", dunce_hat()),
-            ("S RP2", suspension(rp2)),
-            ("S2 RP2", suspension(suspension(rp2))),
-        ]
-        named += [
-            (f"subset lattice {m}", order_complex(subset_lattice(range(m)))) for m in range(1, 7)
-        ]
-        census = {}  # 108 distinct complexes among the 288
-        for name, p in census_posets():
-            for side, k in (("core", core_complex(p)), ("full", order_complex(p))):
-                census.setdefault(k.structure_key(), (f"{name} {side}", k))
-        named += census.values()
-        named += [(f"random {i}", k) for i, k in enumerate(random_complexes(13, 300))]
-        for name, k in named:
+    def test_each_degree_reduces_its_full_boundary_matrix(self, handed_over):
+        complexes = snf_complexes()
+        for k in complexes:
             handed_over.clear()
             reduced_homology(k)
-            # SNFResult equality compares rank and factors only
-            assert [res for _, res in handed_over] == uncleared_snfs(k), name
-        torsion = [str(reduced_homology(k)) for _, k in named[1:5]]
+            assert handed_over == [slice_boundary_entries(k, d) for d in range(k.dim + 1)], k
+        handed_over.clear()
+        assert reduced_homology(order_complex(subset_lattice(range(6)))) == HomologyResult.sphere(4)
+        assert [len(entries) for entries in handed_over] == [62, 1080, 4680, 7200, 3600]
+        # RP2, the dunce hat and two suspensions of RP2
+        torsion = [str(reduced_homology(k)) for k in complexes[1:5]]
         assert torsion == ["H~1=Z/2", "0", "H~2=Z/2", "H~3=Z/2"]
 
-    def test_rows_at_unit_pivot_columns_are_cleared(self, handed_over):
-        k = order_complex(subset_lattice(range(6)))
-        assert reduced_homology(k) == HomologyResult.sphere(4)
-        assert len(handed_over) == k.dim + 1 == 5
-        for (_, below), (entries, _) in zip(handed_over, handed_over[1:]):
-            assert below.unit_pivot_cols
-            assert not {i for i, _ in entries} & below.unit_pivot_cols
-        # uncleared the matrices hold 62, 1,080, 4,680, 7,200 and 3,600 entries
-        assert [len(entries) for entries, _ in handed_over] == [62, 1050, 4106, 4934, 1438]
 
-
-def slice_boundary_entries(k, d, skip_rows=frozenset()):
+def slice_boundary_entries(k, d):
     """The boundary builder that slices each facet out of its face: the
-    reference for `boundary_entries`, with row 0 of the augmentation
-    also left out when it is skipped."""
+    reference for `boundary_entries`."""
     faces = k.faces(d)
-    entries = {}
     if d == 0:
-        for j in range(len(faces)):
-            if 0 not in skip_rows:
-                entries[(0, j)] = 1
-        return entries
+        return {(0, j): 1 for j in range(len(faces))}
     lower = k.face_index(d - 1)
+    entries = {}
     for j, face in enumerate(faces):
         for t in range(len(face)):
-            i = lower[face[:t] + face[t + 1 :]]
-            if i not in skip_rows:
-                entries[(i, j)] = (-1) ** t
+            entries[(lower[face[:t] + face[t + 1 :]], j)] = (-1) ** t
     return entries
 
 
@@ -899,8 +868,8 @@ def eliminated(loop, entries):
     return loop(rows, cols), rows, cols
 
 
-def clearing_complexes():
-    """The complexes `TestClearing` reduces: named spaces, subset
+def snf_complexes():
+    """The complexes `TestReducedHomology` reduces: named spaces, subset
     lattices, the rank-2/3 census cores and full complexes, and seeded
     random complexes."""
     rp2 = projective_plane()
@@ -915,15 +884,12 @@ def clearing_complexes():
 
 class TestKernelOracles:
     def test_boundary_and_pivots_equal_the_references_on_clearing_complexes(self):
-        for k in clearing_complexes():
-            cleared = frozenset()
+        for k in snf_complexes():
             for d in range(k.dim + 1):
-                for skip in (frozenset(), cleared):
-                    assert boundary_entries(k, d, skip) == slice_boundary_entries(k, d, skip)
-                entries = boundary_entries(k, d, cleared)
+                entries = boundary_entries(k, d)
+                assert entries == slice_boundary_entries(k, d)
                 pivots, rows, cols = eliminated(homology._eliminate_unit_pivots, entries)
                 assert (pivots, rows, cols) == eliminated(tuple_key_unit_pivots, entries), k
-                cleared = frozenset(pivots)
 
     def test_pivots_equal_the_reference_on_random_integer_matrices(self):
         rng = random.Random(26)
@@ -940,12 +906,6 @@ class TestKernelOracles:
             assert (pivots, rows, cols) == eliminated(tuple_key_unit_pivots, entries), entries
             residues += bool(rows)
         assert residues > 100  # the dense phase gets work on many of them
-
-    def test_skipped_augmentation_row_is_left_out(self):
-        k = sphere_complex(1)
-        assert boundary_entries(k, 0) == {(0, 0): 1, (0, 1): 1, (0, 2): 1}
-        assert boundary_entries(k, 0, frozenset({0})) == {}
-        assert boundary_entries(k, 0, frozenset({5})) == boundary_entries(k, 0)
 
 
 class TestBeatPointReduction:
@@ -998,9 +958,9 @@ class TestHomologyMemo:
         built = []
         real = homology.boundary_entries
 
-        def counting(k, d, skip_rows=frozenset()):
+        def counting(k, d):
             built.append(k)
-            return real(k, d, skip_rows)
+            return real(k, d)
 
         monkeypatch.setattr(homology, "boundary_entries", counting)
         return built
@@ -1263,10 +1223,10 @@ class TestMatchingOracle:
 
     def test_matched_verdicts_equal_snf_and_the_presentation(self, route):
         census = census_core_complexes()
-        clearing = clearing_complexes()
+        snf = snf_complexes()
         fallbacks = Counter()
         weakened = []
-        for group, complexes in (("census", census), ("clearing", clearing)):
+        for group, complexes in (("census", census), ("snf", snf)):
             for k in complexes:
                 (h, pi1), fell_back = route(k)
                 reference = reduced_homology(k), pi1_field(k)
@@ -1281,11 +1241,11 @@ class TestMatchingOracle:
                     assert (pi1, reference[1]) == (PI1_UNKNOWN, PI1_TRIVIAL), k
                     weakened.append(k.structure_key())
         # the torus, RP2, the dunce hat, two suspensions of RP2 and 23
-        # random complexes fall back; the empty complex (among the clearing
+        # random complexes fall back; the empty complex (among the SNF
         # complexes twice, the proper part of the one-element subset
         # lattice and a census core) is answered without a matching
-        assert (len(census), len(clearing)) == (222, 419)
-        assert fallbacks == {"clearing": 28}
+        assert (len(census), len(snf)) == (222, 419)
+        assert fallbacks == {"snf": 28}
         # simply connected, so the prover proves what the fallback leaves
         # "Unknown": the dunce hat, both suspensions of RP2 and one random
         # contractible complex on 7 vertices

@@ -460,7 +460,6 @@ TEST_REFERENCES = {
     "from_relation": "tests build small posets from an order predicate",
     "from_covers": "tests build posets from their Hasse diagrams",
     "from_facets": "tests and a doctest build complexes from their facets",
-    "smith_normal_form": "the dense-matrix SNF that tests and doctests check",
     "collapse_edge": "the census contraction check and the collapse tests",
     "full_subcomplex": "the morse tests check descending posets against it",
     "dumbbell": "the tests' graph with a separating edge",
